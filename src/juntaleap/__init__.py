@@ -19,7 +19,6 @@ from .junta import (
     PlantedInstance,
     expand_hypercube,
     hard_instance,
-    joint_expectation,
     problem_from_dict,
     sample,
     uniform_hypercube_marginal,

@@ -202,10 +202,6 @@ class JuntaProblem:
         return cls(d["P"], FiniteMarginal.from_dict(d["marginal"]), d["labels"], d["cond"])
 
 
-def joint_expectation(problem: JuntaProblem, t_label, t_coords, u) -> float:
-    return problem.joint_expectation(t_label, t_coords, u)
-
-
 # ---------------------------------------------------------------------------
 # Hypercube-backed problems
 # ---------------------------------------------------------------------------
@@ -404,6 +400,9 @@ class Sampler:
         # scatter map: internal column j holds ambient coordinate order[j]
         order = np.asarray(instance.internal_order(), dtype=np.int64) - 1
         self._scatter = order
+        # integer draws only for an exactly uniform marginal
+        probs = prob.marginal.probs
+        self._uniform = bool(np.all(probs == probs[0]))
 
     def draw_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n i.i.d. draws as (y, x, support row index), x in the internal layout."""
@@ -413,7 +412,7 @@ class Sampler:
         if n == 0:
             return self._labels_arr[:0], np.empty((0, inst.d)), np.empty(0, dtype=np.int64)
         probs = prob.marginal.probs
-        if np.allclose(probs, 1.0 / nx):
+        if self._uniform:
             sym_support = self.rng.integers(0, nx, size=(n, prob.p))
             sym_rest = self.rng.integers(0, nx, size=(n, inst.d - prob.p))
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -132,9 +133,27 @@ class Transcript:
             rec["accepted"] = bool(accepted)
         self.records.append(rec)
 
+    def log_block(self, coords: np.ndarray, responses, exact, norm: float, accepted) -> None:
+        """One record per row of `coords`, each a single-term unit-scale query,
+        with the same keys and values that `log` and the learners write."""
+        start = len(self.records) + 1
+        norm = float(norm)
+        self.records.extend(
+            {"t": t, "terms": [c], "scale": 1.0, "response": r, "exact": e, "norm": norm, "accepted": a}
+            for t, c, r, e, a in zip(
+                itertools.count(start), coords.tolist(), responses.tolist(), exact.tolist(), accepted.tolist()
+            )
+        )
+
     def to_jsonl(self, fp) -> None:
+        # written in chunks: one joined string of a long transcript costs memory
+        lines = []
         for rec in self.records:
-            fp.write(json.dumps(rec, sort_keys=True) + "\n")
+            lines.append(_jsonl_line(rec))
+            if len(lines) == _JSONL_CHUNK_LINES:
+                fp.write("".join(lines))
+                lines.clear()
+        fp.write("".join(lines))
 
     def check_soundness(self) -> bool:
         """Post-hoc: every logged response obeys the tolerance contract."""
@@ -144,6 +163,38 @@ class Transcript:
             if abs(rec["response"] - rec["exact"]) > self.tau * rec["norm"] + 1e-12:
                 return False
         return True
+
+
+_JSONL_CHUNK_LINES = 1024
+_WITNESS_RECORD_KEYS = frozenset(("t", "terms", "scale", "response", "exact", "norm", "accepted"))
+_WITNESS_RECORD_LINE = (
+    '{"accepted": %s, "exact": %r, "norm": %r, "response": %r, "scale": %r, "t": %d, "terms": %r}\n'
+)
+
+
+def _jsonl_line(rec: dict) -> str:
+    """json.dumps(rec, sort_keys=True) plus a newline.
+
+    A single-term witness-query record with finite floats, an int `t` and int
+    coordinates is filled into a fixed template instead: the repr of a
+    finite float, an int or a list of int lists is exactly its JSON text.
+    Anything else goes through json.dumps.
+    """
+    if rec.keys() == _WITNESS_RECORD_KEYS:
+        exact, norm, response, scale = rec["exact"], rec["norm"], rec["response"], rec["scale"]
+        accepted, t, terms = rec["accepted"], rec["t"], rec["terms"]
+        if (
+            type(exact) is type(norm) is type(response) is type(scale) is float
+            and math.isfinite(exact + norm + response + scale)  # inf or nan in any term spreads
+            and type(accepted) is bool
+            and type(t) is int
+            and type(terms) is list
+            and len(terms) == 1
+            and type(terms[0]) is list
+            and set(map(type, terms[0])) <= {int}
+        ):
+            return _WITNESS_RECORD_LINE % ("true" if accepted else "false", exact, norm, response, scale, t, terms)
+    return json.dumps(rec, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +216,9 @@ class HonestOracle:
         self.noise_mode = noise_mode
         self.rng = np.random.default_rng(seed)
         self._pos_of = {c: pos for pos, c in enumerate(instance.s_star, start=1)}
+        # support position of every ambient coordinate, 0 off support
+        self._pos_array = np.zeros(instance.d + 1, dtype=np.int64)
+        self._pos_array[list(instance.s_star)] = np.arange(1, instance.problem.p + 1)
 
     @property
     def d(self) -> int:
@@ -207,6 +261,70 @@ class HonestOracle:
         if transcript is not None:
             transcript.log(query, v, exact=exact, norm=norm)
         return v
+
+    def answer_block(
+        self, witness: Witness, coords, transcript: Transcript, threshold: float, first_hit: bool = False
+    ) -> tuple[list[int], bool]:
+        """Answer the witness query on each row of `coords` (ambient tuples,
+        one per row) in order, logging each with `accepted = |v| > threshold`.
+
+        Logging stops after the first accepted row when `first_hit`; at the
+        transcript's budget it raises BudgetExceededError. The transcript and
+        the noise stream are those of one `answer` per row. A row's exact
+        value depends only on which slot sits on which support position, so
+        each distinct pattern is evaluated once, and the null norm once per
+        block. Returns the accepted row indices and False (the honest oracle
+        never concedes).
+        """
+        coords = np.asarray(coords, dtype=np.int64)
+        k = len(witness.coords)
+        if coords.ndim != 2 or coords.shape[1] != k:
+            raise ValueError("tuple length must match the witness set size")
+        if coords.size:
+            if coords.min() < 1:
+                raise ValueError("coordinates are 1-based")
+            if coords.max() > self.d:
+                raise ValueError("query references a coordinate beyond the ambient dimension")
+            if any(np.any(coords[:, i] == coords[:, j]) for i, j in itertools.combinations(range(k), 2)):
+                raise ValueError("coordinates within a term must be distinct")
+        n = len(coords)
+        room = n if transcript.budget is None else max(0, min(n, transcript.budget - transcript.n_queries))
+        hits: list[int] = []
+        if room:
+            rows = coords[:room]
+            # pattern code: each slot's support position (0 off support) as a digit
+            # in base P + 1; ravel_multi_index raises if (P + 1)^k overflows int64
+            _, first, inverse = np.unique(
+                np.ravel_multi_index(self._pos_array[rows].T, (self.problem.p + 1,) * k),
+                return_index=True,
+                return_inverse=True,
+            )
+            values = [self.exact_expectation(Query.from_witness(witness, rows[i])) for i in first]
+            exact = np.asarray(values)[inverse]
+            norm = Query.from_witness(witness, rows[0]).l2_null_norm(self.problem)
+            bound = self.tau * norm
+            rng_state = None
+            if self.noise_mode == "zero" or bound == 0.0:
+                noise = 0.0
+            elif self.noise_mode == "uniform":
+                rng_state = self.rng.bit_generator.state
+                noise = self.rng.uniform(-bound, bound, size=room)
+            else:  # adversarial_sign, as in `answer`
+                noise = np.where(exact == 0.0, bound, -np.sign(exact) * bound)
+            v = exact + noise
+            accepted = np.abs(v) > threshold
+            m = room
+            if first_hit and accepted.any():
+                m = int(np.argmax(accepted)) + 1
+                if rng_state is not None:
+                    # leave the stream where m scalar draws would have left it
+                    self.rng.bit_generator.state = rng_state
+                    self.rng.uniform(-bound, bound, size=m)
+            transcript.log_block(rows[:m], v[:m], exact[:m], norm, accepted[:m])
+            hits = np.flatnonzero(accepted[:m]).tolist()
+        if room < n and not (first_hit and hits):
+            raise BudgetExceededError(transcript)
+        return hits, False
 
 
 class AdversarialOracle:
@@ -311,6 +429,25 @@ class AdversarialOracle:
             transcript.log(query, null, norm=norm)
         return null
 
+    def answer_block(
+        self, witness: Witness, coords, transcript: Transcript, threshold: float, first_hit: bool = False
+    ) -> tuple[list[int], bool]:
+        """`HonestOracle.answer_block` as a loop over `answer`; the second
+        value is True when the adversary conceded (FAIL ends the block)."""
+        hits: list[int] = []
+        for i, row in enumerate(np.asarray(coords).tolist()):
+            _charge(transcript)
+            v = self.answer(Query.from_witness(witness, row), transcript)
+            if v is FAIL:
+                return hits, True
+            hit = bool(abs(v) > threshold)
+            transcript.records[-1]["accepted"] = hit
+            if hit:
+                hits.append(i)
+                if first_hit:
+                    break
+        return hits, False
+
     def _matching(self, coords, assignment):
         """Plantings sigma with sigma(pos) = coords[slot] exactly for the assigned
         slots and every other query coordinate off-support."""
@@ -341,6 +478,14 @@ def _charge(transcript: Transcript):
         raise BudgetExceededError(transcript)
 
 
+def _ordered_tuples(pool, k: int) -> np.ndarray:
+    """The ordered k-tuples of distinct entries of `pool`, one per row, in
+    itertools.permutations order."""
+    pool = list(pool)
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(pool, k)), dtype=np.int64)
+    return flat.reshape(math.perm(len(pool), k), k)
+
+
 def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple=None):
     """Greedy frontier recovery: repeatedly confirm a detectable set that adds
     the fewest new coordinates, enumerating ordered fresh tuples (and all
@@ -368,36 +513,32 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
         accepted = False
         for new_count, mask in candidate_masks():
             witness = report.witnesses[mask]
-            old_pos = [p for p in witness.coords if explored >> (p - 1) & 1]
-            new_pos = [p for p in witness.coords if not explored >> (p - 1) & 1]
+            is_old = np.array([bool(explored >> (p - 1) & 1) for p in witness.coords])
+            old_pos = [p for p, old in zip(witness.coords, is_old) if old]
             fresh_pool = [c for c in range(1, d + 1) if c not in s_hat]
-            canonical = tuple(assigned[p] for p in old_pos) if old_pos else ()
+            canonical = tuple(assigned[p] for p in old_pos)
             injections = [canonical] + [
                 perm
                 for perm in itertools.permutations(sorted(s_hat), len(old_pos))
                 if perm != canonical
             ]
-            for fresh in itertools.permutations(fresh_pool, new_count):
-                for inj in injections:
-                    slot_map = dict(zip(old_pos, inj))
-                    slot_map.update(zip(new_pos, fresh))
-                    coords = tuple(slot_map[p] for p in witness.coords)
-                    _charge(transcript)
-                    v = oracle.answer(Query.from_witness(witness, coords), transcript)
-                    if v is FAIL:
-                        transcript.outcome = frozenset(s_hat)
-                        return frozenset(s_hat), transcript
-                    hit = bool(abs(v) > threshold)
-                    transcript.records[-1]["accepted"] = bool(hit)
-                    if hit:
-                        assigned.update(slot_map)
-                        s_hat.extend(fresh)
-                        explored |= mask
-                        accepted = True
-                        break
-                if accepted:
-                    break
-            if accepted:
+            # one block: every fresh tuple (outer) with every injection (inner)
+            fresh = _ordered_tuples(fresh_pool, new_count)
+            block = np.empty((len(fresh) * len(injections), len(witness.coords)), dtype=np.int64)
+            block[:, ~is_old] = np.repeat(fresh, len(injections), axis=0)
+            block[:, is_old] = np.tile(
+                np.array(injections, dtype=np.int64).reshape(len(injections), len(old_pos)), (len(fresh), 1)
+            )
+            hits, conceded = oracle.answer_block(witness, block, transcript, threshold, first_hit=True)
+            if conceded:
+                transcript.outcome = frozenset(s_hat)
+                return frozenset(s_hat), transcript
+            if hits:
+                coords = block[hits[0]]
+                assigned.update(zip(witness.coords, coords.tolist()))
+                s_hat.extend(coords[~is_old].tolist())
+                explored |= mask
+                accepted = True
                 break
         if not accepted:
             break
@@ -423,21 +564,13 @@ def run_nonadaptive(oracle, d: int, report: DetectReport, *, budget=None):
                     best = key
         if best is not None:
             families[best[1]] = None
-    plan = []
-    for mask in sorted(families, key=lambda m: (m.bit_count(), m)):
-        witness = report.witnesses[mask]
-        for tup in itertools.permutations(range(1, d + 1), mask.bit_count()):
-            plan.append((witness, tup))
     recovered: set[int] = set()
-    for witness, tup in plan:
-        _charge(transcript)
-        v = oracle.answer(Query.from_witness(witness, tup), transcript)
-        if v is FAIL:
+    for mask in sorted(families, key=lambda m: (m.bit_count(), m)):
+        tuples = _ordered_tuples(range(1, d + 1), mask.bit_count())
+        hits, conceded = oracle.answer_block(report.witnesses[mask], tuples, transcript, threshold)
+        recovered.update(tuples[hits].ravel().tolist())
+        if conceded:
             break
-        hit = bool(abs(v) > threshold)
-        transcript.records[-1]["accepted"] = bool(hit)
-        if hit:
-            recovered.update(tup)
     transcript.outcome = frozenset(recovered)
     return frozenset(recovered), transcript
 
@@ -481,17 +614,7 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
     return frozenset([coord]), transcript, position
 
 
-# spec-named convenience wrappers over an honest oracle ----------------------
-
-
-def honest_answer(instance: PlantedInstance, query: Query, tau: float, noise_mode: str = "zero", seed: int = 0) -> float:
-    return HonestOracle(instance, tau, noise_mode, seed).answer(query)
-
-
-def adversarial_answer(oracle: AdversarialOracle, query: Query, tau: float | None = None):
-    if tau is not None:
-        oracle.tau = tau
-    return oracle.answer(query)
+# convenience wrappers over an honest oracle ----------------------------------
 
 
 def adaptive_learner(instance, report, tau, *, noise_mode="zero", seed=0, budget=None, max_tuple=None):

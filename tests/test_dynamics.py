@@ -143,6 +143,17 @@ class TestDfStep:
         np.testing.assert_array_equal(st.u, before.u)
         np.testing.assert_array_equal(st.a, before.a)
 
+    def test_non_finite_bias_raises_at_that_step(self, y2_problem):
+        # only b overflows: u, a and the network value stay finite in this step
+        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=6, b_order=4)
+        cfg = TrainConfig(loss=get_loss("squared"), eta=1.0, rate_a=0.0, rate_w=0.0, rate_b=1e300, rate_c=0.0,
+                          lam_b=1e300)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            df_step(st, y2_problem, cfg)
+        assert err.value.step == 1
+        assert np.all(np.isfinite(st.u)) and np.all(np.isfinite(st.a))
+        assert not np.all(np.isfinite(st.b))
+
     def test_layerwise_init_invariants(self, y2_problem):
         # b0 = 0, s0 = 0, c0 = c_bar stay constant when only u and a are trained
         st = init_df_state(4, poly_activation(4), c_bar=0.4, a_order=8, mu_b="zero")
@@ -302,6 +313,23 @@ class TestSmallestEigenvalue:
     def test_zero_matrix(self):
         assert smallest_eigenvalue(np.zeros((3, 3))) == 0.0
 
+    def test_non_finite_matrix_not_certified(self):
+        assert np.isnan(smallest_eigenvalue(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+
+    def test_tiny_pair_below_cluster_not_overestimated(self):
+        # eigenvalues {1e-6, 2e-6} below a cluster in [0.5, 1]: a 1e-6
+        # threshold must not be certified
+        rng = np.random.default_rng(0)
+        n = 64
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eig = np.concatenate([[1e-6, 2e-6], rng.uniform(0.5, 1.0, n - 2)])
+        mat = (q * eig) @ q.T
+        mat = (mat + mat.T) / 2.0
+        margin = n * np.finfo(float).eps * np.linalg.norm(mat, 2)
+        got = smallest_eigenvalue(mat)
+        assert got <= 1e-6 + margin
+        assert got == pytest.approx(1e-6, abs=margin)
+
 
 class TestRisk:
     def test_squared_bayes_is_conditional_mean(self, y2_problem):
@@ -371,7 +399,7 @@ class TestLayerwise:
         res = layerwise_train(prob, cfg, L=16, k1=2, k2=400, c_bar=0.31)
         assert res.kernel_report.lambda_min > 1e-6
         assert not res.trust_violation
-        # cross-check the iterative eigenvalue against the dense oracle
+        # cross-check the reported eigenvalue against a dense eigen-solve of K
         oracle = float(np.linalg.eigvalsh(res.kernel_report.matrix)[0])
         assert res.kernel_report.lambda_min == pytest.approx(oracle, rel=1e-6, abs=1e-10)
         assert res.history[-1]["excess"] <= 0.1

@@ -190,6 +190,24 @@ class TestSampling:
             assert ya == yb
             np.testing.assert_array_equal(xa, xb)
 
+    def test_near_uniform_marginal_is_not_sampled_as_uniform(self):
+        def draws(probs):
+            prob = JuntaProblem(1, FiniteMarginal([1.0, -1.0], probs), [0.0], np.ones((2, 1)))
+            return PlantedInstance(prob, 3, (2,), seed=0).sampler().draw(2000)[1]
+
+        assert not np.array_equal(draws([0.500004, 0.499996]), draws([0.5, 0.5]))
+
+    def test_hypercube_draws_use_integer_symbols(self, y1_problem):
+        # the uniform path: one integers() call for the support block, one for the rest
+        inst = PlantedInstance(y1_problem, 7, (3, 1, 7, 5), seed=4)
+        y, x, rows = inst.sampler().draw_batch(50)
+        rng = np.random.default_rng(4)
+        support = rng.integers(0, 2, size=(50, 4))
+        rest = rng.integers(0, 2, size=(50, 3))
+        values = y1_problem.marginal.values
+        np.testing.assert_array_equal(x, np.hstack([values[support], values[rest]]))
+        np.testing.assert_array_equal(rows, y1_problem.row_index(support))
+
     def test_validates_planting(self, y1_problem):
         with pytest.raises(ValueError):
             PlantedInstance(y1_problem, 3, (1, 2, 3, 4), seed=0)

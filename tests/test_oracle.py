@@ -1,4 +1,7 @@
 import io
+import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from juntaleap import (
     FAIL,
     AdversarialOracle,
+    FiniteMarginal,
     HonestOracle,
     HypercubeJunta,
+    JuntaProblem,
     PlantedInstance,
     Query,
     adaptive_learner,
@@ -18,7 +23,7 @@ from juntaleap import (
     nonadaptive_learner,
     play_game,
 )
-from juntaleap.oracle import BudgetExceededError, run_adaptive, run_grouped
+from juntaleap.oracle import BudgetExceededError, Transcript, run_adaptive, run_grouped, run_nonadaptive
 from juntaleap.detect import DetectReport, Witness
 from juntaleap.setsystem import SetSystem
 
@@ -290,3 +295,231 @@ class TestPlayGame:
         inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12), seed=0)
         result = play_game(inst, rep, tau_factor=0.25, budget=3)
         assert result.verdict == "FAIL(budget)"
+
+
+# ---------------------------------------------------------------------------
+# Block answering against the query-by-query reference
+# ---------------------------------------------------------------------------
+
+
+def _charge(transcript):
+    if transcript.budget is not None and transcript.n_queries >= transcript.budget:
+        raise BudgetExceededError(transcript)
+
+
+def scalar_adaptive(oracle, d, report, budget=None):
+    """The adaptive learner with one `oracle.answer` per query."""
+    threshold = report.beta / 2.0
+    transcript = Transcript(oracle.tau, budget)
+    explored, assigned, s_hat = 0, {}, []
+    while True:
+        accepted = False
+        cands = sorted(((m & ~explored).bit_count(), m) for m in report.system.sets if m & ~explored)
+        for new_count, mask in cands:
+            witness = report.witnesses[mask]
+            old_pos = [p for p in witness.coords if explored >> (p - 1) & 1]
+            new_pos = [p for p in witness.coords if not explored >> (p - 1) & 1]
+            fresh_pool = [c for c in range(1, d + 1) if c not in s_hat]
+            canonical = tuple(assigned[p] for p in old_pos)
+            injections = [canonical] + [
+                perm for perm in itertools.permutations(sorted(s_hat), len(old_pos)) if perm != canonical
+            ]
+            for fresh in itertools.permutations(fresh_pool, new_count):
+                for inj in injections:
+                    slot_map = dict(zip(old_pos, inj))
+                    slot_map.update(zip(new_pos, fresh))
+                    _charge(transcript)
+                    v = oracle.answer(Query.from_witness(witness, [slot_map[p] for p in witness.coords]), transcript)
+                    hit = bool(abs(v) > threshold)
+                    transcript.records[-1]["accepted"] = hit
+                    if hit:
+                        assigned.update(slot_map)
+                        s_hat.extend(fresh)
+                        explored |= mask
+                        accepted = True
+                        break
+                if accepted:
+                    break
+            if accepted:
+                break
+        if not accepted:
+            return frozenset(s_hat), transcript
+
+
+def scalar_nonadaptive(oracle, d, report, budget=None):
+    """The non-adaptive learner with one `oracle.answer` per query."""
+    threshold = report.beta / 2.0
+    transcript = Transcript(oracle.tau, budget)
+    families = {min((m for m in report.system.sets if m >> (i - 1) & 1), key=lambda m: (m.bit_count(), m))
+                for i in range(1, report.p + 1) if report.system.support >> (i - 1) & 1}
+    recovered = set()
+    for mask in sorted(families, key=lambda m: (m.bit_count(), m)):
+        for tup in itertools.permutations(range(1, d + 1), mask.bit_count()):
+            _charge(transcript)
+            v = oracle.answer(Query.from_witness(report.witnesses[mask], tup), transcript)
+            hit = bool(abs(v) > threshold)
+            transcript.records[-1]["accepted"] = hit
+            if hit:
+                recovered.update(tup)
+    return frozenset(recovered), transcript
+
+
+def run_both(learner, inst, report, tau, noise_mode, seed, budget=None):
+    """(s_hat or None at the budget, transcript) from the block learner and the reference."""
+    out = []
+    for fn in ((run_adaptive, scalar_adaptive) if learner == "adaptive" else (run_nonadaptive, scalar_nonadaptive)):
+        oracle = HonestOracle(inst, tau, noise_mode, seed)
+        try:
+            out.append(fn(oracle, inst.d, report, budget=budget))
+        except BudgetExceededError as exc:
+            out.append((None, exc.transcript))
+    return out
+
+
+def assert_same_records(block, scalar):
+    assert len(block) == len(scalar)
+    for got, want in zip(block, scalar):
+        assert list(got) == list(want)
+        for key in got:
+            if key == "norm":
+                # one norm per witness; the reference's set-order product can
+                # differ in the last ulp off the hypercube
+                assert got[key] == pytest.approx(want[key], rel=1e-15, abs=0.0)
+            else:
+                assert got[key] == want[key], key
+
+
+@pytest.fixture(scope="module")
+def three_atom_problem():
+    """P = 3 on the marginal {-1, 0, 1}: y = z1 z2 + z2 z3 + z1 z3, noiseless."""
+    marginal = FiniteMarginal([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3])
+    r = np.arange(27)
+    z = marginal.values[(r[:, None] // 3 ** np.arange(3)) % 3]
+    h = z[:, 0] * z[:, 1] + z[:, 1] * z[:, 2] + z[:, 0] * z[:, 2]
+    labels = sorted(set(h.tolist()))
+    cond = (h[:, None] == np.asarray(labels)[None, :]).astype(float)
+    return JuntaProblem(3, marginal, labels, cond)
+
+
+class TestBlockAnswers:
+    @pytest.mark.parametrize("noise_mode", ["zero", "uniform", "adversarial_sign"])
+    @pytest.mark.parametrize("learner", ["adaptive", "nonadaptive"])
+    @pytest.mark.parametrize("name", ["y1", "y2", "three_atom"])
+    def test_replay_through_scalar_answer(self, name, learner, noise_mode, request):
+        problem = request.getfixturevalue(f"{name}_problem")
+        rep = detect_csq(problem)
+        d = 9 if learner == "adaptive" else 7
+        rng = np.random.default_rng(len(name) + 10 * len(noise_mode))
+        for seed, tau_factor in ((3, 0.25), (4, 0.7)):
+            s = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), problem.p, replace=False))
+            inst = PlantedInstance(problem, d, s, seed=seed)
+            (s_block, t_block), (s_ref, t_ref) = run_both(learner, inst, rep, tau_factor * rep.beta, noise_mode, seed)
+            assert s_block == s_ref
+            assert_same_records(t_block.records, t_ref.records)
+            if tau_factor == 0.25:
+                assert s_block == frozenset(s)
+
+    @pytest.mark.parametrize("learner", ["adaptive", "nonadaptive"])
+    def test_budget_truncation_matches_scalar_prefix(self, y2_problem, learner):
+        rep = detect_csq(y2_problem)
+        inst = PlantedInstance(y2_problem, 8, (6, 2, 8, 3), seed=1)
+        (_, full), _ = run_both(learner, inst, rep, rep.beta / 4, "uniform", 5)
+        for budget in (0, 1, full.n_queries // 3, full.n_queries - 1):
+            (s_block, t_block), (s_ref, t_ref) = run_both(learner, inst, rep, rep.beta / 4, "uniform", 5, budget)
+            assert s_block is None and s_ref is None
+            assert t_block.n_queries == budget
+            assert_same_records(t_block.records, t_ref.records)
+            result = play_game(inst, rep, learner=learner, tau_factor=0.25, noise_mode="uniform", seed=5,
+                               budget=budget)
+            assert result.verdict == "FAIL(budget)"
+            assert result.transcript.records == t_block.records
+
+    def test_uniform_vector_draw_equals_scalar_draws(self):
+        a = np.random.default_rng(3)
+        b = np.random.default_rng(3)
+        vector = a.uniform(-0.37, 0.37, size=50)
+        np.testing.assert_array_equal(vector, [b.uniform(-0.37, 0.37) for _ in range(50)])
+        assert a.random() == b.random()
+
+    def test_block_validation(self, y2_problem):
+        rep = detect_csq(y2_problem)
+        oracle = HonestOracle(PlantedInstance(y2_problem, 6, (1, 2, 3, 4)), 0.1)
+        w = rep.witnesses[0b0111]
+        for bad in ([[1, 2]], [[0, 1, 2]], [[1, 2, 7]], [[1, 2, 3], [4, 5, 4]]):
+            with pytest.raises(ValueError):
+                oracle.answer_block(w, np.array(bad), Transcript(0.1), 0.1)
+
+    def test_adversary_block_stops_at_concession(self, y2_problem):
+        rep = detect_csq(y2_problem)
+        w = rep.witnesses[0b0111]
+        tuples = np.array(list(itertools.permutations(range(1, 8), 3)))
+        block_adv, ref_adv = (AdversarialOracle(y2_problem, d=7, tau=rep.beta / 4) for _ in range(2))
+        transcript = Transcript(block_adv.tau)
+        hits, conceded = block_adv.answer_block(w, tuples, transcript, rep.beta / 2)
+        ref = Transcript(ref_adv.tau)
+        for tup in tuples.tolist():
+            v = ref_adv.answer(Query.from_witness(w, tup), ref)
+            if v is FAIL:
+                break
+            ref.records[-1]["accepted"] = bool(abs(v) > rep.beta / 2)
+        assert conceded and v is FAIL
+        assert transcript.records == ref.records
+        assert block_adv.survivors == ref_adv.survivors
+
+
+class TestQueryCountScaling:
+    """Theta(d^leap) adaptive queries (CSQ leap 1 for y1, 3 for y2) and the
+    exact non-adaptive count sum over families of d!/(d-k)!."""
+
+    @staticmethod
+    def slope(problem, dims):
+        rep = detect_csq(problem)
+        rng = np.random.default_rng(0)
+        means = []
+        for d in dims:
+            counts = []
+            for _ in range(20):
+                s = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), 4, replace=False))
+                result = play_game(PlantedInstance(problem, d, s), rep, tau_factor=0.25)
+                assert result.success
+                counts.append(result.transcript.n_queries)
+            means.append(np.mean(counts))
+        return np.polyfit(np.log(dims), np.log(means), 1)[0]
+
+    def test_adaptive_slope_y2_leap3(self, y2_problem):
+        assert 2.6 <= self.slope(y2_problem, (8, 12, 16, 24, 32)) <= 3.4
+
+    def test_adaptive_slope_y1_leap1(self, y1_problem):
+        assert 0.8 <= self.slope(y1_problem, (16, 32, 64, 128, 256)) <= 1.3
+
+    @pytest.mark.parametrize("d", [10, 16])
+    def test_nonadaptive_count_closed_form(self, y1_problem, y2_problem, d):
+        # families: y1 {1}, {1,2}, {1,2,3}, {1,2,3,4}; y2 {1,2,3} and {1,2,4}
+        for problem, sizes in ((y1_problem, (1, 2, 3, 4)), (y2_problem, (3, 3))):
+            inst = PlantedInstance(problem, d, tuple(range(d - 3, d + 1)))
+            result = play_game(inst, detect_csq(problem), learner="nonadaptive", tau_factor=0.25)
+            assert result.success
+            assert result.transcript.n_queries == sum(math.perm(d, k) for k in sizes)
+
+
+class TestTranscriptLines:
+    def test_template_matches_json_dumps(self):
+        records = [
+            {"t": 1, "terms": [[3, 1]], "scale": 1.0, "response": -0.1, "exact": 0.0, "norm": 1.0000000000000002,
+             "accepted": False},
+            {"t": 2, "terms": [[2]], "scale": 1.0, "response": 1e-300, "exact": 5e-324, "norm": 1e300,
+             "accepted": True},
+            {"t": 3, "terms": [[2]], "scale": 1.0, "response": float("nan"), "exact": 0.0, "norm": 1.0,
+             "accepted": False},
+            {"t": 4, "terms": [[2]], "scale": 1.0, "response": float("inf"), "exact": 0.0, "norm": 1.0,
+             "accepted": True},
+            {"t": 5, "terms": [[1], [2]], "scale": 0.5, "response": 0.25, "exact": 0.0, "norm": 1.0,
+             "accepted": True},
+            {"t": 6, "terms": [[1, 2]], "scale": 1.0, "response": None, "norm": 1.0},
+            {"t": 7, "terms": [[True]], "scale": 1.0, "response": 0.5, "exact": 0.5, "norm": 1.0, "accepted": True},
+        ]
+        records = records * 700  # more than one chunk of lines
+        transcript = Transcript(0.1, records=records)
+        buf = io.StringIO()
+        transcript.to_jsonl(buf)
+        assert buf.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
