@@ -401,9 +401,11 @@ def cmd_layerwise(cfg: dict, out_dir: Path, seed) -> int:
     )
     _write_csv(result.history, out_dir, "layerwise_curve.csv")
     thresh = block.get("lambda_min_threshold", 1e-6)
+    report = result.kernel_report
     summary = {
-        "lambda_min": result.kernel_report.lambda_min,
-        "lambda_min_ok": bool(result.kernel_report.lambda_min > thresh),
+        "lambda_min": report.lambda_min,
+        "lambda_min_margin": report.margin,
+        "lambda_min_ok": bool(report.lambda_min - report.margin > thresh),
         "final_excess": result.history[-1]["excess"],
         "eta2": result.eta2,
         "kappa": list(kappa),
@@ -472,8 +474,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.threads is not None:
+        # read by the BLAS when numpy first loads; a caller that imported
+        # numpy before `main` keeps the thread count it started with
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
 
     try:
         cfg = _load_config(args.config)

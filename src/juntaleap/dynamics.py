@@ -477,6 +477,9 @@ def support_alignment(u_history: np.ndarray, dlq_report, threshold: float = 0.01
 class KernelReport:
     matrix: np.ndarray
     lambda_min: float
+    # n * eps * ||matrix||_2: how far the computed lambda_min may sit above
+    # the true one, so lambda_min - margin > t certifies lambda_min > t
+    margin: float
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -530,7 +533,8 @@ def kernel(
         feats = activation.f(umat @ zmat.T)
     mat = (feats * wts[:, None]).T @ feats
     mat = (mat + mat.T) / 2.0
-    return KernelReport(mat, smallest_eigenvalue(mat))
+    eig = _eigvalsh(mat)
+    return KernelReport(mat, float(eig[0]), len(eig) * np.finfo(float).eps * float(np.max(np.abs(eig))))
 
 
 # ---------------------------------------------------------------------------

@@ -109,21 +109,36 @@ class Query:
         }
 
 
-@dataclass
 class Transcript:
-    """Query/response log of one game session."""
+    """Query/response log of one game session.
 
-    tau: float
-    budget: int | None = None
-    records: list = field(default_factory=list)
-    outcome: frozenset | None = None
+    Records logged one at a time (`log`) are dicts; a block of single-term
+    witness queries (`log_block`) is stored column-wise, one array per field,
+    and written to JSONL column-wise. `records` lists every record as a dict,
+    in order, built as it is read; the dicts of block rows are copies.
+    """
+
+    def __init__(self, tau: float, budget: int | None = None, records=None, outcome: frozenset | None = None):
+        self.tau = tau
+        self.budget = budget
+        self.outcome = outcome
+        self._parts: list = list(records or ())  # dicts and _Blocks, in order
+        self.n_queries = len(self._parts)
+        self._view: list = []
+        self._viewed = 0  # parts already in _view
 
     @property
-    def n_queries(self) -> int:
-        return len(self.records)
+    def records(self) -> list:
+        for part in self._parts[self._viewed:]:
+            if isinstance(part, dict):
+                self._view.append(part)
+            else:
+                self._view.extend(part.records(0, len(part.exact)))
+        self._viewed = len(self._parts)
+        return self._view
 
     def log(self, query: Query, response, exact=None, norm=None, accepted=None):
-        rec = {"t": len(self.records) + 1, **query.describe()}
+        rec = {"t": self.n_queries + 1, **query.describe()}
         rec["response"] = None if response is FAIL else float(response)
         if exact is not None:
             rec["exact"] = float(exact)
@@ -131,69 +146,103 @@ class Transcript:
             rec["norm"] = float(norm)
         if accepted is not None:
             rec["accepted"] = bool(accepted)
-        self.records.append(rec)
+        self._parts.append(rec)
+        self.n_queries += 1
 
     def log_block(self, coords: np.ndarray, responses, exact, norm: float, accepted) -> None:
         """One record per row of `coords`, each a single-term unit-scale query,
         with the same keys and values that `log` and the learners write."""
-        start = len(self.records) + 1
-        norm = float(norm)
-        self.records.extend(
-            {"t": t, "terms": [c], "scale": 1.0, "response": r, "exact": e, "norm": norm, "accepted": a}
-            for t, c, r, e, a in zip(
-                itertools.count(start), coords.tolist(), responses.tolist(), exact.tolist(), accepted.tolist()
-            )
-        )
+        if len(coords):
+            self._parts.append(_Block(
+                self.n_queries + 1, np.array(coords, dtype=np.int64), np.array(responses, dtype=float),
+                np.array(exact, dtype=float), float(norm), np.array(accepted, dtype=bool),
+            ))
+            self.n_queries += len(coords)
 
     def to_jsonl(self, fp) -> None:
-        # written in chunks: one joined string of a long transcript costs memory
+        """One `json.dumps(record, sort_keys=True)` line per record, written
+        in chunks: one joined string of a long transcript costs memory."""
         lines = []
-        for rec in self.records:
-            lines.append(_jsonl_line(rec))
-            if len(lines) == _JSONL_CHUNK_LINES:
-                fp.write("".join(lines))
-                lines.clear()
+        for part in self._parts:
+            if isinstance(part, dict):
+                lines.append(_jsonl_line(part))
+                if len(lines) == _JSONL_CHUNK_LINES:
+                    fp.write("".join(lines))
+                    lines.clear()
+                continue
+            fp.write("".join(lines))
+            lines.clear()
+            for lo in range(0, len(part.exact), _JSONL_CHUNK_LINES):
+                fp.write(part.jsonl(lo, lo + _JSONL_CHUNK_LINES))
         fp.write("".join(lines))
 
     def check_soundness(self) -> bool:
         """Post-hoc: every logged response obeys the tolerance contract."""
-        for rec in self.records:
-            if rec["response"] is None or "exact" not in rec:
-                continue
-            if abs(rec["response"] - rec["exact"]) > self.tau * rec["norm"] + 1e-12:
-                return False
+        for part in self._parts:
+            if not isinstance(part, dict):
+                if np.any(np.abs(part.responses - part.exact) > self.tau * part.norm + 1e-12):
+                    return False
+            elif part["response"] is not None and "exact" in part:
+                if abs(part["response"] - part["exact"]) > self.tau * part["norm"] + 1e-12:
+                    return False
         return True
 
 
-_JSONL_CHUNK_LINES = 1024
-_WITNESS_RECORD_KEYS = frozenset(("t", "terms", "scale", "response", "exact", "norm", "accepted"))
-_WITNESS_RECORD_LINE = (
-    '{"accepted": %s, "exact": %r, "norm": %r, "response": %r, "scale": %r, "t": %d, "terms": %r}\n'
-)
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Records t0, t0 + 1, ... of unit-scale single-term queries, one per row
+    of `coords`, all with null norm `norm`."""
+
+    t0: int
+    coords: np.ndarray
+    responses: np.ndarray
+    exact: np.ndarray
+    norm: float
+    accepted: np.ndarray
+
+    def records(self, lo: int, hi: int) -> list[dict]:
+        return [
+            {"t": t, "terms": [c], "scale": 1.0, "response": r, "exact": e, "norm": self.norm, "accepted": a}
+            for t, c, r, e, a in zip(
+                itertools.count(self.t0 + lo), self.coords[lo:hi].tolist(), self.responses[lo:hi].tolist(),
+                self.exact[lo:hi].tolist(), self.accepted[lo:hi].tolist(),
+            )
+        ]
+
+    def jsonl(self, lo: int, hi: int) -> str:
+        """The JSONL lines of rows lo:hi, the text of `_jsonl_line` on each
+        record, assembled column-wise when every float is finite."""
+        responses, exact = self.responses[lo:hi], self.exact[lo:hi]
+        if not (math.isfinite(self.norm) and np.isfinite(responses).all() and np.isfinite(exact).all()):
+            return "".join(map(_jsonl_line, self.records(lo, hi)))
+        coords = self.coords[lo:hi]
+        # the JSON text of a finite float is its repr, of an int its str;
+        # columns of Python strings are joined by object-array addition
+        ints = np.array(list(map(str, range(coords.max() + 1))), dtype=object)
+        terms = ints[coords[:, 0]]
+        for j in range(1, coords.shape[1]):
+            terms = terms + ", " + ints[coords[:, j]]
+        heads = np.array(['{"accepted": false, "exact": ', '{"accepted": true, "exact": '], dtype=object)
+        t = np.array(list(map(str, range(self.t0 + lo, self.t0 + lo + len(exact)))), dtype=object)
+        lines = (
+            heads[self.accepted[lo:hi].view(np.uint8)] + _float_text(exact)
+            + f', "norm": {self.norm!r}, "response": ' + _float_text(responses)
+            + ', "scale": 1.0, "t": ' + t + ', "terms": [[' + terms + "]]}\n"
+        )
+        return "".join(lines.tolist())
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """repr of each float as an object array, computed once per distinct
+    value (by bit pattern, so that -0.0 and 0.0 stay apart)."""
+    uniq, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)[inverse]
+
+
+_JSONL_CHUNK_LINES = 2048
 
 
 def _jsonl_line(rec: dict) -> str:
-    """json.dumps(rec, sort_keys=True) plus a newline.
-
-    A single-term witness-query record with finite floats, an int `t` and int
-    coordinates is filled into a fixed template instead: the repr of a
-    finite float, an int or a list of int lists is exactly its JSON text.
-    Anything else goes through json.dumps.
-    """
-    if rec.keys() == _WITNESS_RECORD_KEYS:
-        exact, norm, response, scale = rec["exact"], rec["norm"], rec["response"], rec["scale"]
-        accepted, t, terms = rec["accepted"], rec["t"], rec["terms"]
-        if (
-            type(exact) is type(norm) is type(response) is type(scale) is float
-            and math.isfinite(exact + norm + response + scale)  # inf or nan in any term spreads
-            and type(accepted) is bool
-            and type(t) is int
-            and type(terms) is list
-            and len(terms) == 1
-            and type(terms[0]) is list
-            and set(map(type, terms[0])) <= {int}
-        ):
-            return _WITNESS_RECORD_LINE % ("true" if accepted else "false", exact, norm, response, scale, t, terms)
     return json.dumps(rec, sort_keys=True) + "\n"
 
 
@@ -247,7 +296,9 @@ class HonestOracle:
                 total += off_factor * term
         return query.scale * total
 
-    def answer(self, query: Query, transcript: Transcript | None = None) -> float:
+    def answer(self, query: Query, transcript: Transcript | None = None, threshold: float | None = None) -> float:
+        """The noisy expectation of `query`, logged to `transcript` if given,
+        with `accepted = |v| > threshold` when a threshold is given."""
         exact = self.exact_expectation(query)
         norm = query.l2_null_norm(self.problem)
         bound = self.tau * norm
@@ -259,7 +310,7 @@ class HonestOracle:
             noise = bound if exact == 0.0 else -np.sign(exact) * bound
         v = exact + noise
         if transcript is not None:
-            transcript.log(query, v, exact=exact, norm=norm)
+            transcript.log(query, v, exact=exact, norm=norm, accepted=None if threshold is None else abs(v) > threshold)
         return v
 
     def answer_block(
@@ -333,7 +384,8 @@ class AdversarialOracle:
     contradicts; concedes (FAIL) otherwise.
 
     A valid (not necessarily optimal) adversary for single-term structured
-    queries at enumerable scale.
+    queries at enumerable scale. The surviving plantings are the rows of an
+    `(n, P)` array, in itertools.permutations order.
     """
 
     MAX_D = 14
@@ -347,11 +399,13 @@ class AdversarialOracle:
         self.problem = problem
         self.d = d
         self.tau = tau
-        self.survivors: set[tuple[int, ...]] = set(
-            itertools.permutations(range(1, d + 1), problem.p)
-        )
+        self._plantings = _ordered_tuples(range(1, d + 1), problem.p)
         self._pattern_cache: dict = {}
         self.conceded = False
+
+    @property
+    def survivors(self) -> set[tuple[int, ...]]:
+        return set(map(tuple, self._plantings.tolist()))
 
     def _term_expectation(self, t_label, coords, tables, assignment):
         """E over one term with `assignment` mapping slot index -> support position."""
@@ -391,7 +445,9 @@ class AdversarialOracle:
             total += prod
         return query.scale * total
 
-    def answer(self, query: Query, transcript: Transcript | None = None):
+    def answer(self, query: Query, transcript: Transcript | None = None, threshold: float | None = None):
+        """The null value, or FAIL; logged as `HonestOracle.answer` logs,
+        without `accepted` on a FAIL."""
         if len(query.terms) != 1:
             raise ValueError("adversary handles single-term structured queries")
         if query.max_coordinate() > self.d:
@@ -402,31 +458,28 @@ class AdversarialOracle:
         null = self.null_value(query)
         tol = self.tau * norm
 
-        # Enumerate slot->support-position patterns with at least one on-support
-        # slot; plantings inducing a pattern whose expectation strays from the
-        # null by more than tau*norm get pruned.
-        to_prune: set[tuple[int, ...]] = set()
-        positions = range(1, self.problem.p + 1)
-        nslots = len(coords)
-        for k in range(1, min(nslots, self.problem.p) + 1):
-            for slots in itertools.combinations(range(nslots), k):
-                for pos_perm in itertools.permutations(positions, k):
-                    assignment = dict(zip(slots, pos_perm))
-                    val = query.scale * self._term_expectation(t_label, coords, tables, assignment)
-                    if abs(null - val) <= tol:
-                        continue
-                    # collect surviving plantings matching this exact pattern
-                    for sigma in self._matching(coords, assignment):
-                        to_prune.add(sigma)
-        compat = len(self.survivors) - len(to_prune & self.survivors)
-        if compat < 2:
+        # Each planting's slot -> support-position pattern (0 off support) as a
+        # code in base P + 1, as in HonestOracle.answer_block; plantings whose
+        # pattern puts a slot on the support and strays from the null by more
+        # than tau*norm get pruned.
+        p = self.problem.p
+        positions = (self._plantings[:, None, :] == np.asarray(coords)[None, :, None]) @ np.arange(1, p + 1)
+        codes, inverse = np.unique(np.ravel_multi_index(positions.T, (p + 1,) * len(coords)), return_inverse=True)
+        strays = np.zeros(len(codes), dtype=bool)
+        for j, digits in enumerate(zip(*np.unravel_index(codes, (p + 1,) * len(coords)))):
+            assignment = {slot: int(pos) for slot, pos in enumerate(digits) if pos}
+            if assignment:
+                val = query.scale * self._term_expectation(t_label, coords, tables, assignment)
+                strays[j] = not abs(null - val) <= tol
+        prune = strays[inverse]
+        if len(prune) - np.count_nonzero(prune) < 2:
             self.conceded = True
             if transcript is not None:
                 transcript.log(query, FAIL, norm=norm)
             return FAIL
-        self.survivors -= to_prune
+        self._plantings = self._plantings[~prune]
         if transcript is not None:
-            transcript.log(query, null, norm=norm)
+            transcript.log(query, null, norm=norm, accepted=None if threshold is None else abs(null) > threshold)
         return null
 
     def answer_block(
@@ -437,35 +490,14 @@ class AdversarialOracle:
         hits: list[int] = []
         for i, row in enumerate(np.asarray(coords).tolist()):
             _charge(transcript)
-            v = self.answer(Query.from_witness(witness, row), transcript)
+            v = self.answer(Query.from_witness(witness, row), transcript, threshold)
             if v is FAIL:
                 return hits, True
-            hit = bool(abs(v) > threshold)
-            transcript.records[-1]["accepted"] = hit
-            if hit:
+            if abs(v) > threshold:
                 hits.append(i)
                 if first_hit:
                     break
         return hits, False
-
-    def _matching(self, coords, assignment):
-        """Plantings sigma with sigma(pos) = coords[slot] exactly for the assigned
-        slots and every other query coordinate off-support."""
-        fixed = {pos: coords[slot] for slot, pos in assignment.items()}
-        if len(set(fixed.values())) != len(fixed):
-            return
-        other_coords = set(coords) - set(fixed.values())
-        free_positions = [p for p in range(1, self.problem.p + 1) if p not in fixed]
-        pool = [c for c in range(1, self.d + 1) if c not in fixed.values() and c not in other_coords]
-        for rest in itertools.permutations(pool, len(free_positions)):
-            sigma = [0] * self.problem.p
-            for pos, c in fixed.items():
-                sigma[pos - 1] = c
-            for pos, c in zip(free_positions, rest):
-                sigma[pos - 1] = c
-            sigma = tuple(sigma)
-            if sigma in self.survivors:
-                yield sigma
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +634,10 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
         terms = tuple(((c,), (table,)) for c in group)
         query = Query(terms, witness.t_label, scale)
         _charge(transcript)
-        v = oracle.answer(query, transcript)
+        v = oracle.answer(query, transcript, threshold)
         if v is FAIL:
             break
-        hit = bool(abs(v) > threshold)
-        transcript.records[-1]["accepted"] = bool(hit)
-        if hit:
+        if abs(v) > threshold:
             index |= 1 << k
     coord = index + 1
     transcript.outcome = frozenset([coord])

@@ -75,14 +75,11 @@ class SetSystem:
         if not 1 <= self.p <= MAX_UNIVERSE:
             raise ValueError(f"universe size must be in [1, {MAX_UNIVERSE}], got {self.p}")
         full = (1 << self.p) - 1
-        seen = []
-        for mask in self.sets:
-            mask = int(mask)
+        sets = tuple(dict.fromkeys(int(mask) for mask in self.sets))  # first-seen order
+        for mask in sets:
             if mask & ~full:
                 raise ValueError(f"mask {mask:#x} uses bits outside the low {self.p}")
-            if mask not in seen:
-                seen.append(mask)
-        object.__setattr__(self, "sets", tuple(seen))
+        object.__setattr__(self, "sets", sets)
 
     @classmethod
     def from_coords(cls, p: int, sets: Iterable[Iterable[int]]) -> "SetSystem":

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -132,6 +134,24 @@ class TestDynamicsCommands:
         summary = json.loads((tmp_path / "layerwise_summary.json").read_text())
         assert summary["lambda_min_ok"] is True
 
+    def test_lambda_min_within_margin_is_not_certified(self, tmp_path):
+        # a lambda_min above the threshold by less than eigvalsh's backward
+        # error n * eps * ||K||_2 may be at or below it in truth
+        block = {"L": 16, "k1": 2, "k2": 1, "eta": 0.002, "loss": "squared"}
+        spec = {"problem": {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}, "seed": 3}
+
+        def summary(threshold=None):
+            lw = block if threshold is None else dict(block, lambda_min_threshold=threshold)
+            cfg = write_config(tmp_path, "lw.json", dict(spec, layerwise=lw))
+            assert run_cli(["layerwise", "--config", cfg, "--out", str(tmp_path)]) == 0
+            return json.loads((tmp_path / "layerwise_summary.json").read_text())
+
+        first = summary()
+        lam, margin = first["lambda_min"], first["lambda_min_margin"]
+        assert 0.0 < margin < 1e-12
+        assert summary(lam - margin / 2)["lambda_min_ok"] is False
+        assert summary(lam - 2 * margin)["lambda_min_ok"] is True
+
     def test_divergence_exit_code_1(self, tmp_path):
         cfg = write_config(
             tmp_path, "lw2.json",
@@ -200,3 +220,40 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert '"leap": 1' in proc.stdout
+
+
+# Runs the CLI in a fresh interpreter, then reads the thread count of the
+# OpenBLAS that numpy loaded. Importing the CLI must not load numpy, or the
+# BLAS would start before `main` sets its thread variables.
+BLAS_THREADS_PROBE = """
+import ctypes, sys
+from juntaleap.cli import main
+assert "numpy" not in sys.modules, "importing the CLI loaded numpy"
+code = main(sys.argv[2:])
+get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_
+get.argtypes, get.restype = [], ctypes.c_int
+print(code, get())
+"""
+
+
+class TestThreads:
+    def test_threads_flag_sets_openblas_threads(self, tmp_path):
+        import numpy
+
+        libs = sorted((pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+        if not libs:
+            pytest.skip("numpy is not linked against scipy-openblas64")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+
+        def threads(*flags):
+            argv = ["exponents", "--config", "y1.json", "--out", str(tmp_path), *flags]
+            proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE, str(libs[0]), *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            code, n = proc.stdout.split()[-2:]
+            assert code == "0"
+            return int(n)
+
+        # OpenBLAS caps the variable at the cores it may use
+        assert threads() == min(2, len(os.sched_getaffinity(0)))
+        assert threads("--threads", "1") == 1

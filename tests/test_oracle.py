@@ -523,3 +523,159 @@ class TestTranscriptLines:
         buf = io.StringIO()
         transcript.to_jsonl(buf)
         assert buf.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+# ---------------------------------------------------------------------------
+# Column-stored transcripts
+# ---------------------------------------------------------------------------
+
+
+def block_records(t0, coords, responses, exact, norm, accepted):
+    return [
+        {"t": t0 + i, "terms": [[int(c) for c in row]], "scale": 1.0, "response": float(r), "exact": float(e),
+         "norm": float(norm), "accepted": bool(a)}
+        for i, (row, r, e, a) in enumerate(zip(coords, responses, exact, accepted))
+    ]
+
+
+class TestColumnTranscript:
+    QUERY = Query((((4, 1), (np.ones(2), np.ones(2))),), np.ones(2), 0.5)
+
+    def test_mixed_records_and_blocks_write_json_dumps_lines(self):
+        rng = np.random.default_rng(1)
+        transcript = Transcript(0.1)
+        expected = []
+
+        def log(response, **kw):
+            transcript.log(self.QUERY, response, **kw)
+            rec = {"t": len(expected) + 1, "terms": [[4, 1]], "scale": 0.5,
+                   "response": None if response is FAIL else response}
+            rec.update({k: v for k, v in kw.items()})
+            expected.append(rec)
+
+        def block(n, k, floats, norm):
+            coords = np.array([rng.choice(np.arange(1, 301), k, replace=False) for _ in range(n)])
+            responses, exact = rng.choice(floats, n), rng.choice(floats, n)
+            accepted = rng.random(n) < 0.3
+            transcript.log_block(coords, responses, exact, norm, accepted)
+            expected.extend(block_records(len(expected) + 1, coords, responses, exact, norm, accepted))
+
+        finite = np.concatenate([[0.0, -0.0, 1e-300, 5e-324, -2.5e300, 1.0, 0.1 + 0.2], rng.normal(size=50)])
+        log(0.25, exact=0.25, norm=1.0, accepted=True)
+        block(5000, 3, finite, 1.0000000000000002)  # longer than one chunk of lines
+        log(FAIL, norm=2.0)
+        block(0, 2, finite, 1.0)
+        block(3, 1, finite, 0.5)
+        with_nan = np.concatenate([finite, [np.nan, np.inf, -np.inf]])
+        block(2500, 2, with_nan, 1.0)
+        block(40, 4, finite, np.inf)
+        log(-0.0, exact=0.0, norm=1.0)
+        transcript.records[-1]["accepted"] = False  # as a query-by-query learner marks its last record
+        expected[-1]["accepted"] = False
+
+        assert transcript.n_queries == len(expected) == 7546
+        assert [r["t"] for r in transcript.records] == list(range(1, len(expected) + 1))
+        assert repr(transcript.records) == repr(expected)  # keys in order; nan equal to nan
+        buf = io.StringIO()
+        transcript.to_jsonl(buf)
+        assert buf.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
+
+    def test_records_view_grows_with_the_log(self):
+        transcript = Transcript(0.1)
+        view = transcript.records
+        assert view == []
+        transcript.log_block(np.array([[1, 2], [3, 1]]), np.array([0.5, 0.0]), np.array([0.5, 0.0]), 1.0,
+                             np.array([True, False]))
+        transcript.log(self.QUERY, 0.0, exact=0.0, norm=1.0)
+        assert transcript.records is view
+        assert [r["t"] for r in view] == [1, 2, 3]
+        assert view[1]["terms"] == [[3, 1]] and view[2]["scale"] == 0.5
+
+    def test_soundness_checks_every_block_row(self):
+        n = 3000
+        coords = np.column_stack([np.arange(1, n + 1), np.arange(2, n + 2)])
+        exact = np.linspace(-1, 1, n)
+        transcript = Transcript(0.1)
+        transcript.log_block(coords, exact + 0.1, exact, 1.0, np.zeros(n, bool))
+        assert transcript.check_soundness()
+        responses = exact.copy()
+        responses[1777] += 0.1 + 1e-9
+        transcript.log_block(coords, responses, exact, 1.0, np.zeros(n, bool))
+        assert not transcript.check_soundness()
+
+
+# ---------------------------------------------------------------------------
+# Adversary pruning against a set-based reference
+# ---------------------------------------------------------------------------
+
+
+class ReferenceAdversary:
+    """The adversary over a set of surviving plantings: every slot -> support
+    position pattern is enumerated, and the plantings inducing a pattern whose
+    value strays from the null are found by enumerating permutations."""
+
+    def __init__(self, problem, d, tau):
+        self.helper = AdversarialOracle(problem, d, tau)  # for the pattern values and the null
+        self.p, self.d, self.tau = problem.p, d, tau
+        self.survivors = set(itertools.permutations(range(1, d + 1), problem.p))
+
+    def answer(self, query):
+        coords, tables = query.terms[0]
+        t_label = np.asarray(query.t_label, float)
+        null = self.helper.null_value(query)
+        tol = self.tau * query.l2_null_norm(self.helper.problem)
+        to_prune = set()
+        for k in range(1, min(len(coords), self.p) + 1):
+            for slots in itertools.combinations(range(len(coords)), k):
+                for pos_perm in itertools.permutations(range(1, self.p + 1), k):
+                    assignment = dict(zip(slots, pos_perm))
+                    val = query.scale * self.helper._term_expectation(t_label, coords, tables, assignment)
+                    if abs(null - val) <= tol:
+                        continue
+                    to_prune |= self.matching(coords, assignment)
+        if len(self.survivors - to_prune) < 2:
+            return FAIL
+        self.survivors -= to_prune
+        return null
+
+    def matching(self, coords, assignment):
+        fixed = {pos: coords[slot] for slot, pos in assignment.items()}
+        others = set(coords) - set(fixed.values())
+        free = [p for p in range(1, self.p + 1) if p not in fixed]
+        pool = [c for c in range(1, self.d + 1) if c not in fixed.values() and c not in others]
+        found = set()
+        for rest in itertools.permutations(pool, len(free)):
+            sigma = [0] * self.p
+            for pos, c in itertools.chain(fixed.items(), zip(free, rest)):
+                sigma[pos - 1] = c
+            if tuple(sigma) in self.survivors:
+                found.add(tuple(sigma))
+        return found
+
+
+class TestAdversaryPruning:
+    @pytest.mark.parametrize("name,d", [("y1", 7), ("y2", 7), ("three_atom", 6)])
+    def test_random_queries_until_concession(self, name, d, request):
+        problem = request.getfixturevalue(f"{name}_problem")
+        rep = detect_csq(problem)
+        rng = np.random.default_rng(len(name))
+        masks = list(rep.system.sets)
+        for tau_factor in (0.05, 0.25):
+            adv = AdversarialOracle(problem, d, tau_factor * rep.beta)
+            ref = ReferenceAdversary(problem, d, tau_factor * rep.beta)
+            sizes = []
+            for _ in range(300):
+                w = rep.witnesses[masks[rng.integers(len(masks))]]
+                coords = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), len(w.coords), replace=False))
+                # witness tables, some shifted off zero mean so that slots differ
+                tables = tuple(w.t_coords[p] + rng.choice([0.0, 0.0, 0.5]) for p in w.coords)
+                query = Query(((coords, tables),), w.t_label, float(rng.choice([1.0, -0.5, 3.0])))
+                got, want = adv.answer(query), ref.answer(query)
+                assert (got is FAIL) == (want is FAIL)
+                assert adv.survivors == ref.survivors
+                sizes.append(len(ref.survivors))
+                if got is FAIL:
+                    break
+                assert got == want
+            assert got is FAIL, "the query sequence should end in a concession"
+            assert sizes[-1] < math.perm(d, problem.p)

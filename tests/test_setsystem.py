@@ -42,6 +42,16 @@ class TestConstruction:
         s = system(3, [1, 2], [2, 1], [3])
         assert len(s.sets) == 2
 
+    def test_deduplicates_in_first_seen_order_at_scale(self):
+        # all 2^12 - 1 masks in a shuffled order, each repeated (also as numpy
+        # ints): one copy of each survives, in order of first appearance
+        rng = np.random.default_rng(0)
+        masks = rng.permutation(np.arange(1, 1 << 12)).tolist()
+        sets = masks + [np.int64(m) for m in masks[::-1]] + masks[:100]
+        s = SetSystem(12, tuple(sets))
+        assert s.sets == tuple(masks)
+        assert all(type(m) is int for m in s.sets)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             system(2, [3])
