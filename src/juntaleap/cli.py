@@ -111,51 +111,41 @@ def _write_csv(rows: list[dict], out_dir: Path, name: str) -> Path:
     return path
 
 
-def _num(x):
-    from .setsystem import INFINITY
+def _detect(problem, model, loss=None, tol=None, u_grid=None):
+    """detect.detect for a config's query model: "SQ", "CSQ", or "DLQ" with a loss spec."""
+    from .detect import DETECT_TOL, detect
 
-    return "infinity" if x is INFINITY else x
+    if model not in ("SQ", "CSQ", "DLQ"):
+        raise ConfigError(f"unknown query model {model!r}")
+    tol = DETECT_TOL if tol is None else tol
+    if model != "DLQ":
+        return detect(problem, model, tol=tol)
+    if loss is None:
+        raise ConfigError("query model DLQ needs a loss")
+    return detect(problem, model, _loss_from_spec(loss), tol=tol, u_grid=u_grid)
 
 
 def _detect_reports(problem, block):
-    """Shared by exponents/detect: run detection per requested model."""
-    from .detect import detect_csq, detect_dlq, detect_sq
-
-    models = block.get("models", ["CSQ", "SQ"])
-    tol = block.get("tol", 1e-9)
+    """Shared by exponents/detect: one report per entry of `models`, where
+    DLQ is written {"DLQ": loss}."""
     reports = []
-    for model in models:
-        if model == "CSQ":
-            reports.append(detect_csq(problem, tol=tol))
-        elif model == "SQ":
-            reports.append(detect_sq(problem, tol=tol))
-        elif isinstance(model, dict) and "DLQ" in model:
-            loss = _loss_from_spec(model["DLQ"])
-            u_grid = block.get("u_grid")
-            reports.append(detect_dlq(problem, loss, u_grid=u_grid, tol=tol))
-        else:
-            raise ConfigError(f"unknown query model {model!r}")
+    for model in block.get("models", ["CSQ", "SQ"]):
+        loss = None
+        if isinstance(model, dict) and "DLQ" in model:
+            model, loss = "DLQ", model["DLQ"]
+        reports.append(_detect(problem, model, loss, block.get("tol"), block.get("u_grid")))
     return reports
 
 
 def cmd_exponents(cfg: dict, out_dir: Path, seed) -> int:
-    from .detect import exponents
-
     _check_keys(cfg, {"problem", "exponents", "seed"}, "config")
     block = cfg.get("exponents", {})
     _check_keys(block, {"models", "tol", "u_grid"}, "exponents")
     problem = _problem_from_config(cfg)
     report = {"P": problem.p, "models": {}}
     for rep in _detect_reports(problem, block):
-        lp, cv, rl, rc = exponents(rep)
-        report["models"][rep.model] = {
-            "sets": [list(s) for s in rep.system.members_as_coords()],
-            "leap": _num(lp),
-            "cover": _num(cv),
-            "rel_leap": rl,
-            "rel_cover": rc,
-            "beta": rep.beta,
-        }
+        full = rep.to_dict()
+        report["models"][rep.model] = {k: full[k] for k in ("sets", "leap", "cover", "rel_leap", "rel_cover", "beta")}
     path = _dump_json(report, out_dir, "exponents.json")
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     print(f"wrote {path}", file=sys.stderr)
@@ -172,14 +162,14 @@ def cmd_detect(cfg: dict, out_dir: Path, seed) -> int:
         name = rep.model.replace("[", "_").replace("]", "").replace("/", "_")
         paths.append(_dump_json(rep.to_dict(), out_dir, f"detect_{name}.json"))
     if block.get("dump_moments"):
-        from .fourier import conditional_moment_tensor, gram_schmidt
+        from .fourier import gram_schmidt, moment_table, support_slice
         from .setsystem import coords_from_mask
 
-        basis = gram_schmidt(problem.marginal)
+        table = moment_table(problem, gram_schmidt(problem.marginal))
         rows = []
         for mask in range(1, 1 << problem.p):
             coords = coords_from_mask(mask)
-            g = conditional_moment_tensor(problem, basis, coords).reshape(problem.ny, -1)
+            g = support_slice(table, coords).reshape(problem.ny, -1)
             for a, label in enumerate(problem.labels):
                 for j in range(g.shape[1]):
                     rows.append({"U": "|".join(map(str, coords)), "label": label,
@@ -193,7 +183,6 @@ def cmd_detect(cfg: dict, out_dir: Path, seed) -> int:
 def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
-    from .detect import detect_csq, detect_dlq, detect_sq
     from .junta import PlantedInstance
     from .oracle import play_game
 
@@ -207,15 +196,7 @@ def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
     )
     problem = _problem_from_config(cfg)
     d = _require(block, "d", "game")
-    model = block.get("model", "CSQ")
-    if model == "CSQ":
-        report = detect_csq(problem, tol=block.get("tol", 1e-9))
-    elif model == "SQ":
-        report = detect_sq(problem, tol=block.get("tol", 1e-9))
-    elif model == "DLQ":
-        report = detect_dlq(problem, _loss_from_spec(_require(block, "loss", "game")))
-    else:
-        raise ConfigError(f"unknown query model {model!r}")
+    report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), block.get("tol"))
 
     rng = np.random.default_rng(seed)
     s_star = block.get("s_star")
@@ -324,7 +305,7 @@ def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
 
 
 def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
-    from .detect import detect_dlq
+    from .detect import detect
     from .dynamics import TrainConfig, init_df_state, run_df, support_alignment
     from .losses import squared
 
@@ -352,7 +333,7 @@ def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
         risk_losses=[("mse", squared()), ("train_risk", loss)],
     )
     _write_csv(run.history, out_dir, "df_curve.csv")
-    dlq = detect_dlq(problem, loss)
+    dlq = detect(problem, "DLQ", loss)
     align = support_alignment(run.u_max, dlq, threshold=block.get("threshold", 0.01))
     first = run.history[0]["mse"] if run.history else None
     last = run.history[-1]["mse"] if run.history else None
@@ -418,7 +399,7 @@ def cmd_layerwise(cfg: dict, out_dir: Path, seed) -> int:
 
 
 def cmd_hard_instance(cfg: dict, out_dir: Path, seed) -> int:
-    from .detect import detect_dlq, detect_sq
+    from .detect import detect
     from .junta import FiniteMarginal, hard_instance
 
     _check_keys(cfg, {"hard_instance", "seed"}, "config")
@@ -434,11 +415,10 @@ def cmd_hard_instance(cfg: dict, out_dir: Path, seed) -> int:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"hard instance construction failed: {exc}") from exc
     report = {"problem": problem.to_dict()}
-    report["sq_detects_singleton"] = bool(problem.p and detect_sq(problem).system.sets)
+    report["sq_detects_singleton"] = bool(problem.p and detect(problem, "SQ").system.sets)
     verdicts = {}
     for lname in block.get("losses", ["squared"]):
-        rep = detect_dlq(problem, _loss_from_spec(lname))
-        verdicts[lname] = bool(rep.system.sets)
+        verdicts[lname] = bool(detect(problem, "DLQ", _loss_from_spec(lname)).system.sets)
     report["dlq_detects_singleton"] = verdicts
     _dump_json(report, out_dir, "hard_instance.json")
     print(json.dumps({k: v for k, v in report.items() if k != "problem"}, indent=2, sort_keys=True, default=_json_default))

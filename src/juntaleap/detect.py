@@ -14,17 +14,20 @@ G[a, j] = E[1{y=a} prod psi_{j_i}(z_i)]:
         piecewise losses the realizable threshold functions are all hit.
 
 All decisions are made on normalized values |E| / (||T|| prod ||T_i||) with
-an absolute tolerance; the expectations themselves are exact sums.
+an absolute tolerance; the expectations themselves are exact sums. One
+moment table (fourier.moment_table) holds G for every basis tuple; each
+model scores its columns and keeps, per support mask, the best column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fourier import OrthonormalBasis, conditional_moment_tensor, gram_schmidt
+# conditional_moment_tensor stays a name of this module: perfbench/spans.py
+# wraps the detection layers where this module looks them up
+from .fourier import OrthonormalBasis, conditional_moment_tensor, gram_schmidt, moment_table  # noqa: F401
 from .junta import JuntaProblem
 from .losses import LossSpec
 from .setsystem import INFINITY, SetSystem, coords_from_mask, cover, leap, rel_cover, rel_leap
@@ -59,9 +62,6 @@ class DetectReport:
     tol: float
     loss: LossSpec | None = None
     grid_negatives: tuple[int, ...] = ()
-
-    def exponent_tuple(self):
-        return exponents(self)
 
     def to_dict(self) -> dict:
         def num(x):
@@ -106,25 +106,41 @@ def exponents(report: DetectReport):
     return lp, cv, rel_leap(system), rel_cover(system)
 
 
-def _iter_subsets(p: int):
-    masks = sorted(range(1, 1 << p), key=lambda m: (m.bit_count(), m))
+def _column_masks(p: int, size: int) -> np.ndarray:
+    """Support mask of every flattened table column: bit i-1 set iff j_i >= 1."""
+    masks = np.zeros(1, dtype=np.int64)
+    for i in range(p):
+        masks = (masks[:, None] | np.where(np.arange(size) > 0, 1 << i, 0)).ravel()
     return masks
 
 
-def _finish_witness(problem, basis, mask, t_label, j_flat, u_value=None):
-    coords = coords_from_mask(mask)
-    nb = basis.size - 1
-    j_multi = []
-    rem = j_flat
-    for _ in coords:
-        j_multi.append(rem % nb)
-        rem //= nb
-    # factors were built coordinate-major in conditional_moment_tensor order:
-    # the last coordinate varies fastest in the flattened index
-    j_multi = list(reversed(j_multi))
-    t_coords = {i: basis.psi[1 + j].copy() for i, j in zip(coords, j_multi)}
-    beta = problem.joint_expectation(t_label, t_coords, coords)
-    return Witness(coords, t_label, t_coords, beta, u_value)
+def _report(problem, basis, tol, model, score, row, t_label, loss=None, u_values=None):
+    """Per support mask, the column with the highest score decides the set
+    and gives its witness; ties go to the lowest test row, then the lowest
+    basis tuple (coordinate 1 the most significant digit). t_label(r, col)
+    is the normalized label table of test row r on column col."""
+    masks = _column_masks(problem.p, basis.size)
+    order = np.lexsort((row, -score, masks))  # stable: lowest column first among ties
+    best = order[np.flatnonzero(np.diff(masks[order], prepend=-1))]  # best[mask], every mask occurs
+    detected: list[int] = []
+    witnesses: dict[int, Witness] = {}
+    misses: list[int] = []
+    for mask in sorted(range(1, len(best)), key=lambda m: (m.bit_count(), m)):
+        col = best[mask]
+        if score[col] > tol:
+            detected.append(mask)
+            coords = coords_from_mask(mask)
+            digits = np.unravel_index(col, (basis.size,) * problem.p)
+            t_coords = {i: basis.psi[digits[i - 1]].copy() for i in coords}
+            lab = t_label(row[col], col)
+            beta = problem.joint_expectation(lab, t_coords, coords)
+            u_val = None if u_values is None else float(u_values[row[col]])
+            witnesses[mask] = Witness(coords, lab, t_coords, beta, u_val)
+        elif loss is not None:
+            misses.append(mask)
+    system = SetSystem(problem.p, tuple(detected))
+    beta = min((abs(w.beta) for w in witnesses.values()), default=None)
+    return DetectReport(model, problem.p, system, witnesses, beta, tol, loss, tuple(misses))
 
 
 def detect_sq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: OrthonormalBasis | None = None) -> DetectReport:
@@ -134,48 +150,35 @@ def detect_sq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: Orthonormal
         basis = gram_schmidt(problem.marginal)
     mu_y = problem.mu_y
     attained = mu_y > _NEGLIGIBLE_MASS
-    detected: list[int] = []
-    witnesses: dict[int, Witness] = {}
-    for mask in _iter_subsets(problem.p):
-        g = conditional_moment_tensor(problem, basis, coords_from_mask(mask))
-        flat = g.reshape(problem.ny, -1)
-        xi = np.zeros_like(flat)
-        xi[attained] = flat[attained] / mu_y[attained, None]
-        norms = np.sqrt(mu_y @ xi**2)  # ||xi_U||_{mu_y} per basis tuple
-        j_best = int(np.argmax(norms))
-        if norms[j_best] > tol:
-            detected.append(mask)
-            t_label = xi[:, j_best] / norms[j_best]
-            witnesses[mask] = _finish_witness(problem, basis, mask, t_label, j_best)
-    system = SetSystem(problem.p, tuple(detected))
-    beta = min((abs(w.beta) for w in witnesses.values()), default=None)
-    return DetectReport("SQ", problem.p, system, witnesses, beta, tol)
+    g = moment_table(problem, basis).reshape(problem.ny, -1)
+    xi = np.zeros_like(g)
+    xi[attained] = g[attained] / mu_y[attained, None]
+    norms = np.sqrt(mu_y @ xi**2)  # ||xi||_{mu_y} per basis tuple
+    row = np.zeros(g.shape[1], dtype=np.int64)  # one test function per column
+    return _report(problem, basis, tol, "SQ", norms, row, lambda r, col: xi[:, col] / norms[col])
 
 
 def _detect_linear(problem, basis, tol, t_rows, model, loss=None, u_values=None):
-    """Shared CSQ/DLQ scan: each row of t_rows is a candidate T over labels."""
+    """Shared CSQ/DLQ scan: each row of t_rows is a candidate T over labels.
+
+    The (rows, columns) score matrix is reduced in column chunks of at most
+    max(table size, 2^16) entries, keeping per column its best score and
+    test row."""
     t_rows = np.asarray(t_rows, dtype=float)
     norms = np.sqrt(t_rows**2 @ problem.mu_y)
     usable = norms > 0
-    detected: list[int] = []
-    witnesses: dict[int, Witness] = {}
-    misses: list[int] = []
-    for mask in _iter_subsets(problem.p):
-        g = conditional_moment_tensor(problem, basis, coords_from_mask(mask))
-        flat = g.reshape(problem.ny, -1)
-        scores = np.zeros((t_rows.shape[0], flat.shape[1]))
-        scores[usable] = np.abs(t_rows[usable] @ flat) / norms[usable, None]
-        r, j = np.unravel_index(int(np.argmax(scores)), scores.shape)
-        if scores[r, j] > tol:
-            detected.append(mask)
-            t_label = t_rows[r] / norms[r]
-            u_val = None if u_values is None else float(u_values[r])
-            witnesses[mask] = _finish_witness(problem, basis, mask, t_label, j, u_val)
-        elif model.startswith("DLQ"):
-            misses.append(mask)
-    system = SetSystem(problem.p, tuple(detected))
-    beta = min((abs(w.beta) for w in witnesses.values()), default=None)
-    return DetectReport(model, problem.p, system, witnesses, beta, tol, loss, tuple(misses))
+    g = moment_table(problem, basis).reshape(problem.ny, -1)
+    n_cols = g.shape[1]
+    score = np.empty(n_cols)
+    row = np.empty(n_cols, dtype=np.int64)
+    step = max(1, max(g.size, 1 << 16) // len(t_rows))
+    for lo in range(0, n_cols, step):
+        chunk = g[:, lo:lo + step]
+        s = np.zeros((len(t_rows), chunk.shape[1]))
+        s[usable] = np.abs(t_rows[usable] @ chunk) / norms[usable, None]
+        row[lo:lo + step] = np.argmax(s, axis=0)
+        score[lo:lo + step] = np.max(s, axis=0)
+    return _report(problem, basis, tol, model, score, row, lambda r, col: t_rows[r] / norms[r], loss, u_values)
 
 
 def detect_csq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: OrthonormalBasis | None = None) -> DetectReport:

@@ -720,7 +720,6 @@ def layerwise_train(
     c_bar: float = 0.0,
     a_order: int = 64,
     eta2: float | str = "auto",
-    lambda_min_threshold: float = 1e-6,
 ) -> LayerwiseResult:
     """Two-phase training of the dimension-free model with sigma(x) = (1+x)^L:
     Phase 1 trains only the first-layer weights u with per-coordinate rates

@@ -82,19 +82,14 @@ def gram_schmidt(marginal: FiniteMarginal, seed: int | None = None) -> Orthonorm
 # ---------------------------------------------------------------------------
 
 
-def _butterfly(table: np.ndarray) -> np.ndarray:
-    a = np.array(table, dtype=float)
-    n = a.size
-    if n & (n - 1) or n == 0:
-        raise ValueError(f"length must be a power of two, got {n}")
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack([top, bot], axis=1)
-        h *= 2
-    return a.reshape(n)
+def _transform_axes(psi: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """Apply psi along each of the p axes of g, an (m, n^p) array read as
+    (m, n, ..., n); the axes keep their order. Cost O(m p n^(p+1))."""
+    m, n = g.shape[0], psi.shape[1]
+    for _ in range(p):
+        # transform the trailing axis and rotate it to the front
+        g = (g.reshape(m, -1, n) @ psi.T).transpose(0, 2, 1)
+    return g.reshape(m, -1)
 
 
 def wht(table) -> np.ndarray:
@@ -102,18 +97,49 @@ def wht(table) -> np.ndarray:
 
     Entry at mask U is E_{z ~ Unif}[table(z) chi_U(z)]; inverse_wht undoes it.
     """
-    a = np.asarray(table, dtype=float)
-    return _butterfly(a) / a.size
+    a = inverse_wht(table)  # the parity transform is its own inverse up to 1/n
+    return a / a.size
 
 
 def inverse_wht(coeffs) -> np.ndarray:
     """Tabulate sum_U coeffs[U] chi_U(z) over all hypercube points."""
-    return _butterfly(np.asarray(coeffs, dtype=float))
+    a = np.asarray(coeffs, dtype=float)
+    n = a.size
+    if n & (n - 1) or n == 0:
+        raise ValueError(f"length must be a power of two, got {n}")
+    return _transform_axes(np.array([[1.0, 1.0], [1.0, -1.0]]), a.reshape(1, n), n.bit_length() - 1)[0]
 
 
 # ---------------------------------------------------------------------------
-# Conditional moment tensors
+# Moment tables
 # ---------------------------------------------------------------------------
+
+
+def moment_table(problem: JuntaProblem, basis: OrthonormalBasis) -> np.ndarray:
+    """Exact G[a, j_1..j_P] = E[1{y=a} prod_i psi_{j_i}(z_i)] for every basis tuple.
+
+    Shape (|Y|,) + (basis.size,)*P, axis i the coordinate i; psi_0 = 1, so
+    the support {i : j_i >= 1} of a column is the set it measures. psi is
+    applied one coordinate axis at a time to row_weights * cond, at cost
+    O(|Y| P |X|^(P+1)). This one table decides SQ, CSQ and DLQ detection.
+    """
+    if basis.psi.shape[1] != problem.marginal.nx:
+        raise ValueError(
+            "basis tabulated on a different atom set; drop zero-probability atoms "
+            "from the problem's marginal before detection"
+        )
+    ny, nx, p = problem.ny, problem.marginal.nx, problem.p
+    # rows run with coordinate 1 fastest; reverse the axes so coordinate 1 leads
+    g = (problem.row_weights[:, None] * problem.cond).T.reshape((ny,) + (nx,) * p)
+    g = g.transpose(0, *range(p, 0, -1)).reshape(ny, -1)
+    return _transform_axes(basis.psi, g, p).reshape((ny,) + (basis.size,) * p)
+
+
+def support_slice(table: np.ndarray, u: Iterable[int]) -> np.ndarray:
+    """The moments of `table` with j_i >= 1 for i in U and j_i = 0 elsewhere,
+    shape (|Y|,) + (size-1,)*|U| with the coordinates of U in ascending order."""
+    u = set(u)
+    return table[(slice(None),) + tuple(slice(1, None) if i in u else 0 for i in range(1, table.ndim))]
 
 
 def conditional_moment_tensor(
@@ -121,24 +147,13 @@ def conditional_moment_tensor(
 ) -> np.ndarray:
     """Exact G[a, j_1..j_m] = E[1{y=a} prod_{i in U} psi_{j_i}(z_i)], all j_i >= 1.
 
-    Shape (|Y|,) + (|X|-1,)*|U|. These are the only moments the detectability
-    criteria need: a set is witnessed iff some entry (or some fixed label
-    combination of entries) is nonzero.
+    Shape (|Y|,) + (|X|-1,)*|U|: the slice of moment_table on U. These are
+    the only moments the detectability criteria need: a set is witnessed iff
+    some entry (or some fixed label combination of entries) is nonzero.
     """
     coords = sorted(set(int(c) for c in u))
     if not coords:
         raise ValueError("U must be non-empty")
-    if basis.psi.shape[1] != problem.marginal.nx:
-        raise ValueError(
-            "basis tabulated on a different atom set; drop zero-probability atoms "
-            "from the problem's marginal before detection"
-        )
-    nb = basis.size - 1
-    factors = np.ones((problem.n_rows, 1))
-    for i in coords:
-        sym = problem.coord_symbols(i)
-        per_coord = basis.psi[1:, sym].T  # (rows, nb)
-        factors = (factors[:, :, None] * per_coord[:, None, :]).reshape(problem.n_rows, -1)
-    weighted = problem.row_weights[:, None] * problem.cond  # (rows, ny)
-    flat = weighted.T @ factors  # (ny, nb^m)
-    return flat.reshape((problem.ny,) + (nb,) * len(coords))
+    if coords[0] < 1 or coords[-1] > problem.p:
+        raise ValueError(f"coordinates {coords} outside [1, {problem.p}]")
+    return support_slice(moment_table(problem, basis), coords)

@@ -112,6 +112,37 @@ def random_system(rng: np.random.Generator, max_p: int = 5, max_sets: int = 6) -
 
 
 # ---------------------------------------------------------------------------
+# Reference moments and problems
+# ---------------------------------------------------------------------------
+
+
+def factor_product_moments(problem: JuntaProblem, basis, u) -> np.ndarray:
+    """G[a, j] for j_i >= 1 on U by the factor-product formula: one column of
+    prod_{i in U} psi_{j_i}(z_i) per basis tuple, the last coordinate of U
+    varying fastest, contracted with row_weights * cond. Shape (|Y|, nb^|U|)."""
+    nb = basis.size - 1
+    factors = np.ones((problem.n_rows, 1))
+    for i in sorted(u):
+        per_coord = basis.psi[1:, problem.coord_symbols(i)].T  # (rows, nb)
+        factors = (factors[:, :, None] * per_coord[:, None, :]).reshape(problem.n_rows, -1)
+    return (problem.row_weights[:, None] * problem.cond).T @ factors
+
+
+def three_atom_blocks(p: int, blocks, q: float = 0.3) -> JuntaProblem:
+    """y = sum over blocks of prod_{i in block} z_i on X = {-1, 0, 1} with
+    probabilities (q, 1 - 2q, q). The marginal is symmetric, so z is the only
+    odd basis function and C_CSQ is exactly the blocks."""
+    values = np.array([-1.0, 0.0, 1.0])
+    rows = np.arange(3**p)
+    z = values[np.stack([(rows // 3**k) % 3 for k in range(p)])]
+    y = sum(np.prod(z[[c - 1 for c in b]], axis=0) for b in blocks).astype(int)
+    labels = list(range(-len(blocks), len(blocks) + 1))
+    cond = np.zeros((rows.size, len(labels)))
+    cond[rows, y + len(blocks)] = 1.0
+    return JuntaProblem(p, FiniteMarginal(values, [q, 1.0 - 2 * q, q]), labels, cond)
+
+
+# ---------------------------------------------------------------------------
 # Random finite-problem corpus
 # ---------------------------------------------------------------------------
 

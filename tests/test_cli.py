@@ -49,6 +49,13 @@ class TestExponents:
         cfg = write_config(tmp_path, "bad2.json", {"problem": Y1_SPEC, "exponents": {"modes": []}})
         assert run_cli(["exponents", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_unknown_model_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "m.json", {"problem": Y1_SPEC, "exponents": {"models": ["CSQ", "BOGUS"]}})
+        assert run_cli(["exponents", "--config", cfg, "--out", str(tmp_path)]) == 2
+        cfg = write_config(tmp_path, "g.json", {"problem": Y1_SPEC, "game": {"d": 8, "model": "BOGUS"}})
+        assert run_cli(["game", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("unknown query model 'BOGUS'") == 2
+
 
 class TestDetect:
     def test_emits_reports(self, tmp_path):
@@ -62,6 +69,37 @@ class TestDetect:
         dlq = json.loads((tmp_path / "detect_DLQ_abs.json").read_text())
         assert dlq["leap"] == 1 and dlq["cover"] == 1
         assert dlq["witnesses"]
+
+
+class TestDumpMoments:
+    @pytest.mark.parametrize("spec", [
+        Y1_SPEC,
+        {"P": 3, "marginal": {"values": [-1.0, 0.0, 1.0], "probs": [0.3, 0.4, 0.3]},
+         "labels": [0.0, 1.0], "cond": [[1.0 - (r % 3) / 4, (r % 3) / 4] for r in range(27)]},
+    ])
+    def test_rows_in_order_with_tensor_values(self, tmp_path, spec):
+        import csv
+
+        from juntaleap.fourier import conditional_moment_tensor, gram_schmidt
+        from juntaleap.junta import problem_from_dict
+        from juntaleap.setsystem import coords_from_mask
+
+        cfg = write_config(tmp_path, "dm.json", {"problem": spec, "detect": {"models": ["CSQ"], "dump_moments": True}})
+        assert run_cli(["detect", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with (tmp_path / "moment_tensors.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        prob = problem_from_dict(spec)
+        basis = gram_schmidt(prob.marginal)
+        nb = prob.marginal.nx - 1
+        want = []
+        for mask in range(1, 1 << prob.p):
+            coords = coords_from_mask(mask)
+            g = conditional_moment_tensor(prob, basis, coords).reshape(prob.ny, -1)
+            want += [("|".join(map(str, coords)), str(label), str(j), g[a, j])
+                     for a, label in enumerate(prob.labels) for j in range(nb ** len(coords))]
+        assert len(rows) == sum(prob.ny * nb ** m.bit_count() for m in range(1, 1 << prob.p)) == len(want)
+        assert [(r["U"], r["label"], r["basis_index"]) for r in rows] == [w[:3] for w in want]
+        assert [float(r["moment"]) for r in rows] == [w[3] for w in want]
 
 
 class TestGame:
@@ -79,6 +117,13 @@ class TestGame:
         assert sorted(verdict["s_hat"]) == sorted(verdict["s_star"])
         lines = (tmp_path / "game_transcript.jsonl").read_text().strip().split("\n")
         assert len(lines) == verdict["queries"]
+
+    @pytest.mark.parametrize("model", [{"model": "CSQ"}, {"model": "DLQ", "loss": "abs"}])
+    def test_tol_above_every_witness_fails(self, tmp_path, capsys, model):
+        # normalized witness scores are at most 1, so tol = 2 leaves no detectable set
+        cfg = write_config(tmp_path, "gt.json", {"problem": Y1_SPEC, "game": {"d": 8, "tol": 2.0, **model}})
+        assert run_cli(["game", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "no detectable sets" in capsys.readouterr().err
 
     def test_adversarial_pairs_only(self, tmp_path):
         cfg = write_config(

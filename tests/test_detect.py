@@ -11,10 +11,12 @@ from juntaleap import (
     hard_instance,
     uniform_hypercube_marginal,
 )
-from juntaleap.fourier import gram_schmidt
+from juntaleap.detect import DETECT_TOL, default_u_grid
+from juntaleap.fourier import OrthonormalBasis, gram_schmidt
+from juntaleap.junta import FiniteMarginal, JuntaProblem, problem_from_dict
 from juntaleap.losses import get_loss
-from juntaleap.setsystem import INFINITY
-from conftest import random_problem
+from juntaleap.setsystem import INFINITY, SetSystem, coords_from_mask, cover, leap
+from conftest import factor_product_moments, random_problem, three_atom_blocks
 
 
 def coords_sets(report):
@@ -176,3 +178,129 @@ class TestHardInstanceDetect:
         assert detect_csq(prob).system.sets == ()
         # a generic loss still sees it
         assert detect_dlq(prob, get_loss("abs")).system.sets == (1,)
+
+
+# ---------------------------------------------------------------------------
+# Moment-table detection against the per-subset scan
+# ---------------------------------------------------------------------------
+
+
+def reference_scan(problem, t_rows=None, u_values=None):
+    """Detection one subset at a time from factor-product moments.
+
+    For every mask, the best (test row, basis tuple) by normalized score, ties
+    to the lowest row and then the lowest tuple (last coordinate fastest), and
+    the runner-up score over all other candidates. t_rows None means SQ, where
+    the test row is the conditional expectation xi of the tuple.
+    """
+    basis = gram_schmidt(problem.marginal)
+    mu_y = problem.mu_y
+    out = {}
+    for mask in range(1, 1 << problem.p):
+        coords = coords_from_mask(mask)
+        flat = factor_product_moments(problem, basis, coords)
+        if t_rows is None:
+            xi = np.zeros_like(flat)
+            attained = mu_y > 1e-300
+            xi[attained] = flat[attained] / mu_y[attained, None]
+            scores = np.sqrt(mu_y @ xi**2)[None, :]
+        else:
+            norms = np.sqrt(t_rows**2 @ mu_y)
+            usable = norms > 0
+            scores = np.zeros((len(t_rows), flat.shape[1]))
+            scores[usable] = np.abs(t_rows[usable] @ flat) / norms[usable, None]
+        r, j = np.unravel_index(int(np.argmax(scores)), scores.shape)
+        ranked = np.sort(scores.ravel())
+        out[mask] = {"score": scores[r, j], "runner_up": ranked[-2] if ranked.size > 1 else 0.0}
+        if scores[r, j] > DETECT_TOL:
+            t_label = xi[:, j] / scores[0, j] if t_rows is None else t_rows[r] / norms[r]
+            digits = np.unravel_index(j, (basis.size - 1,) * len(coords))
+            t_coords = {i: basis.psi[1 + d] for i, d in zip(coords, digits)}
+            out[mask].update(t_label=t_label, t_coords=t_coords, u=None if u_values is None else float(u_values[r]),
+                             beta=problem.joint_expectation(t_label, t_coords, coords))
+    return out
+
+
+def assert_matches_reference(problem, rep, ref):
+    order = sorted(ref, key=lambda m: (m.bit_count(), m))
+    detected = tuple(m for m in order if ref[m]["score"] > DETECT_TOL)
+    assert rep.system.sets == detected, rep.model
+    if rep.model.startswith("DLQ"):
+        assert rep.grid_negatives == tuple(m for m in order if m not in detected)
+    system = SetSystem(problem.p, detected)
+    assert exponents(rep)[:2] == (leap(system), cover(system))
+    for mask in detected:
+        w, want = rep.witnesses[mask], ref[mask]
+        assert w.coords == coords_from_mask(mask)
+        assert abs(w.beta) == pytest.approx(abs(want["beta"]), rel=1e-12, abs=0)
+        if want["score"] - want["runner_up"] > 1e-12 * want["score"]:
+            assert w.u_value == want["u"], (rep.model, mask)
+            for i, table in want["t_coords"].items():
+                assert np.array_equal(w.t_coords[i], table), (rep.model, mask)
+            np.testing.assert_allclose(w.t_label, want["t_label"], rtol=1e-12, atol=1e-15)
+    if detected:
+        assert abs(rep.beta) == pytest.approx(min(abs(ref[m]["beta"]) for m in detected), rel=1e-12)
+
+
+REFERENCE_LOSSES = ("squared", "abs", "hinge", "logistic", "squared_plus_cubic")
+
+
+def check_against_reference(problem):
+    assert_matches_reference(problem, detect_sq(problem), reference_scan(problem))
+    labels = problem.labels_numeric()
+    assert_matches_reference(problem, detect_csq(problem), reference_scan(problem, labels[None, :]))
+    for name in REFERENCE_LOSSES:
+        loss = get_loss(name)
+        grid = default_u_grid(loss, labels)
+        rep = detect_dlq(problem, loss)
+        ref = reference_scan(problem, loss.deriv(grid[:, None], labels[None, :]), grid)
+        assert_matches_reference(problem, rep, ref)
+
+
+class TestMomentTableDetection:
+    def test_random_corpus(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            check_against_reference(random_problem(rng))
+
+    @pytest.mark.parametrize("name", ["y1", "y2", "fig1a", "fig1b", "fig1c", "prop62c_k3"])
+    def test_bundled_configs(self, name):
+        import json
+        from importlib.resources import files
+
+        cfg = json.loads(files("juntaleap").joinpath("configs", f"{name}.json").read_text())
+        check_against_reference(problem_from_dict(cfg["problem"]))
+
+    def test_tie_rule(self, y1_problem):
+        # a dyadic basis (orthogonal, not normalized) keeps every score exact:
+        # for y = z1 z2 (z1 + z2) the tuples (1, 2) and (2, 1) tie for {1, 2}, and
+        # the lowest tuple with coordinate 1 as the most significant digit wins
+        values = np.array([-1.0, 0.0, 1.0])
+        basis = OrthonormalBasis(FiniteMarginal(values, [0.25, 0.5, 0.25]),
+                                 np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 1.0]]))
+        z1, z2 = values[np.arange(9) % 3], values[np.arange(9) // 3]
+        y = (z1 * z2 * (z1 + z2)).astype(int)
+        labels = sorted(set(y.tolist()))
+        cond = np.eye(len(labels))[[labels.index(v) for v in y]]
+        prob = JuntaProblem(2, basis.marginal, labels, cond)
+        w = detect_csq(prob, basis=basis).witnesses[0b11]
+        assert np.array_equal(w.t_coords[1], basis.psi[1]) and np.array_equal(w.t_coords[2], basis.psi[2])
+        # identical derivative rows of abs tie on the hypercube; the lowest grid point wins
+        loss = get_loss("abs")
+        labels = y1_problem.labels_numeric()
+        grid = default_u_grid(loss, labels)
+        ref = reference_scan(y1_problem, loss.deriv(grid[:, None], labels[None, :]), grid)
+        rep = detect_dlq(y1_problem, loss)
+        assert rep.witnesses and all(w.u_value == ref[m]["u"] for m, w in rep.witnesses.items())
+
+    def test_three_atom_p10(self):
+        blocks = [(1, 2, 3), (4, 5, 6), (7, 8, 9, 10)]
+        prob = three_atom_blocks(10, blocks)
+        assert prob.n_rows == 59_049
+        csq = detect_csq(prob)
+        assert coords_sets(csq) == set(blocks)
+        assert exponents(csq)[:2] == (4, 4)
+        assert detect_dlq(prob, get_loss("squared")).system.sets == csq.system.sets
+        sq = set(detect_sq(prob).system.sets)
+        assert set(csq.system.sets) <= sq
+        assert set(detect_dlq(prob, get_loss("abs")).system.sets) <= sq

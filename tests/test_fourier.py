@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from juntaleap import FiniteMarginal, HypercubeJunta, expand_hypercube, uniform_hypercube_marginal
-from juntaleap.fourier import conditional_moment_tensor, gram_schmidt, inverse_wht, wht
-from conftest import random_problem
+from juntaleap.fourier import conditional_moment_tensor, gram_schmidt, inverse_wht, moment_table, support_slice, wht
+from juntaleap.setsystem import coords_from_mask
+from conftest import factor_product_moments, random_problem, three_atom_blocks
 
 
 def naive_wht(table):
@@ -137,3 +138,43 @@ class TestConditionalMomentTensor:
     def test_rejects_empty_set(self, y1_problem):
         with pytest.raises(ValueError):
             conditional_moment_tensor(y1_problem, gram_schmidt(y1_problem.marginal), [])
+
+
+class TestMomentTable:
+    def test_slices_match_factor_products(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            prob = random_problem(rng)
+            basis = gram_schmidt(prob.marginal)
+            table = moment_table(prob, basis)
+            assert table.shape == (prob.ny,) + (prob.marginal.nx,) * prob.p
+            for mask in range(1, 1 << prob.p):
+                coords = coords_from_mask(mask)
+                got = support_slice(table, coords).reshape(prob.ny, -1)
+                np.testing.assert_allclose(got, factor_product_moments(prob, basis, coords), rtol=0, atol=1e-14)
+
+    def test_hypercube_slices_bit_equal(self, y1_problem, y2_problem):
+        for prob in (y1_problem, y2_problem):
+            basis = gram_schmidt(prob.marginal)
+            table = moment_table(prob, basis)
+            for mask in range(1, 1 << prob.p):
+                coords = coords_from_mask(mask)
+                got = conditional_moment_tensor(prob, basis, coords).reshape(prob.ny, -1)
+                assert np.array_equal(got, factor_product_moments(prob, basis, coords))
+                assert np.array_equal(got, support_slice(table, coords).reshape(prob.ny, -1))
+
+    def test_constant_column_is_label_marginal(self):
+        prob = three_atom_blocks(4, [(1, 2), (3, 4)])
+        table = moment_table(prob, gram_schmidt(prob.marginal))
+        np.testing.assert_allclose(table[(slice(None),) + (0,) * prob.p], prob.mu_y, rtol=0, atol=1e-15)
+
+    def test_rejects_basis_on_other_atoms(self, y1_problem):
+        basis = gram_schmidt(FiniteMarginal([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3]))
+        with pytest.raises(ValueError, match="different atom set"):
+            moment_table(y1_problem, basis)
+        with pytest.raises(ValueError, match="different atom set"):
+            conditional_moment_tensor(y1_problem, basis, [1])
+
+    def test_rejects_coordinate_outside_support(self, y1_problem):
+        with pytest.raises(ValueError):
+            conditional_moment_tensor(y1_problem, gram_schmidt(y1_problem.marginal), [5])
