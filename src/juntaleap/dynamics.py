@@ -36,20 +36,51 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class Activation:
     """sigma with its derivative; `bound` is a sup-norm bound K on sigma and its
-    first derivatives when one exists (None for polynomial activations)."""
+    first derivatives when one exists (None for polynomial activations).
+
+    `fused(x, deriv)` computes sigma(x) into x, and with `deriv` also
+    sigma'(x), from one pass; activations without it use f and df."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     bound: float | None = None
     degree: int | None = None
+    fused: Callable[[np.ndarray, bool], tuple] | None = None
 
     def __repr__(self):
         return f"Activation({self.name!r})"
 
+    def value_and_deriv(self, x: np.ndarray, deriv: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """(sigma(x), sigma'(x)), or (sigma(x), None) without `deriv`. x must
+        be a float array the caller owns: it may be overwritten."""
+        if self.fused is not None:
+            return self.fused(x, deriv)
+        return self.f(x), self.df(x) if deriv else None
+
+
+def _fused_tanh(a: float, g: float):
+    """sigma = A tanh(g x) in place, bit-identical to A * np.tanh(g * x), and
+    sigma' = A g (1 - tanh^2) from the same tanh."""
+
+    def fused(x, deriv):
+        if g != 1.0:
+            x *= g
+        t = np.tanh(x, out=x)
+        sp = None
+        if deriv:
+            sp = np.square(t)
+            np.subtract(1.0, sp, out=sp)
+            sp *= a * g
+        if a != 1.0:
+            t *= a
+        return t, sp
+
+    return fused
+
 
 def tanh_activation() -> Activation:
-    return Activation("tanh", np.tanh, lambda x: 1.0 / np.cosh(x) ** 2, bound=2.0)
+    return Activation("tanh", np.tanh, lambda x: 1.0 / np.cosh(x) ** 2, bound=2.0, fused=_fused_tanh(1.0, 1.0))
 
 
 def scaled_tanh(amplitude: float = 1.0, gain: float = 1.0) -> Activation:
@@ -60,6 +91,7 @@ def scaled_tanh(amplitude: float = 1.0, gain: float = 1.0) -> Activation:
         f=lambda x: a * np.tanh(g * x),
         df=lambda x: a * g / np.cosh(g * x) ** 2,
         bound=max(2.0, a * g, a),
+        fused=_fused_tanh(a, g),
     )
 
 
@@ -132,9 +164,10 @@ class TrainConfig:
             if np.any(self.kappa < 0.5 - 1e-12) or np.any(self.kappa > 1.5 + 1e-12):
                 raise ValueError("kappa entries must lie in [1/2, 3/2]")
 
-    def kappa_for(self, width: int) -> np.ndarray:
+    def kappa_for(self, width: int) -> np.ndarray | float:
+        """The per-coordinate kappa factors, or 1.0 when none are set."""
         if self.kappa is None:
-            return np.ones(width)
+            return 1.0
         if self.kappa.size != width:
             raise ValueError(f"kappa has length {self.kappa.size}, expected {width}")
         return self.kappa
@@ -143,6 +176,10 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # Particle ensembles and batch SGD
 # ---------------------------------------------------------------------------
+
+
+# entries of one row block of hidden pre-activations in ParticleEnsemble.forward (8 MB)
+FORWARD_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -165,9 +202,17 @@ class ParticleEnsemble:
         return self.w.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """f(x) for a batch of inputs x of shape (n, d)."""
-        z = x @ self.w.T + self.b
-        return (self.activation.f(z) @ self.a + self.c.sum()) / self.m
+        """f(x) for a batch of inputs x of shape (n, d), evaluated in row blocks
+        of at most FORWARD_BLOCK_ENTRIES hidden pre-activations."""
+        out = np.empty(x.shape[0])
+        rows = max(1, FORWARD_BLOCK_ENTRIES // self.m)
+        c_sum = self.c.sum()
+        for lo in range(0, x.shape[0], rows):
+            z = x[lo : lo + rows] @ self.w.T
+            z += self.b
+            s, _ = self.activation.value_and_deriv(z, deriv=False)
+            out[lo : lo + rows] = (s @ self.a + c_sum) / self.m
+        return out
 
 
 def init_ensemble(
@@ -204,38 +249,35 @@ def init_ensemble(
 def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ParticleEnsemble:
     """One batch-SGD update: theta_j <- theta_j - H [ (1/b) sum_i l'(f(x_i), y_i)
     grad_theta sigma_*(x_i; theta_j) + lambda theta_j ], f evaluated at the
-    pre-step parameters for the whole batch."""
+    pre-step parameters for the whole batch. w is updated in place."""
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     n = x.shape[0]
-    act = ens.activation
-    z = x @ ens.w.T + ens.b  # (n, M)
-    s = act.f(z)
-    sp = act.df(z)
+    z = x @ ens.w.T  # (n, M)
+    z += ens.b
+    s, gsp = ens.activation.value_and_deriv(z)
     f = (s @ ens.a + ens.c.sum()) / ens.m
     if not np.all(np.isfinite(f)):
         raise DivergenceError(-1, "network value")
     g = cfg.loss.deriv(f, np.asarray(y, dtype=float)) / n  # (n,)
 
     grad_a = g @ s
-    asp = sp * ens.a  # broadcast over columns
-    gsp = g[:, None] * asp  # (n, M)
+    gsp *= ens.a
+    gsp *= g[:, None]  # l'/n * a_j sigma'(z_ij), (n, M)
     grad_b = gsp.sum(axis=0)
-    grad_w = gsp.T @ x  # (M, d)
+    # at n = 1 each entry is one product, exactly as the k = 1 matmul gives it
+    grad_w = np.multiply.outer(gsp[0], x[0]) if n == 1 else gsp.T @ x  # (M, d)
     grad_c = g.sum()
 
     eta = cfg.eta
-    kap = cfg.kappa_for(ens.d)
+    if cfg.lam_w:
+        grad_w += cfg.lam_w * ens.w
+    grad_w *= eta * cfg.rate_w * cfg.kappa_for(ens.d)
+    ens.w -= grad_w
     ens.a -= eta * cfg.rate_a * (grad_a + cfg.lam_a * ens.a)
-    ens.w -= (eta * cfg.rate_w * kap) * (grad_w + cfg.lam_w * ens.w)
     ens.b -= eta * cfg.rate_b * (grad_b + cfg.lam_b * ens.b)
     ens.c -= eta * cfg.rate_c * (grad_c + cfg.lam_c * ens.c)
-    if not (
-        np.all(np.isfinite(ens.a))
-        and np.all(np.isfinite(ens.w))
-        and np.all(np.isfinite(ens.b))
-        and np.all(np.isfinite(ens.c))
-    ):
+    if not all(np.all(np.isfinite(v)) for v in (ens.a, ens.w, ens.b, ens.c)):
         raise DivergenceError(-1)
     return ens
 
@@ -355,13 +397,12 @@ def df_step(
     if use_g:
         nodes, wts = gh
         pre3 = pre[:, :, None] + state.s[:, None, None] * nodes
-        sig = act.f(pre3) @ wts
-        sigp_full = act.df(pre3)
+        sig3, sigp_full = act.value_and_deriv(pre3)
+        sig = sig3 @ wts
         sigp = sigp_full @ wts
         sigp_g = sigp_full @ (wts * nodes)
     else:
-        sig = act.f(pre)
-        sigp = act.df(pre)
+        sig, sigp = act.value_and_deriv(pre)
         sigp_g = None
 
     f = (state.weights * state.a) @ sig + float(state.weights @ state.c)  # (R,)
@@ -550,6 +591,13 @@ def df_risk(state: DFState, problem: JuntaProblem, loss: LossSpec, gh_order: int
     return float(wz @ np.einsum("ry,ry->r", cond, lv))
 
 
+def label_averaged_risk(f: np.ndarray, cond: np.ndarray, labels: np.ndarray, loss: LossSpec) -> tuple[float, float]:
+    """Mean over samples of E_{y|z}[loss(f, y)], with the label average taken
+    exactly from the samples' cond rows, and its standard error."""
+    per_sample = np.einsum("ny,ny->n", cond, loss.value(f[:, None], labels[None, :]))
+    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(per_sample.size))
+
+
 def ensemble_risk_mc(
     ens: ParticleEnsemble,
     sampler: Sampler,
@@ -559,12 +607,8 @@ def ensemble_risk_mc(
     """Monte-Carlo risk of a full-width model with the label average taken
     exactly (only the x-randomness is sampled); returns (estimate, std error)."""
     problem = sampler.instance.problem
-    labels = problem.labels_numeric()
     _, x, rows = sampler.draw_batch(n)
-    f = ens.forward(x)
-    lv = loss.value(f[:, None], labels[None, :])
-    per_sample = np.einsum("ny,ny->n", problem.cond[rows], lv)
-    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(n))
+    return label_averaged_risk(ens.forward(x), problem.cond[rows], problem.labels_numeric(), loss)
 
 
 def bayes_risk(
@@ -671,10 +715,7 @@ def run_sgd(
         row = {"step": step, "t": step * cfg.eta}
         f = ens.forward(x_test)
         for name, loss in eval_losses:
-            lv = loss.value(f[:, None], labels[None, :])
-            per = np.einsum("ny,ny->n", cond_test, lv)
-            row[name] = float(per.mean())
-            row[f"{name}_se"] = float(per.std(ddof=1) / np.sqrt(test_n))
+            row[name], row[f"{name}_se"] = label_averaged_risk(f, cond_test, labels, loss)
         history.append(row)
 
     evaluate(0)

@@ -12,7 +12,6 @@ as in marginal.values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable, Mapping, Sequence
@@ -109,6 +108,8 @@ class JuntaProblem:
             raise ValueError("labels must be distinct")
         if cond.shape != (nrows, len(labels)):
             raise ValueError(f"cond must have shape ({nrows}, {len(labels)}), got {cond.shape}")
+        if not np.all(np.isfinite(cond)):
+            raise ValueError("cond entries must be finite")
         if np.any(cond < -_PROB_TOL):
             raise ValueError("cond entries must be nonnegative")
         rowsums = cond.sum(axis=1)
@@ -508,7 +509,3 @@ def problem_from_dict(d: Mapping) -> JuntaProblem:
     if "hypercube" in d:
         return expand_hypercube(HypercubeJunta.from_dict(d["hypercube"]))
     return JuntaProblem.from_dict(d)
-
-
-def problem_from_json(text: str) -> JuntaProblem:
-    return problem_from_dict(json.loads(text))

@@ -168,6 +168,36 @@ class TestDynamicsCommands:
         summary = json.loads((tmp_path / "sgd_summary.json").read_text())
         assert summary["trials"][0]["initial_mse"] == summary["trials"][0]["final_mse"]
 
+    def test_sgd_judges_noisy_labels_against_bayes_mse(self, tmp_path):
+        # y = z_1 flipped with probability 1/4: E[Var(y | z)] = 1 - (1/2)^2, so a
+        # fit near the Bayes MSE learns though the MSE never halves
+        cfg = write_config(
+            tmp_path, "flip.json",
+            {"problem": {"hypercube": {"P": 1, "fourier": {"1": 1.0}, "noise": {"kind": "flip", "rate": 0.25}}},
+             "sgd": {"d": 8, "M": 32, "batch": 8, "eta": 0.1, "steps": 300, "loss": "squared",
+                     "test_n": 2000, "c_bar": 0.0, "trials": 2},
+             "seed": 1},
+        )
+        assert run_cli(["sgd", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "sgd_summary.json").read_text())
+        assert summary["bayes_mse"] == pytest.approx(0.75, abs=1e-15)
+        for trial in summary["trials"]:
+            assert trial["final_mse"] > 0.5 * trial["initial_mse"]
+            assert trial["final_mse"] - 0.75 < 0.5 * (trial["initial_mse"] - 0.75)
+            assert trial["learned"] is True and trial["stuck"] is False
+
+    def test_sgd_noiseless_bayes_mse_is_zero(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", {"problem": Y2_SPEC, "sgd": {"d": 6, "M": 4, "steps": 0, "test_n": 50}})
+        assert run_cli(["sgd", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "sgd_summary.json").read_text())["bayes_mse"] == 0.0
+
+    def test_nan_in_cond_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"problem": {"P": 1, "marginal": {"values": [1.0, -1.0], "probs": [0.5, 0.5]}, '
+                        '"labels": [0.0, 1.0], "cond": [[NaN, 1.0], [0.5, 0.5]]}, "sgd": {"d": 4, "steps": 1}}')
+        assert run_cli(["sgd", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_layerwise_summary(self, tmp_path):
         cfg = write_config(
             tmp_path, "lw.json",

@@ -45,6 +45,12 @@ class TestJuntaProblem:
         with pytest.raises(ValueError):
             JuntaProblem(1, m, [0.0, 1.0], [[0.5, 0.4], [0.5, 0.5]])
 
+    def test_rejects_non_finite_cond(self):
+        m = FiniteMarginal([1.0, -1.0], [0.5, 0.5])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                JuntaProblem(1, m, [0.0, 1.0], [[bad, 1.0], [0.5, 0.5]])
+
     def test_rejects_oversized_table(self):
         m = FiniteMarginal([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
         with pytest.raises(ValueError):
