@@ -52,16 +52,21 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _checked(what: str, build, *args, **kwargs):
+    """build(*args, **kwargs) from config values; what it rejects is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _problem_from_config(cfg: dict):
     from .junta import problem_from_dict
 
     spec = _require(cfg, "problem", "config")
     if isinstance(spec, str):
         spec = _load_config(spec)
-    try:
-        return problem_from_dict(spec)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad problem spec: {exc}") from exc
+    return _checked("bad problem spec", problem_from_dict, spec)
 
 
 def _loss_from_spec(spec):
@@ -184,7 +189,7 @@ def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
     from .junta import PlantedInstance
-    from .oracle import play_game
+    from .oracle import check_tau, play_game
 
     _check_keys(cfg, {"problem", "game", "seed"}, "config")
     block = _require(cfg, "game", "config")
@@ -194,6 +199,9 @@ def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
          "noise_mode", "budget", "max_tuple", "tol"},
         "game",
     )
+    for key in ("tau", "tau_factor"):
+        if block.get(key) is not None:
+            _checked(f"bad {key}", check_tau, block[key])
     problem = _problem_from_config(cfg)
     d = _require(block, "d", "game")
     report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), block.get("tol"))
@@ -282,8 +290,8 @@ def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
             d, m, act, seed=int(seed) * 1000 + trial, c_bar=c_bar,
             mu_b=block.get("mu_b", "uniform"), mu_w=block.get("mu_w", "zero"),
         )
-        tc = TrainConfig(loss=loss, eta=eta, batch=block.get("batch", 1),
-                         lam_w=block.get("lam_w", 0.0), lam_a=block.get("lam_a", 0.0))
+        tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=eta, batch=block.get("batch", 1),
+                      lam_w=block.get("lam_w", 0.0), lam_a=block.get("lam_a", 0.0))
         run = run_sgd(
             instance, ens, tc, steps,
             data_seed=int(seed) * 7919 + trial,
@@ -329,7 +337,8 @@ def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
         a_order=block.get("a_order", 32), b_order=block.get("b_order", 16),
         mu_b=block.get("mu_b", "uniform"), s0=block.get("s0", 0.0),
     )
-    tc = TrainConfig(loss=loss, eta=_require(block, "eta", "df"), kappa=block.get("kappa"))
+    tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=_require(block, "eta", "df"),
+                  kappa=block.get("kappa"))
     run = run_df(
         problem, tc, steps, state,
         gh_order=block.get("gh_order", 20),
@@ -378,7 +387,7 @@ def cmd_layerwise(cfg: dict, out_dir: Path, seed) -> int:
     c_bar = block.get("c_bar")
     if c_bar is None:
         c_bar = float(rng.uniform(-0.5, 0.5))
-    tc = TrainConfig(loss=loss, eta=block.get("eta", 0.002), kappa=np.asarray(kappa))
+    tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block.get("eta", 0.002), kappa=kappa)
     result = layerwise_train(
         problem, tc, L=block.get("L", 16), k1=block.get("k1"),
         k2=block.get("k2", 500), c_bar=c_bar,

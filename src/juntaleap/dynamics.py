@@ -157,9 +157,12 @@ class TrainConfig:
     lam_c: float = 0.0
 
     def __post_init__(self):
+        # each test is written so that NaN fails it
+        if not (np.isfinite(self.eta) and self.batch >= 1):
+            raise ValueError(f"eta must be finite and batch >= 1, got eta={self.eta!r}, batch={self.batch!r}")
         if self.kappa is not None:
             self.kappa = np.asarray(self.kappa, dtype=float)
-            if np.any(self.kappa < 0.5 - 1e-12) or np.any(self.kappa > 1.5 + 1e-12):
+            if not np.all((self.kappa >= 0.5 - 1e-12) & (self.kappa <= 1.5 + 1e-12)):
                 raise ValueError("kappa entries must lie in [1/2, 3/2]")
 
     def kappa_for(self, width: int) -> np.ndarray | float:
@@ -792,6 +795,9 @@ def layerwise_train(
         spread = float(np.max(np.abs(f0))) + float(np.max(np.abs(labels))) + 1.0
         h_smooth = second_derivative_bound(cfg.loss, labels, -spread, spread) * max(lam_feat, 1e-12)
         eta2_val = 1.0 / h_smooth
+        if not np.isfinite(eta2_val):
+            # phase 1 overflowed the features; the first phase-2 update would not be finite
+            raise DivergenceError(state.k + 1)
     else:
         eta2_val = float(eta2)
 

@@ -74,11 +74,7 @@ class Query:
         coords = tuple(int(c) for c in coords)
         if len(coords) != len(witness.coords):
             raise ValueError("tuple length must match the witness set size")
-        tables = tuple(witness.t_coords[pos] for pos in witness.coords)
-        return cls(((coords, tables),), witness.t_label, scale)
-
-    def max_coordinate(self) -> int:
-        return max((c for coords, _ in self.terms for c in coords), default=0)
+        return cls(((coords, _witness_tables(witness)),), witness.t_label, scale)
 
     def l2_null_norm(self, problem: JuntaProblem) -> float:
         """||phi||_{L2(D0)} by exact summation (closed form for one term)."""
@@ -118,10 +114,9 @@ class Transcript:
     in order, built as it is read; the dicts of block rows are copies.
     """
 
-    def __init__(self, tau: float, budget: int | None = None, records=None, outcome: frozenset | None = None):
+    def __init__(self, tau: float, budget: int | None = None, records=None):
         self.tau = tau
         self.budget = budget
-        self.outcome = outcome
         self._parts: list = list(records or ())  # dicts and _Blocks, in order
         self.n_queries = len(self._parts)
         self._view: list = []
@@ -255,8 +250,7 @@ class HonestOracle:
     """Answers with the exact planted expectation plus bounded noise."""
 
     def __init__(self, instance: PlantedInstance, tau: float, noise_mode: str = "zero", seed: int = 0):
-        if tau < 0:
-            raise ValueError("tau must be >= 0")
+        check_tau(tau)
         if noise_mode not in ("zero", "uniform", "adversarial_sign"):
             raise ValueError(f"unknown noise mode {noise_mode!r}")
         self.instance = instance
@@ -264,7 +258,6 @@ class HonestOracle:
         self.tau = tau
         self.noise_mode = noise_mode
         self.rng = np.random.default_rng(seed)
-        self._pos_of = {c: pos for pos, c in enumerate(instance.s_star, start=1)}
         # support position of every ambient coordinate, 0 off support
         self._pos_array = np.zeros(instance.d + 1, dtype=np.int64)
         self._pos_array[list(instance.s_star)] = np.arange(1, instance.problem.p + 1)
@@ -274,41 +267,27 @@ class HonestOracle:
         return self.instance.d
 
     def exact_expectation(self, query: Query) -> float:
-        if query.max_coordinate() > self.d:
-            raise ValueError("query references a coordinate beyond the ambient dimension")
         total = 0.0
         for coords, tables in query.terms:
-            off_factor = 1.0
-            t_coords = {}
-            for c, tab in zip(coords, tables):
-                pos = self._pos_of.get(c)
-                if pos is None:
-                    off_factor *= self.problem.marginal.mean(tab)
-                    if off_factor == 0.0:
-                        break
-                else:
-                    t_coords[pos] = tab
-            else:
-                if t_coords:
-                    term = self.problem.joint_expectation(query.t_label, t_coords, t_coords.keys())
-                else:
-                    term = self.problem.label_expectation(query.t_label)
-                total += off_factor * term
+            row = _check_block([coords], len(tables), self.d)[0]
+            total += _term_value(self.problem, query.t_label, tables, self._pos_array[row])
         return query.scale * total
+
+    def _noise(self, exact, bound: float, size: int | None = None):
+        """Noise of at most `bound` on the exact value(s): zero, uniform draws
+        (one per value), or adversarial_sign's push toward the threshold."""
+        if self.noise_mode == "zero" or bound == 0.0:
+            return 0.0
+        if self.noise_mode == "uniform":
+            return self.rng.uniform(-bound, bound, size)
+        return np.where(exact == 0.0, bound, -np.sign(exact) * bound)
 
     def answer(self, query: Query, transcript: Transcript | None = None, threshold: float | None = None) -> float:
         """The noisy expectation of `query`, logged to `transcript` if given,
         with `accepted = |v| > threshold` when a threshold is given."""
         exact = self.exact_expectation(query)
         norm = query.l2_null_norm(self.problem)
-        bound = self.tau * norm
-        if self.noise_mode == "zero" or bound == 0.0:
-            noise = 0.0
-        elif self.noise_mode == "uniform":
-            noise = self.rng.uniform(-bound, bound)
-        else:  # adversarial_sign: push toward (or past) the acceptance threshold
-            noise = bound if exact == 0.0 else -np.sign(exact) * bound
-        v = exact + noise
+        v = exact + self._noise(exact, self.tau * norm)
         if transcript is not None:
             transcript.log(query, v, exact=exact, norm=norm, accepted=None if threshold is None else abs(v) > threshold)
         return v
@@ -321,59 +300,39 @@ class HonestOracle:
 
         Logging stops after the first accepted row when `first_hit`; at the
         transcript's budget it raises BudgetExceededError. The transcript and
-        the noise stream are those of one `answer` per row. A row's exact
-        value depends only on which slot sits on which support position, so
-        each distinct pattern is evaluated once, and the null norm once per
-        block. Returns the accepted row indices and False (the honest oracle
-        never concedes).
+        the noise stream are those of one `answer` per row. Each distinct slot
+        pattern and the null norm are evaluated once per block. Returns the
+        accepted row indices and False (the honest oracle never concedes).
         """
-        coords = np.asarray(coords, dtype=np.int64)
-        k = len(witness.coords)
-        if coords.ndim != 2 or coords.shape[1] != k:
-            raise ValueError("tuple length must match the witness set size")
-        if coords.size:
-            if coords.min() < 1:
-                raise ValueError("coordinates are 1-based")
-            if coords.max() > self.d:
-                raise ValueError("query references a coordinate beyond the ambient dimension")
-            if any(np.any(coords[:, i] == coords[:, j]) for i, j in itertools.combinations(range(k), 2)):
-                raise ValueError("coordinates within a term must be distinct")
-        n = len(coords)
-        room = n if transcript.budget is None else max(0, min(n, transcript.budget - transcript.n_queries))
+        coords = _check_block(coords, len(witness.coords), self.d)
+        room = _room(transcript, len(coords))
         hits: list[int] = []
         if room:
             rows = coords[:room]
             # pattern code: each slot's support position (0 off support) as a digit
             # in base P + 1; ravel_multi_index raises if (P + 1)^k overflows int64
             _, first, inverse = np.unique(
-                np.ravel_multi_index(self._pos_array[rows].T, (self.problem.p + 1,) * k),
+                np.ravel_multi_index(self._pos_array[rows].T, (self.problem.p + 1,) * len(witness.coords)),
                 return_index=True,
                 return_inverse=True,
             )
-            values = [self.exact_expectation(Query.from_witness(witness, rows[i])) for i in first]
+            tables = _witness_tables(witness)
+            # `0.0 +` as in exact_expectation's sum, which turns -0.0 into 0.0
+            values = [0.0 + _term_value(self.problem, witness.t_label, tables, self._pos_array[rows[i]]) for i in first]
             exact = np.asarray(values)[inverse]
             norm = Query.from_witness(witness, rows[0]).l2_null_norm(self.problem)
-            bound = self.tau * norm
-            rng_state = None
-            if self.noise_mode == "zero" or bound == 0.0:
-                noise = 0.0
-            elif self.noise_mode == "uniform":
-                rng_state = self.rng.bit_generator.state
-                noise = self.rng.uniform(-bound, bound, size=room)
-            else:  # adversarial_sign, as in `answer`
-                noise = np.where(exact == 0.0, bound, -np.sign(exact) * bound)
-            v = exact + noise
+            rng_state = self.rng.bit_generator.state
+            v = exact + self._noise(exact, self.tau * norm, room)
             accepted = np.abs(v) > threshold
             m = room
             if first_hit and accepted.any():
                 m = int(np.argmax(accepted)) + 1
-                if rng_state is not None:
-                    # leave the stream where m scalar draws would have left it
-                    self.rng.bit_generator.state = rng_state
-                    self.rng.uniform(-bound, bound, size=m)
+                # leave the noise stream where m scalar draws would have left it
+                self.rng.bit_generator.state = rng_state
+                self._noise(exact[:m], self.tau * norm, m)
             transcript.log_block(rows[:m], v[:m], exact[:m], norm, accepted[:m])
             hits = np.flatnonzero(accepted[:m]).tolist()
-        if room < n and not (first_hit and hits):
+        if room < len(coords) and not (first_hit and hits):
             raise BudgetExceededError(transcript)
         return hits, False
 
@@ -392,6 +351,7 @@ class AdversarialOracle:
     MAX_P = 4
 
     def __init__(self, problem: JuntaProblem, d: int, tau: float):
+        check_tau(tau)
         if d > self.MAX_D or problem.p > self.MAX_P:
             raise ValueError(f"adversary limited to d <= {self.MAX_D}, P <= {self.MAX_P}")
         if d < problem.p:
@@ -400,38 +360,11 @@ class AdversarialOracle:
         self.d = d
         self.tau = tau
         self._plantings = _ordered_tuples(range(1, d + 1), problem.p)
-        self._pattern_cache: dict = {}
         self.conceded = False
 
     @property
     def survivors(self) -> set[tuple[int, ...]]:
         return set(map(tuple, self._plantings.tolist()))
-
-    def _term_expectation(self, t_label, coords, tables, assignment):
-        """E over one term with `assignment` mapping slot index -> support position."""
-        key = (
-            t_label.tobytes(),
-            tuple(t.tobytes() for t in tables),
-            tuple(sorted(assignment.items())),
-        )
-        if key in self._pattern_cache:
-            return self._pattern_cache[key]
-        off = 1.0
-        t_coords = {}
-        for slot, tab in enumerate(tables):
-            pos = assignment.get(slot)
-            if pos is None:
-                off *= self.problem.marginal.mean(tab)
-            else:
-                t_coords[pos] = tab
-        if off == 0.0:
-            val = 0.0
-        elif t_coords:
-            val = off * self.problem.joint_expectation(t_label, t_coords, t_coords.keys())
-        else:
-            val = off * self.problem.label_expectation(t_label)
-        self._pattern_cache[key] = val
-        return val
 
     def null_value(self, query: Query) -> float:
         total = 0.0
@@ -447,67 +380,132 @@ class AdversarialOracle:
 
     def answer(self, query: Query, transcript: Transcript | None = None, threshold: float | None = None):
         """The null value, or FAIL; logged as `HonestOracle.answer` logs,
-        without `accepted` on a FAIL."""
+        without `accepted` on a FAIL. One query is a one-row block."""
         if len(query.terms) != 1:
             raise ValueError("adversary handles single-term structured queries")
-        if query.max_coordinate() > self.d:
-            raise ValueError("query references a coordinate beyond the ambient dimension")
         coords, tables = query.terms[0]
-        t_label = np.asarray(query.t_label, float)
-        norm = query.l2_null_norm(self.problem)
-        null = self.null_value(query)
-        tol = self.tau * norm
-
-        # Each planting's slot -> support-position pattern (0 off support) as a
-        # code in base P + 1, as in HonestOracle.answer_block; plantings whose
-        # pattern puts a slot on the support and strays from the null by more
-        # than tau*norm get pruned.
-        p = self.problem.p
-        positions = (self._plantings[:, None, :] == np.asarray(coords)[None, :, None]) @ np.arange(1, p + 1)
-        codes, inverse = np.unique(np.ravel_multi_index(positions.T, (p + 1,) * len(coords)), return_inverse=True)
-        strays = np.zeros(len(codes), dtype=bool)
-        for j, digits in enumerate(zip(*np.unravel_index(codes, (p + 1,) * len(coords)))):
-            assignment = {slot: int(pos) for slot, pos in enumerate(digits) if pos}
-            if assignment:
-                val = query.scale * self._term_expectation(t_label, coords, tables, assignment)
-                strays[j] = not abs(null - val) <= tol
-        prune = strays[inverse]
-        if len(prune) - np.count_nonzero(prune) < 2:
-            self.conceded = True
-            if transcript is not None:
-                transcript.log(query, FAIL, norm=norm)
-            return FAIL
-        self._plantings = self._plantings[~prune]
-        if transcript is not None:
-            transcript.log(query, null, norm=norm, accepted=None if threshold is None else abs(null) > threshold)
-        return null
+        rows = _check_block([coords], len(tables), self.d)
+        transcript = Transcript(self.tau) if transcript is None else transcript
+        _, conceded = self._answer_rows(query.t_label, tables, query.scale, rows, transcript, threshold)
+        return FAIL if conceded else self.null_value(query)
 
     def answer_block(
         self, witness: Witness, coords, transcript: Transcript, threshold: float, first_hit: bool = False
     ) -> tuple[list[int], bool]:
-        """`HonestOracle.answer_block` as a loop over `answer`; the second
-        value is True when the adversary conceded (FAIL ends the block)."""
+        """`HonestOracle.answer_block` for the adversary, with the same
+        records as one `answer` per row; the second value is True when the
+        adversary conceded (FAIL ends the block)."""
+        coords = _check_block(coords, len(witness.coords), self.d)
+        room = _room(transcript, len(coords))
+        hits, conceded = self._answer_rows(
+            witness.t_label, _witness_tables(witness), 1.0, coords[:room], transcript, threshold, first_hit
+        )
+        if room < len(coords) and not (conceded or (first_hit and hits)):
+            raise BudgetExceededError(transcript)
+        return hits, conceded
+
+    def _answer_rows(self, t_label, tables, scale, coords, transcript, threshold, first_hit=False):
+        """Answer scale * T(y) prod_i T_i(x_{c_i}) on the rows c of `coords` in
+        order, up to a concession or, when `first_hit`, the first accepted
+        row. Returns the accepted row indices and whether it conceded.
+
+        A planting's slot pattern is coded per support position (1 + the
+        slot on it, 0 for none) in base k + 1, so codes stay below
+        (k + 1)^P, and each code's value is computed once per call. A
+        planting is pruned when its pattern puts a slot on the support and
+        strays from the null by more than tau times the row's null norm.
+        """
+        p, k = self.problem.p, len(tables)
+        values = np.zeros((k + 1) ** p)
+        known = np.zeros(len(values), dtype=bool)
+        known[0] = True  # no slot on the support: never strays
+        weights = (k + 1) ** np.arange(p - 1, -1, -1)
+        slot_of = np.zeros(self.d + 1, dtype=np.int64)
         hits: list[int] = []
-        for i, row in enumerate(np.asarray(coords).tolist()):
-            _charge(transcript)
-            v = self.answer(Query.from_witness(witness, row), transcript, threshold)
-            if v is FAIL:
+        for i, row in enumerate(coords.tolist()):
+            query = Query(((tuple(row), tables),), t_label, scale)
+            if i == 0:
+                null = self.null_value(query)
+            norm = query.l2_null_norm(self.problem)
+            slot_of[row] = np.arange(1, k + 1)
+            codes = slot_of[self._plantings] @ weights
+            slot_of[row] = 0
+            present = np.flatnonzero(np.bincount(codes))
+            for code in present[~known[present]].tolist():
+                slot_on = np.array(np.unravel_index(code, (k + 1,) * p))  # per support position
+                positions = np.zeros(k, dtype=np.int64)
+                positions[slot_on[slot_on > 0] - 1] = np.flatnonzero(slot_on) + 1
+                values[code] = scale * _term_value(self.problem, t_label, tables, positions)
+                known[code] = True
+            strays = ~(np.abs(null - values) <= self.tau * norm)
+            strays[0] = False
+            prune = strays[codes]
+            kept = len(prune) - np.count_nonzero(prune)
+            if kept < 2:
+                self.conceded = True
+                transcript.log(query, FAIL, norm=norm)
                 return hits, True
-            if abs(v) > threshold:
+            if kept < len(prune):
+                self._plantings = self._plantings.compress(~prune, axis=0)
+            accepted = None if threshold is None else abs(null) > threshold
+            transcript.log(query, null, norm=norm, accepted=accepted)
+            if accepted:
                 hits.append(i)
                 if first_hit:
                     break
         return hits, False
 
 
+def check_tau(tau) -> None:
+    """An oracle's tolerance must be a finite number >= 0."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+
+
+def _term_value(problem: JuntaProblem, t_label, tables, positions) -> float:
+    """E_D[T(y) prod_i T_i(x_{c_i})] for one term whose slot i sits on support
+    position positions[i] (0 off support): the off-support means multiplied
+    in slot order, stopping at 0.0, times the joint expectation of the rest."""
+    off = 1.0
+    on = {}
+    for tab, pos in zip(tables, positions):
+        if pos:
+            on[int(pos)] = tab
+        else:
+            off *= problem.marginal.mean(tab)
+            if off == 0.0:
+                return 0.0
+    return off * (problem.joint_expectation(t_label, on, on.keys()) if on else problem.label_expectation(t_label))
+
+
+def _witness_tables(witness: Witness) -> tuple[np.ndarray, ...]:
+    return tuple(witness.t_coords[pos] for pos in witness.coords)
+
+
+def _check_block(coords, k: int, d: int) -> np.ndarray:
+    """`coords` as an (n, k) int64 array of 1-based ambient tuples <= d,
+    distinct within each row."""
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[1] != k:
+        raise ValueError("tuple length must match the witness set size")
+    if coords.size:
+        if coords.min() < 1:
+            raise ValueError("coordinates are 1-based")
+        if coords.max() > d:
+            raise ValueError("query references a coordinate beyond the ambient dimension")
+        if any(np.any(coords[:, i] == coords[:, j]) for i, j in itertools.combinations(range(k), 2)):
+            raise ValueError("coordinates within a term must be distinct")
+    return coords
+
+
+def _room(transcript: Transcript, n: int) -> int:
+    """How many of n queries the transcript's budget still allows."""
+    return n if transcript.budget is None else max(0, min(n, transcript.budget - transcript.n_queries))
+
+
 # ---------------------------------------------------------------------------
 # Learners
 # ---------------------------------------------------------------------------
-
-
-def _charge(transcript: Transcript):
-    if transcript.budget is not None and transcript.n_queries >= transcript.budget:
-        raise BudgetExceededError(transcript)
 
 
 def _ordered_tuples(pool, k: int) -> np.ndarray:
@@ -524,9 +522,9 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
     injections of recovered coordinates into old slots) until a response
     clears beta/2."""
     if report.beta is None:
-        return frozenset(), Transcript(getattr(oracle, "tau", 0.0), budget)
+        return frozenset(), Transcript(oracle.tau, budget)
     threshold = report.beta / 2.0
-    transcript = Transcript(getattr(oracle, "tau", 0.0), budget)
+    transcript = Transcript(oracle.tau, budget)
     explored = 0
     assigned: dict[int, int] = {}
     s_hat: list[int] = []
@@ -563,8 +561,7 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
             )
             hits, conceded = oracle.answer_block(witness, block, transcript, threshold, first_hit=True)
             if conceded:
-                transcript.outcome = frozenset(s_hat)
-                return frozenset(s_hat), transcript
+                break
             if hits:
                 coords = block[hits[0]]
                 assigned.update(zip(witness.coords, coords.tolist()))
@@ -574,7 +571,6 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
                 break
         if not accepted:
             break
-    transcript.outcome = frozenset(s_hat)
     return frozenset(s_hat), transcript
 
 
@@ -583,19 +579,11 @@ def run_nonadaptive(oracle, d: int, report: DetectReport, *, budget=None):
     set, every ordered ambient tuple of that size; the decision map returns
     the union of coordinates in accepted tuples."""
     if report.beta is None:
-        return frozenset(), Transcript(getattr(oracle, "tau", 0.0), budget)
+        return frozenset(), Transcript(oracle.tau, budget)
     threshold = report.beta / 2.0
-    transcript = Transcript(getattr(oracle, "tau", 0.0), budget)
-    families = {}
-    for i in range(1, report.p + 1):
-        best = None
-        for mask in report.system.sets:
-            if mask >> (i - 1) & 1:
-                key = (mask.bit_count(), mask)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            families[best[1]] = None
+    transcript = Transcript(oracle.tau, budget)
+    by_size = sorted(report.system.sets, key=lambda m: (m.bit_count(), m))
+    families = {next(m for m in by_size if m >> (i - 1) & 1) for i in coords_from_mask(report.system.support)}
     recovered: set[int] = set()
     for mask in sorted(families, key=lambda m: (m.bit_count(), m)):
         tuples = _ordered_tuples(range(1, d + 1), mask.bit_count())
@@ -603,8 +591,15 @@ def run_nonadaptive(oracle, d: int, report: DetectReport, *, budget=None):
         recovered.update(tuples[hits].ravel().tolist())
         if conceded:
             break
-    transcript.outcome = frozenset(recovered)
     return frozenset(recovered), transcript
+
+
+def _singleton_witness(report: DetectReport) -> Witness:
+    """The witness of the lowest detectable singleton, which the grouped learner queries."""
+    singles = [m for m in report.system.sets if m.bit_count() == 1]
+    if not singles:
+        raise ValueError("grouped learner needs a leap-1 singleton in the detectable system")
+    return report.witnesses[min(singles)]
 
 
 def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
@@ -616,15 +611,11 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
     (e.g. P = 1 plantings); returns that coordinate and the support position
     used.
     """
-    singles = [m for m in report.system.sets if m.bit_count() == 1]
-    if not singles:
-        raise ValueError("grouped learner needs a leap-1 singleton in the detectable system")
-    mask = min(singles)
-    witness = report.witnesses[mask]
+    witness = _singleton_witness(report)
     position = witness.coords[0]
     beta = abs(witness.beta)
     table = witness.t_coords[position]
-    transcript = Transcript(getattr(oracle, "tau", 0.0), budget)
+    transcript = Transcript(oracle.tau, budget)
     n_bits = max(0, (d - 1).bit_length())
     scale = 1.0 / np.sqrt(d)
     threshold = beta / (2.0 * np.sqrt(d))
@@ -633,14 +624,14 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
         group = [c for c in range(1, d + 1) if (c - 1) >> k & 1]
         terms = tuple(((c,), (table,)) for c in group)
         query = Query(terms, witness.t_label, scale)
-        _charge(transcript)
+        if not _room(transcript, 1):
+            raise BudgetExceededError(transcript)
         v = oracle.answer(query, transcript, threshold)
         if v is FAIL:
             break
         if abs(v) > threshold:
             index |= 1 << k
     coord = index + 1
-    transcript.outcome = frozenset([coord])
     return frozenset([coord]), transcript, position
 
 
@@ -659,10 +650,7 @@ def nonadaptive_learner(instance, report, tau, *, noise_mode="zero", seed=0, bud
 
 def grouped_learner(instance, report, d=None, *, tau=None, noise_mode="zero", seed=0, budget=None):
     d = instance.d if d is None else d
-    singles = [m for m in report.system.sets if m.bit_count() == 1]
-    if not singles:
-        raise ValueError("grouped learner needs a leap-1 singleton in the detectable system")
-    beta = abs(report.witnesses[min(singles)].beta)
+    beta = abs(_singleton_witness(report).beta)
     if tau is None:
         tau = beta / (4.0 * np.sqrt(d))
     oracle = HonestOracle(instance, tau, noise_mode, seed)
@@ -706,11 +694,7 @@ def play_game(
         if learner == "grouped":
             # grouped queries carry a 1/sqrt(d) signal, so the tolerance must
             # shrink with it (tau <= c/sqrt(d))
-            singles = [m for m in report.system.sets if m.bit_count() == 1]
-            if not singles:
-                raise ValueError("grouped learner needs a leap-1 singleton in the detectable system")
-            beta1 = abs(report.witnesses[min(singles)].beta)
-            tau = tau_factor * beta1 / np.sqrt(instance.d)
+            tau = tau_factor * abs(_singleton_witness(report).beta) / np.sqrt(instance.d)
         else:
             tau = tau_factor * report.beta
     if oracle_kind == "honest":

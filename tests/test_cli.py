@@ -138,7 +138,38 @@ class TestGame:
         assert verdict["verdict"] == "FAIL"
 
 
+    @pytest.mark.parametrize("oracle", ["honest", "adversarial"])
+    @pytest.mark.parametrize("bad", [{"tau": -0.1}, {"tau": float("nan")}, {"tau_factor": float("inf")},
+                                     {"tau_factor": -1.0}, {"tau": "0.1"}])
+    def test_bad_tau_exits_2(self, tmp_path, capsys, oracle, bad):
+        game = {"d": 8, "model": "CSQ", "oracle": oracle, **bad}
+        cfg = write_config(tmp_path, "gtau.json", {"problem": Y2_SPEC, "game": game, "seed": 1})
+        assert run_cli(["game", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "bad tau" in capsys.readouterr().err
+        assert not (tmp_path / "game_verdict.json").exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "-0.5"])
+    def test_bad_tau_flag_exits_2(self, tmp_path, tau):
+        cfg = write_config(tmp_path, "g.json", {"problem": Y1_SPEC, "game": {"d": 8, "oracle": "adversarial"}})
+        assert run_cli(["game", "--config", cfg, "--out", str(tmp_path), "--tau", tau]) == 2
+
+
 class TestDynamicsCommands:
+    @pytest.mark.parametrize("command,block", [
+        ("df", {"eta": 0.002, "steps": 2, "kappa": [2.0, 1.0]}),
+        ("df", {"eta": float("nan"), "steps": 2}),
+        ("df", {"eta": 0.002, "steps": 2, "kappa": [float("nan"), 1.0]}),
+        ("layerwise", {"L": 4, "k1": 1, "k2": 1, "eta": float("inf")}),
+        ("layerwise", {"L": 4, "k1": 1, "k2": 1, "kappa": [1.0, float("nan")]}),
+        ("sgd", {"d": 4, "M": 4, "steps": 1, "batch": 0}),
+        ("sgd", {"d": 4, "M": 4, "steps": 1, "eta": float("nan")}),
+    ])
+    def test_bad_training_parameters_exit_2(self, tmp_path, capsys, command, block):
+        spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
+        cfg = write_config(tmp_path, "t.json", {"problem": spec, command: dict(block, c_bar=0.1), "seed": 0})
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "bad training parameters" in capsys.readouterr().err
+
     def test_df_freeze_summary(self, tmp_path):
         cfg = write_config(
             tmp_path, "df.json",

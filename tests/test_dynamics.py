@@ -117,6 +117,11 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             TrainConfig(loss=get_loss("squared"), eta=0.1, kappa=np.array([0.1]))
 
+    @pytest.mark.parametrize("bad", [{"eta": np.nan}, {"eta": np.inf}, {"kappa": [np.nan, 1.0]}, {"batch": 0}])
+    def test_rejects_non_finite_eta_or_kappa_and_empty_batch(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**{"loss": get_loss("squared"), "eta": 0.1, **bad})
+
 
 def reference_sgd_step(ens, x, y, cfg):
     """sgd_step as it was before the lean path: sigma and sigma' from separate

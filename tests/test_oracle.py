@@ -258,6 +258,17 @@ class TestAdversary:
         with pytest.raises(ValueError):
             AdversarialOracle(y2_problem, d=20, tau=0.1)
 
+    @pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
+    def test_both_oracles_reject_bad_tau(self, y2_problem, tau):
+        with pytest.raises(ValueError, match="tau"):
+            AdversarialOracle(y2_problem, d=8, tau=tau)
+        with pytest.raises(ValueError, match="tau"):
+            HonestOracle(PlantedInstance(y2_problem, 8, (1, 2, 3, 4)), tau)
+        rep = detect_csq(y2_problem)
+        for oracle_kind in ("honest", "adversarial"):
+            with pytest.raises(ValueError, match="tau"):
+                play_game(PlantedInstance(y2_problem, 8, (1, 2, 3, 4)), rep, oracle_kind=oracle_kind, tau=tau)
+
 
 class TestTranscript:
     def test_jsonl_emission(self, y1_problem):
@@ -466,6 +477,43 @@ class TestBlockAnswers:
         assert transcript.records == ref.records
         assert block_adv.survivors == ref_adv.survivors
 
+    def test_adversary_block_budget_matches_charged_loop(self, y2_problem):
+        rep = detect_csq(y2_problem)
+        w = rep.witnesses[0b0111]
+        tuples = np.array(list(itertools.permutations(range(1, 8), 3)))
+
+        def charged_loop(budget):
+            adv = AdversarialOracle(y2_problem, d=7, tau=rep.beta / 4)
+            ref = Transcript(adv.tau, budget)
+            try:
+                for tup in tuples.tolist():
+                    _charge(ref)
+                    v = adv.answer(Query.from_witness(w, tup), ref)
+                    if v is FAIL:
+                        break
+                    ref.records[-1]["accepted"] = bool(abs(v) > rep.beta / 2)
+            except BudgetExceededError:
+                return adv, ref, True
+            return adv, ref, False
+
+        _, full, _ = charged_loop(None)
+        concession = full.n_queries
+        for budget in (0, 1, concession // 2, concession - 1, concession, concession + 5):
+            ref_adv, ref, ref_raised = charged_loop(budget)
+            block_adv = AdversarialOracle(y2_problem, d=7, tau=rep.beta / 4)
+            transcript = Transcript(block_adv.tau, budget)
+            try:
+                block_adv.answer_block(w, tuples, transcript, rep.beta / 2)
+                raised = False
+            except BudgetExceededError as exc:
+                assert exc.transcript is transcript
+                raised = True
+            assert raised == ref_raised == (budget < concession)
+            assert transcript.n_queries == ref.n_queries == min(budget, concession)
+            assert transcript.records == ref.records
+            assert block_adv.survivors == ref_adv.survivors
+            assert block_adv.conceded == ref_adv.conceded == (budget >= concession)
+
 
 class TestQueryCountScaling:
     """Theta(d^leap) adaptive queries (CSQ leap 1 for y1, 3 for y2) and the
@@ -609,13 +657,22 @@ class TestColumnTranscript:
 # ---------------------------------------------------------------------------
 
 
+def pattern_value(problem, t_label, tables, assignment):
+    """E[T(y) prod_i T_i] with slot i on support position assignment[i] and the
+    other slots off support: the off-support means times the joint
+    expectation, which `JuntaProblem` computes by enumeration."""
+    off = math.prod(problem.marginal.mean(tab) for slot, tab in enumerate(tables) if slot not in assignment)
+    on = {pos: tables[slot] for slot, pos in assignment.items()}
+    return off * problem.joint_expectation(t_label, on, on.keys())
+
+
 class ReferenceAdversary:
     """The adversary over a set of surviving plantings: every slot -> support
     position pattern is enumerated, and the plantings inducing a pattern whose
     value strays from the null are found by enumerating permutations."""
 
     def __init__(self, problem, d, tau):
-        self.helper = AdversarialOracle(problem, d, tau)  # for the pattern values and the null
+        self.helper = AdversarialOracle(problem, d, tau)  # for the null
         self.p, self.d, self.tau = problem.p, d, tau
         self.survivors = set(itertools.permutations(range(1, d + 1), problem.p))
 
@@ -629,7 +686,7 @@ class ReferenceAdversary:
             for slots in itertools.combinations(range(len(coords)), k):
                 for pos_perm in itertools.permutations(range(1, self.p + 1), k):
                     assignment = dict(zip(slots, pos_perm))
-                    val = query.scale * self.helper._term_expectation(t_label, coords, tables, assignment)
+                    val = query.scale * pattern_value(self.helper.problem, t_label, tables, assignment)
                     if abs(null - val) <= tol:
                         continue
                     to_prune |= self.matching(coords, assignment)
