@@ -142,6 +142,19 @@ def _detect_reports(problem, block):
     return reports
 
 
+def _planted(problem, d, s_star, rng, seed):
+    """The PlantedInstance at s_star, or at P distinct coordinates of [d] drawn
+    from rng when s_star is None."""
+    import numpy as np
+
+    from .junta import PlantedInstance
+
+    if s_star is None:
+        # a d below P draws from [P] instead, so that PlantedInstance rejects the d
+        s_star = rng.choice(np.arange(1, max(d, problem.p) + 1), size=problem.p, replace=False)
+    return PlantedInstance(problem, d, tuple(int(c) for c in s_star), seed=seed)
+
+
 def cmd_exponents(cfg: dict, out_dir: Path, seed) -> int:
     _check_keys(cfg, {"problem", "exponents", "seed"}, "config")
     block = cfg.get("exponents", {})
@@ -149,8 +162,7 @@ def cmd_exponents(cfg: dict, out_dir: Path, seed) -> int:
     problem = _problem_from_config(cfg)
     report = {"P": problem.p, "models": {}}
     for rep in _detect_reports(problem, block):
-        full = rep.to_dict()
-        report["models"][rep.model] = {k: full[k] for k in ("sets", "leap", "cover", "rel_leap", "rel_cover", "beta")}
+        report["models"][rep.model] = rep.summary()
     path = _dump_json(report, out_dir, "exponents.json")
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     print(f"wrote {path}", file=sys.stderr)
@@ -188,8 +200,7 @@ def cmd_detect(cfg: dict, out_dir: Path, seed) -> int:
 def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
-    from .junta import PlantedInstance
-    from .oracle import check_tau, play_game
+    from .oracle import check_game_kinds, check_tau, play_game
 
     _check_keys(cfg, {"problem", "game", "seed"}, "config")
     block = _require(cfg, "game", "config")
@@ -202,23 +213,20 @@ def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
     for key in ("tau", "tau_factor"):
         if block.get(key) is not None:
             _checked(f"bad {key}", check_tau, block[key])
+    kinds = {"learner": block.get("learner", "adaptive"), "oracle_kind": block.get("oracle", "honest"),
+             "noise_mode": block.get("noise_mode", "zero")}
+    _checked("bad game", check_game_kinds, **kinds)
     problem = _problem_from_config(cfg)
     d = _require(block, "d", "game")
-    report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), block.get("tol"))
-
     rng = np.random.default_rng(seed)
-    s_star = block.get("s_star")
-    if s_star is None:
-        s_star = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), size=problem.p, replace=False))
-    instance = PlantedInstance(problem, d, tuple(s_star), seed=int(seed))
+    instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng, int(seed))
+    report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), block.get("tol"))
     result = play_game(
         instance,
         report,
-        learner=block.get("learner", "adaptive"),
-        oracle_kind=block.get("oracle", "honest"),
+        **kinds,
         tau=block.get("tau"),
         tau_factor=block.get("tau_factor", 0.25),
-        noise_mode=block.get("noise_mode", "zero"),
         budget=block.get("budget"),
         seed=int(seed),
         max_tuple=block.get("max_tuple"),
@@ -245,7 +253,7 @@ def _train_common(block, problem, seed):
     from .dynamics import make_activation
 
     loss = _loss_from_spec(block.get("loss", "squared"))
-    act = make_activation(block.get("activation", "tanh"))
+    act = _checked("bad activation", make_activation, block.get("activation", "tanh"))
     rng = np.random.default_rng(seed)
     c_bar = block.get("c_bar")
     if c_bar is None:
@@ -254,10 +262,7 @@ def _train_common(block, problem, seed):
 
 
 def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
-    import numpy as np
-
     from .dynamics import TrainConfig, init_ensemble, run_sgd
-    from .junta import PlantedInstance
     from .losses import squared
 
     _check_keys(cfg, {"problem", "sgd", "seed"}, "config")
@@ -284,12 +289,9 @@ def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
                "activation": act.name, "d": d, "M": m, "batch": block.get("batch", 1),
                "bayes_mse": bayes_mse}
     for trial in range(trials):
-        s_star = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), size=problem.p, replace=False))
-        instance = PlantedInstance(problem, d, s_star, seed=int(seed) + trial)
-        ens = init_ensemble(
-            d, m, act, seed=int(seed) * 1000 + trial, c_bar=c_bar,
-            mu_b=block.get("mu_b", "uniform"), mu_w=block.get("mu_w", "zero"),
-        )
+        instance = _checked("bad planted instance", _planted, problem, d, None, rng, int(seed) + trial)
+        ens = _checked("bad initialization", init_ensemble, d, m, act, seed=int(seed) * 1000 + trial,
+                       c_bar=c_bar, mu_b=block.get("mu_b", "uniform"), mu_w=block.get("mu_w", "zero"))
         tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=eta, batch=block.get("batch", 1),
                       lam_w=block.get("lam_w", 0.0), lam_a=block.get("lam_a", 0.0))
         run = run_sgd(
@@ -304,7 +306,7 @@ def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
         init_excess = first["mse"] - bayes_mse
         summary["trials"].append({
             "trial": trial,
-            "s_star": list(s_star),
+            "s_star": list(instance.s_star),
             "initial_mse": first["mse"],
             "final_mse": last["mse"],
             "stuck": bool(first["mse"] - last["mse"] < 0.05 * init_excess),
@@ -332,8 +334,8 @@ def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
     problem = _problem_from_config(cfg)
     steps = _require(block, "steps", "df")
     loss, act, c_bar, rng = _train_common(block, problem, seed)
-    state = init_df_state(
-        problem.p, act, c_bar=c_bar,
+    state = _checked(
+        "bad initialization", init_df_state, problem.p, act, c_bar=c_bar,
         a_order=block.get("a_order", 32), b_order=block.get("b_order", 16),
         mu_b=block.get("mu_b", "uniform"), s0=block.get("s0", 0.0),
     )
@@ -368,7 +370,7 @@ def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
 def cmd_layerwise(cfg: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
-    from .dynamics import TrainConfig, layerwise_train
+    from .dynamics import TrainConfig, layerwise_train, poly_activation
 
     _check_keys(cfg, {"problem", "layerwise", "seed"}, "config")
     block = _require(cfg, "layerwise", "config")
@@ -388,10 +390,14 @@ def cmd_layerwise(cfg: dict, out_dir: Path, seed) -> int:
     if c_bar is None:
         c_bar = float(rng.uniform(-0.5, 0.5))
     tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block.get("eta", 0.002), kappa=kappa)
+    eta2 = block.get("eta2", "auto")
+    if eta2 != "auto":  # the phase-2 step size
+        _checked("bad training parameters", TrainConfig, loss=loss, eta=eta2)
+    L = block.get("L", 16)
+    _checked("bad activation", poly_activation, L)
     result = layerwise_train(
-        problem, tc, L=block.get("L", 16), k1=block.get("k1"),
-        k2=block.get("k2", 500), c_bar=c_bar,
-        a_order=block.get("a_order", 64), eta2=block.get("eta2", "auto"),
+        problem, tc, L=L, k1=block.get("k1"), k2=block.get("k2", 500), c_bar=c_bar,
+        a_order=block.get("a_order", 64), eta2=eta2,
     )
     _write_csv(result.history, out_dir, "layerwise_curve.csv")
     thresh = block.get("lambda_min_threshold", 1e-6)

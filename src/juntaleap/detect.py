@@ -41,8 +41,8 @@ class Witness:
     """Normalized test functions certifying one detectable set.
 
     t_label tabulates T on the labels, t_coords the zero-mean T_i on the
-    atoms of X; ||T||_{mu_y} * prod ||T_i||_{mu_x} = 1 and beta is the exact
-    expectation re-evaluable through joint_expectation.
+    atoms of X; ||T||_{mu_y} * prod ||T_i||_{mu_x} = 1 and beta is the signed
+    score that chose them, the exact E[T(y) prod T_i(z_i)] of the moment table.
     """
 
     coords: tuple[int, ...]
@@ -63,13 +63,24 @@ class DetectReport:
     loss: LossSpec | None = None
     grid_negatives: tuple[int, ...] = ()
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
+        """The detected sets, their exponents and the smallest |beta|."""
         def num(x):
             return "infinity" if x is INFINITY else x
 
         lp, cv, rl, rc = exponents(self)
+        return {
+            "sets": [list(s) for s in self.system.members_as_coords()],
+            "leap": num(lp),
+            "cover": num(cv),
+            "rel_leap": rl,
+            "rel_cover": rc,
+            "beta": self.beta,
+        }
+
+    def to_dict(self) -> dict:
         wit = {}
-        for mask, w in self.witnesses.items():
+        for w in self.witnesses.values():
             wit[",".join(str(c) for c in w.coords)] = {
                 "t_label": w.t_label.tolist(),
                 "t_coords": {str(i): t.tolist() for i, t in w.t_coords.items()},
@@ -79,12 +90,7 @@ class DetectReport:
         return {
             "model": self.model,
             "P": self.p,
-            "sets": [list(s) for s in self.system.members_as_coords()],
-            "leap": num(lp),
-            "cover": num(cv),
-            "rel_leap": rl,
-            "rel_cover": rc,
-            "beta": self.beta,
+            **self.summary(),
             "tol": self.tol,
             "loss": self.loss.name if self.loss is not None else None,
             "grid_negatives": [list(coords_from_mask(m)) for m in self.grid_negatives],
@@ -106,41 +112,32 @@ def exponents(report: DetectReport):
     return lp, cv, rel_leap(system), rel_cover(system)
 
 
-def _column_masks(p: int, size: int) -> np.ndarray:
-    """Support mask of every flattened table column: bit i-1 set iff j_i >= 1."""
-    masks = np.zeros(1, dtype=np.int64)
+def _report(problem, basis, tol, model, value, row, t_label, loss=None, u_values=None):
+    """Per support mask, the column of largest |value| decides the set and
+    gives its witness, whose beta is value[col]; ties go to the lowest test
+    row, then the lowest basis tuple (coordinate 1 the most significant digit).
+    t_label(r, col) is the normalized label table of test row r on column col."""
+    p = problem.p
+    masks = np.zeros(1, dtype=np.int64)  # support mask of every column: bit i-1 set iff j_i >= 1
     for i in range(p):
-        masks = (masks[:, None] | np.where(np.arange(size) > 0, 1 << i, 0)).ravel()
-    return masks
-
-
-def _report(problem, basis, tol, model, score, row, t_label, loss=None, u_values=None):
-    """Per support mask, the column with the highest score decides the set
-    and gives its witness; ties go to the lowest test row, then the lowest
-    basis tuple (coordinate 1 the most significant digit). t_label(r, col)
-    is the normalized label table of test row r on column col."""
-    masks = _column_masks(problem.p, basis.size)
+        masks = (masks[:, None] | np.where(np.arange(basis.size) > 0, 1 << i, 0)).ravel()
+    score = np.abs(value)
     order = np.lexsort((row, -score, masks))  # stable: lowest column first among ties
     best = order[np.flatnonzero(np.diff(masks[order], prepend=-1))]  # best[mask], every mask occurs
-    detected: list[int] = []
+    ranked = np.arange(1, len(best))
+    ranked = ranked[np.argsort(sum((ranked >> i) & 1 for i in range(p)), kind="stable")]  # by (size, mask)
+    hit = score[best[ranked]] > tol
+    cols = best[ranked[hit]]
+    digits = np.stack(np.unravel_index(cols, (basis.size,) * p), axis=1)
     witnesses: dict[int, Witness] = {}
-    misses: list[int] = []
-    for mask in sorted(range(1, len(best)), key=lambda m: (m.bit_count(), m)):
-        col = best[mask]
-        if score[col] > tol:
-            detected.append(mask)
-            coords = coords_from_mask(mask)
-            digits = np.unravel_index(col, (basis.size,) * problem.p)
-            t_coords = {i: basis.psi[digits[i - 1]].copy() for i in coords}
-            lab = t_label(row[col], col)
-            beta = problem.joint_expectation(lab, t_coords, coords)
-            u_val = None if u_values is None else float(u_values[row[col]])
-            witnesses[mask] = Witness(coords, lab, t_coords, beta, u_val)
-        elif loss is not None:
-            misses.append(mask)
-    system = SetSystem(problem.p, tuple(detected))
-    beta = min((abs(w.beta) for w in witnesses.values()), default=None)
-    return DetectReport(model, problem.p, system, witnesses, beta, tol, loss, tuple(misses))
+    for mask, col, dig in zip(ranked[hit].tolist(), cols.tolist(), digits.tolist()):
+        coords = coords_from_mask(mask)
+        t_coords = {i: basis.psi[dig[i - 1]].copy() for i in coords}
+        u_val = None if u_values is None else float(u_values[row[col]])
+        witnesses[mask] = Witness(coords, t_label(row[col], col), t_coords, float(value[col]), u_val)
+    beta = float(score[cols].min()) if cols.size else None
+    misses = tuple(ranked[~hit].tolist()) if loss is not None else ()
+    return DetectReport(model, p, SetSystem(p, tuple(witnesses)), witnesses, beta, tol, loss, misses)
 
 
 def detect_sq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: OrthonormalBasis | None = None) -> DetectReport:
@@ -154,31 +151,32 @@ def detect_sq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: Orthonormal
     xi = np.zeros_like(g)
     xi[attained] = g[attained] / mu_y[attained, None]
     norms = np.sqrt(mu_y @ xi**2)  # ||xi||_{mu_y} per basis tuple
-    row = np.zeros(g.shape[1], dtype=np.int64)  # one test function per column
+    row = np.zeros(g.shape[1], dtype=np.int64)  # one test function per column; its beta is the norm
     return _report(problem, basis, tol, "SQ", norms, row, lambda r, col: xi[:, col] / norms[col])
 
 
 def _detect_linear(problem, basis, tol, t_rows, model, loss=None, u_values=None):
     """Shared CSQ/DLQ scan: each row of t_rows is a candidate T over labels.
 
-    The (rows, columns) score matrix is reduced in column chunks of at most
-    max(table size, 2^16) entries, keeping per column its best score and
-    test row."""
+    The (rows, columns) matrix of normalized expectations is reduced in column
+    chunks of at most max(table size, 2^16) entries, keeping per column the
+    test row of largest magnitude and its signed value."""
     t_rows = np.asarray(t_rows, dtype=float)
     norms = np.sqrt(t_rows**2 @ problem.mu_y)
     usable = norms > 0
     g = moment_table(problem, basis).reshape(problem.ny, -1)
     n_cols = g.shape[1]
-    score = np.empty(n_cols)
+    value = np.empty(n_cols)
     row = np.empty(n_cols, dtype=np.int64)
     step = max(1, max(g.size, 1 << 16) // len(t_rows))
     for lo in range(0, n_cols, step):
         chunk = g[:, lo:lo + step]
-        s = np.zeros((len(t_rows), chunk.shape[1]))
-        s[usable] = np.abs(t_rows[usable] @ chunk) / norms[usable, None]
-        row[lo:lo + step] = np.argmax(s, axis=0)
-        score[lo:lo + step] = np.max(s, axis=0)
-    return _report(problem, basis, tol, model, score, row, lambda r, col: t_rows[r] / norms[r], loss, u_values)
+        v = np.zeros((len(t_rows), chunk.shape[1]))
+        v[usable] = (t_rows[usable] @ chunk) / norms[usable, None]
+        best = np.argmax(np.abs(v), axis=0)
+        row[lo:lo + step] = best
+        value[lo:lo + step] = np.take_along_axis(v, best[None], axis=0)[0]
+    return _report(problem, basis, tol, model, value, row, lambda r, col: t_rows[r] / norms[r], loss, u_values)
 
 
 def detect_csq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: OrthonormalBasis | None = None) -> DetectReport:

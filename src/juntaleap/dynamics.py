@@ -11,6 +11,7 @@ hypercube support law and Gauss-Hermite quadrature for G.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -228,6 +229,8 @@ def init_ensemble(
 ) -> ParticleEnsemble:
     """(a0, b0, sqrt(d) w0, c0) ~ mu_a x mu_b x mu_w^d x delta_{c_bar} with
     mu_a = Unif[-1, 1]."""
+    if not m >= 1:
+        raise ValueError(f"width m must be >= 1, got {m!r}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, m)
     if mu_b == "uniform":
@@ -330,10 +333,14 @@ class DFState:
         return (self.weights * self.a) @ sig + float(self.weights @ self.c)
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for E_{G ~ N(0,1)}[f(G)]."""
+    """Nodes/weights for E_{G ~ N(0,1)}[f(G)], read-only and computed once per
+    order (hermgauss solves an eigenproblem)."""
     nodes, wts = np.polynomial.hermite.hermgauss(n)
-    return nodes * np.sqrt(2.0), wts / np.sqrt(np.pi)
+    nodes, wts = nodes * np.sqrt(2.0), wts / np.sqrt(np.pi)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
 
 
 def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:

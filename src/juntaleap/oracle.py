@@ -41,6 +41,9 @@ class _Fail:
 
 FAIL = _Fail()
 
+# how the honest oracle draws its noise of at most tau
+NOISE_MODES = ("zero", "uniform", "adversarial_sign")
+
 
 class BudgetExceededError(RuntimeError):
     def __init__(self, transcript):
@@ -251,7 +254,7 @@ class HonestOracle:
 
     def __init__(self, instance: PlantedInstance, tau: float, noise_mode: str = "zero", seed: int = 0):
         check_tau(tau)
-        if noise_mode not in ("zero", "uniform", "adversarial_sign"):
+        if noise_mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {noise_mode!r}")
         self.instance = instance
         self.problem = instance.problem
@@ -460,6 +463,15 @@ def check_tau(tau) -> None:
     """An oracle's tolerance must be a finite number >= 0."""
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+
+
+def check_game_kinds(learner, oracle_kind, noise_mode) -> None:
+    """Raise ValueError for a learner, oracle kind or noise mode play_game does not know."""
+    for what, value, known in (("learner", learner, ("adaptive", "nonadaptive", "grouped")),
+                               ("oracle kind", oracle_kind, ("honest", "adversarial")),
+                               ("noise mode", noise_mode, NOISE_MODES)):
+        if value not in known:
+            raise ValueError(f"unknown {what} {value!r}")
 
 
 def _term_value(problem: JuntaProblem, t_label, tables, positions) -> float:
@@ -688,6 +700,7 @@ def play_game(
     max_tuple: int | None = None,
 ) -> GameResult:
     """Run one support-recovery game and grade the outcome."""
+    check_game_kinds(learner, oracle_kind, noise_mode)
     if tau is None:
         if report.beta is None:
             raise ValueError("report has no detectable sets; tau must be explicit")
@@ -699,10 +712,8 @@ def play_game(
             tau = tau_factor * report.beta
     if oracle_kind == "honest":
         oracle = HonestOracle(instance, tau, noise_mode, seed)
-    elif oracle_kind == "adversarial":
-        oracle = AdversarialOracle(instance.problem, instance.d, tau)
     else:
-        raise ValueError(f"unknown oracle kind {oracle_kind!r}")
+        oracle = AdversarialOracle(instance.problem, instance.d, tau)
 
     target = frozenset(instance.s_star[i - 1] for i in coords_from_mask(report.system.support))
     detail = {"tau": tau, "target": sorted(target)}
@@ -711,12 +722,10 @@ def play_game(
             s_hat, transcript = run_adaptive(oracle, instance.d, report, budget=budget, max_tuple=max_tuple)
         elif learner == "nonadaptive":
             s_hat, transcript = run_nonadaptive(oracle, instance.d, report, budget=budget)
-        elif learner == "grouped":
+        else:
             s_hat, transcript, position = run_grouped(oracle, instance.d, report, budget=budget)
             target = frozenset([instance.s_star[position - 1]])
             detail["target"] = sorted(target)
-        else:
-            raise ValueError(f"unknown learner {learner!r}")
     except BudgetExceededError as exc:
         return GameResult("FAIL(budget)", frozenset(), exc.transcript, detail)
 

@@ -272,6 +272,41 @@ class TestDynamicsCommands:
             assert run_cli(["layerwise", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+class TestConfigValuesRejectedUpFront:
+    BASE = {
+        "layerwise": {"L": 4, "k1": 1, "k2": 1, "c_bar": 0.1},
+        "sgd": {"d": 4, "M": 4, "steps": 1, "test_n": 20, "c_bar": 0.1},
+        "df": {"eta": 0.002, "steps": 2, "c_bar": 0.1},
+        "game": {"d": 8},
+    }
+
+    @pytest.mark.parametrize("command,bad", [
+        ("layerwise", {"eta2": float("nan")}),
+        ("layerwise", {"eta2": "fast"}),
+        ("layerwise", {"L": 0}),
+        ("sgd", {"activation": "relu"}),
+        ("sgd", {"activation": "poly:0"}),
+        ("df", {"activation": "relu"}),
+        ("df", {"activation": "poly:0"}),
+        ("df", {"mu_b": "normal"}),
+        ("sgd", {"mu_w": "uniform"}),
+        ("sgd", {"M": 0}),
+        ("sgd", {"d": 1}),
+        ("game", {"learner": "bogus"}),
+        ("game", {"oracle": "bogus"}),
+        ("game", {"noise_mode": "bogus"}),
+        ("game", {"d": 1}),
+        ("game", {"s_star": [3, 3]}),
+    ])
+    def test_exits_2_without_outputs(self, tmp_path, capsys, command, bad):
+        spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
+        cfg = write_config(tmp_path, "c.json", {"problem": spec, command: {**self.BASE[command], **bad}, "seed": 0})
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestHardInstance:
     def test_singleton_asymmetry(self, tmp_path):
         cfg = write_config(

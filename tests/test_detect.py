@@ -151,6 +151,20 @@ class TestWitnesses:
                 norm *= y1_problem.marginal.norm(tab)
             assert norm == pytest.approx(1.0, rel=1e-10)
 
+    def test_beta_is_the_winning_score(self, monkeypatch):
+        # beta comes from the scan that chose the witness, never from a second
+        # enumeration
+        def enumerate_(*args, **kwargs):
+            raise AssertionError("detection called joint_expectation")
+
+        rng = np.random.default_rng(8)
+        problems = [random_problem(rng) for _ in range(5)]
+        monkeypatch.setattr(JuntaProblem, "joint_expectation", enumerate_)
+        for prob in problems:
+            for rep in (detect_sq(prob), detect_csq(prob), detect_dlq(prob, get_loss("abs"))):
+                assert rep.witnesses
+                assert rep.beta == min(abs(w.beta) for w in rep.witnesses.values())
+
     def test_beta_is_min(self, y2_problem):
         rep = detect_csq(y2_problem)
         assert rep.beta == pytest.approx(min(abs(w.beta) for w in rep.witnesses.values()))
@@ -232,6 +246,8 @@ def assert_matches_reference(problem, rep, ref):
     for mask in detected:
         w, want = rep.witnesses[mask], ref[mask]
         assert w.coords == coords_from_mask(mask)
+        again = problem.joint_expectation(w.t_label, w.t_coords, w.coords)
+        assert w.beta == pytest.approx(again, rel=1e-12, abs=0), (rep.model, mask)
         assert abs(w.beta) == pytest.approx(abs(want["beta"]), rel=1e-12, abs=0)
         if want["score"] - want["runner_up"] > 1e-12 * want["score"]:
             assert w.u_value == want["u"], (rep.model, mask)

@@ -336,6 +336,16 @@ class TestDfStep:
         f80 = st.features(zmat, gauss_hermite(80))
         np.testing.assert_allclose(f20, f80, atol=1e-12)
 
+    def test_gauss_hermite_computed_once_read_only(self):
+        nodes, wts = gauss_hermite(20)
+        again = gauss_hermite(20)
+        assert again[0] is nodes and again[1] is wts
+        assert not nodes.flags.writeable and not wts.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        fresh, fresh_wts = np.polynomial.hermite.hermgauss(20)
+        assert np.array_equal(nodes, fresh * np.sqrt(2.0)) and np.array_equal(wts, fresh_wts / np.sqrt(np.pi))
+
     def test_requires_hypercube(self):
         rng = np.random.default_rng(0)
         from conftest import random_problem
