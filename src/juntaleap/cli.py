@@ -261,6 +261,12 @@ def _train_common(block, problem, seed):
     return loss, act, float(c_bar), rng
 
 
+def _bayes_mse(problem) -> float:
+    """The exact Bayes MSE E[Var(y | z)], 0 for noiseless targets."""
+    labels = problem.labels_numeric()
+    return float(problem.row_weights @ (problem.cond @ labels**2 - (problem.cond @ labels) ** 2))
+
+
 def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
     from .dynamics import TrainConfig, init_ensemble, run_sgd
     from .losses import squared
@@ -282,9 +288,7 @@ def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
     loss, act, c_bar, rng = _train_common(block, problem, seed)
     eval_losses = [("mse", squared()), ("train_risk", loss)]
 
-    # exact Bayes MSE E[Var(y | z)]: 0 for noiseless targets
-    labels = problem.labels_numeric()
-    bayes_mse = float(problem.row_weights @ (problem.cond @ labels**2 - (problem.cond @ labels) ** 2))
+    bayes_mse = _bayes_mse(problem)
     summary = {"trials": [], "eta": eta, "steps": steps, "c_bar": c_bar, "loss": loss.name,
                "activation": act.name, "d": d, "M": m, "batch": block.get("batch", 1),
                "bayes_mse": bayes_mse}
@@ -352,6 +356,7 @@ def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
     align = support_alignment(run.u_max, dlq, threshold=block.get("threshold", 0.01))
     first = run.history[0]["mse"] if run.history else None
     last = run.history[-1]["mse"] if run.history else None
+    bayes_mse = _bayes_mse(problem)
     summary = {
         "steps": steps, "eta": tc.eta, "c_bar": c_bar, "loss": loss.name,
         "activation": act.name,
@@ -360,7 +365,8 @@ def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
         "max_abs_u": list(align.max_abs_u),
         "initial_mse": first,
         "final_mse": last,
-        "stuck": bool(last is not None and first - last < 0.05 * first),
+        "bayes_mse": bayes_mse,
+        "stuck": bool(last is not None and first - last < 0.05 * (first - bayes_mse)),
     }
     _dump_json(summary, out_dir, "df_summary.json")
     print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))

@@ -38,12 +38,14 @@ def gram_schmidt(marginal: FiniteMarginal, seed: int | None = None) -> Orthonorm
 
     Seeds with monomials 1, x, x^2, ... in ascending degree (or a random
     full-rank family when `seed` is given) and orthogonalizes twice for
-    stability. Any valid choice yields the same detectability verdicts.
+    stability. Any valid choice yields the same detectability verdicts. It is
+    orthonormal on the atoms of positive probability and tabulated on every
+    atom, with psi_0 = 1 and psi_j = 0 (j >= 1) on an atom of probability 0.
     """
-    marginal = marginal.drop_null_atoms()
-    n = marginal.nx
-    vals = marginal.values
-    probs = marginal.probs
+    kept = marginal.probs > 0
+    n = int(np.count_nonzero(kept))
+    vals = marginal.values[kept]
+    probs = marginal.probs[kept]
     if seed is None:
         seeds = np.vander(vals, n, increasing=True).T.astype(float)
     else:
@@ -73,8 +75,10 @@ def gram_schmidt(marginal: FiniteMarginal, seed: int | None = None) -> Orthonorm
         raise ValueError("orthonormalization failed the tolerance check")
     if np.max(np.abs(psi[1:] @ probs)) > ORTHO_TOL:
         raise ValueError("zero-mean check failed for psi_j, j >= 1")
-    basis = OrthonormalBasis(marginal, psi)
-    return basis
+    full = np.zeros((n, marginal.nx))
+    full[0] = 1.0
+    full[:, kept] = psi
+    return OrthonormalBasis(marginal, full)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +128,7 @@ def moment_table(problem: JuntaProblem, basis: OrthonormalBasis) -> np.ndarray:
     O(|Y| P |X|^(P+1)). This one table decides SQ, CSQ and DLQ detection.
     """
     if basis.psi.shape[1] != problem.marginal.nx:
-        raise ValueError(
-            "basis tabulated on a different atom set; drop zero-probability atoms "
-            "from the problem's marginal before detection"
-        )
+        raise ValueError("basis tabulated on a different atom set")
     ny, nx, p = problem.ny, problem.marginal.nx, problem.p
     # rows run with coordinate 1 fastest; reverse the axes so coordinate 1 leads
     g = (problem.row_weights[:, None] * problem.cond).T.reshape((ny,) + (nx,) * p)

@@ -63,12 +63,6 @@ class FiniteMarginal:
         table = np.asarray(table, dtype=float)
         return float(np.sqrt(self.probs @ table**2))
 
-    def drop_null_atoms(self) -> "FiniteMarginal":
-        keep = self.probs > 0
-        if keep.all():
-            return self
-        return FiniteMarginal(self.values[keep], self.probs[keep])
-
     def to_dict(self) -> dict:
         return {"values": self.values.tolist(), "probs": self.probs.tolist()}
 

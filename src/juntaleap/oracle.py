@@ -7,6 +7,10 @@ Queries are restricted to the structured family
 which is what the upper-bound algorithms use; norms and expectations are then
 exact. Honest responses obey |v - E_D[phi]| <= tau * ||phi||_{L2(D0)} with D0
 the decoupled null (label marginal x input marginal).
+
+No two terms share a coordinate, so the null norm has a closed form, linear
+in the terms and independent of the coordinates: both oracles take it once
+per block of witness queries.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ class BudgetExceededError(RuntimeError):
 class Query:
     """scale * sum over terms of T(y) prod_i T_i(x_{c_i}).
 
-    Each term is (coords, tables): an ordered tuple of distinct ambient
-    coordinates and the per-slot coordinate functions tabulated on X.
+    Each term is (coords, tables): an ordered tuple of ambient coordinates
+    and the per-slot coordinate functions tabulated on X. No coordinate
+    occurs twice, within a term or across terms.
     """
 
     terms: tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]
@@ -64,13 +69,13 @@ class Query:
     scale: float = 1.0
 
     def __post_init__(self):
-        for coords, tables in self.terms:
-            if len(coords) != len(tables):
-                raise ValueError("each slot needs a coordinate and a table")
-            if len(set(coords)) != len(coords):
-                raise ValueError("coordinates within a term must be distinct")
-            if any(c < 1 for c in coords):
-                raise ValueError("coordinates are 1-based")
+        if any(len(coords) != len(tables) for coords, tables in self.terms):
+            raise ValueError("each slot needs a coordinate and a table")
+        every = [c for coords, _ in self.terms for c in coords]
+        if any(c < 1 for c in every):
+            raise ValueError("coordinates are 1-based")
+        if len(set(every)) != len(every):
+            raise ValueError("coordinates must be distinct within a term and across terms")
 
     @classmethod
     def from_witness(cls, witness: Witness, coords: Sequence[int], scale: float = 1.0) -> "Query":
@@ -80,25 +85,27 @@ class Query:
         return cls(((coords, _witness_tables(witness)),), witness.t_label, scale)
 
     def l2_null_norm(self, problem: JuntaProblem) -> float:
-        """||phi||_{L2(D0)} by exact summation (closed form for one term)."""
-        label_sq = problem.mu_y @ np.asarray(self.t_label, float) ** 2
+        """||phi||_{L2(D0)} in closed form. Under D0 the coordinates are
+        independent of y and of each other, and no two terms share one, so
+
+            E[phi^2] = scale^2 E[T(y)^2] (sum_t q_t + sum_{s != t} m_s m_t)
+
+        with q_t the product of the term's E[T_i^2] and m_t that of its E[T_i],
+        in slot order: a single term's norm does not depend on its coordinates.
+        """
         marg = problem.marginal
-        total = 0.0
-        for (coords_a, tabs_a) in self.terms:
-            map_a = dict(zip(coords_a, tabs_a))
-            for (coords_b, tabs_b) in self.terms:
-                map_b = dict(zip(coords_b, tabs_b))
-                prod = 1.0
-                for c in set(coords_a) | set(coords_b):
-                    if c in map_a and c in map_b:
-                        prod *= float(marg.probs @ (map_a[c] * map_b[c]))
-                    elif c in map_a:
-                        prod *= marg.mean(map_a[c])
-                    else:
-                        prod *= marg.mean(map_b[c])
-                    if prod == 0.0:
-                        break
-                total += prod
+        total = m_sum = m_sq = 0.0
+        for _, tables in self.terms:
+            q = m = 1.0
+            for tab in tables:
+                q *= float(marg.probs @ (tab * tab))
+                m *= marg.mean(tab)
+            total += q
+            m_sum += m
+            m_sq += m * m
+        if len(self.terms) > 1:
+            total += m_sum * m_sum - m_sq
+        label_sq = problem.mu_y @ np.asarray(self.t_label, float) ** 2
         return abs(self.scale) * float(np.sqrt(max(label_sq * total, 0.0)))
 
     def describe(self) -> dict:
@@ -135,8 +142,9 @@ class Transcript:
         self._viewed = len(self._parts)
         return self._view
 
-    def log(self, query: Query, response, exact=None, norm=None, accepted=None):
-        rec = {"t": self.n_queries + 1, **query.describe()}
+    def log(self, description: dict, response, exact=None, norm=None, accepted=None):
+        """One record of the query whose `Query.describe()` is `description`."""
+        rec = {"t": self.n_queries + 1, **description}
         rec["response"] = None if response is FAIL else float(response)
         if exact is not None:
             rec["exact"] = float(exact)
@@ -292,7 +300,8 @@ class HonestOracle:
         norm = query.l2_null_norm(self.problem)
         v = exact + self._noise(exact, self.tau * norm)
         if transcript is not None:
-            transcript.log(query, v, exact=exact, norm=norm, accepted=None if threshold is None else abs(v) > threshold)
+            accepted = None if threshold is None else abs(v) > threshold
+            transcript.log(query.describe(), v, exact=exact, norm=norm, accepted=accepted)
         return v
 
     def answer_block(
@@ -389,7 +398,7 @@ class AdversarialOracle:
         coords, tables = query.terms[0]
         rows = _check_block([coords], len(tables), self.d)
         transcript = Transcript(self.tau) if transcript is None else transcript
-        _, conceded = self._answer_rows(query.t_label, tables, query.scale, rows, transcript, threshold)
+        _, conceded = self._answer_rows(query, rows, transcript, threshold)
         return FAIL if conceded else self.null_value(query)
 
     def answer_block(
@@ -400,36 +409,37 @@ class AdversarialOracle:
         adversary conceded (FAIL ends the block)."""
         coords = _check_block(coords, len(witness.coords), self.d)
         room = _room(transcript, len(coords))
-        hits, conceded = self._answer_rows(
-            witness.t_label, _witness_tables(witness), 1.0, coords[:room], transcript, threshold, first_hit
-        )
+        # the witness query on its own support positions, moved onto each row
+        query = Query.from_witness(witness, witness.coords)
+        hits, conceded = self._answer_rows(query, coords[:room], transcript, threshold, first_hit)
         if room < len(coords) and not (conceded or (first_hit and hits)):
             raise BudgetExceededError(transcript)
         return hits, conceded
 
-    def _answer_rows(self, t_label, tables, scale, coords, transcript, threshold, first_hit=False):
-        """Answer scale * T(y) prod_i T_i(x_{c_i}) on the rows c of `coords` in
-        order, up to a concession or, when `first_hit`, the first accepted
+    def _answer_rows(self, query: Query, coords, transcript, threshold, first_hit=False):
+        """Answer the single-term `query` moved onto each row c of `coords`,
+        in order, up to a concession or, when `first_hit`, the first accepted
         row. Returns the accepted row indices and whether it conceded.
 
-        A planting's slot pattern is coded per support position (1 + the
-        slot on it, 0 for none) in base k + 1, so codes stay below
-        (k + 1)^P, and each code's value is computed once per call. A
-        planting is pruned when its pattern puts a slot on the support and
-        strays from the null by more than tau times the row's null norm.
+        The null value and the null norm do not depend on the row, so they
+        are computed once. A planting's slot pattern is coded per support
+        position (1 + the slot on it, 0 for none) in base k + 1, so codes stay
+        below (k + 1)^P; whether a pattern strays from the null by more than
+        tau times the norm is decided once, when the pattern first occurs,
+        and the plantings of a straying pattern are pruned.
         """
+        tables = query.terms[0][1]
         p, k = self.problem.p, len(tables)
-        values = np.zeros((k + 1) ** p)
-        known = np.zeros(len(values), dtype=bool)
+        null, norm = self.null_value(query), query.l2_null_norm(self.problem)
+        accepted = None if threshold is None else abs(null) > threshold
+        strays = np.zeros((k + 1) ** p, dtype=bool)
+        known = np.zeros(len(strays), dtype=bool)
         known[0] = True  # no slot on the support: never strays
         weights = (k + 1) ** np.arange(p - 1, -1, -1)
         slot_of = np.zeros(self.d + 1, dtype=np.int64)
         hits: list[int] = []
         for i, row in enumerate(coords.tolist()):
-            query = Query(((tuple(row), tables),), t_label, scale)
-            if i == 0:
-                null = self.null_value(query)
-            norm = query.l2_null_norm(self.problem)
+            description = {"terms": [row], "scale": query.scale}
             slot_of[row] = np.arange(1, k + 1)
             codes = slot_of[self._plantings] @ weights
             slot_of[row] = 0
@@ -438,20 +448,18 @@ class AdversarialOracle:
                 slot_on = np.array(np.unravel_index(code, (k + 1,) * p))  # per support position
                 positions = np.zeros(k, dtype=np.int64)
                 positions[slot_on[slot_on > 0] - 1] = np.flatnonzero(slot_on) + 1
-                values[code] = scale * _term_value(self.problem, t_label, tables, positions)
+                value = query.scale * _term_value(self.problem, query.t_label, tables, positions)
+                strays[code] = not abs(null - value) <= self.tau * norm
                 known[code] = True
-            strays = ~(np.abs(null - values) <= self.tau * norm)
-            strays[0] = False
             prune = strays[codes]
             kept = len(prune) - np.count_nonzero(prune)
             if kept < 2:
                 self.conceded = True
-                transcript.log(query, FAIL, norm=norm)
+                transcript.log(description, FAIL, norm=norm)
                 return hits, True
             if kept < len(prune):
                 self._plantings = self._plantings.compress(~prune, axis=0)
-            accepted = None if threshold is None else abs(null) > threshold
-            transcript.log(query, null, norm=norm, accepted=accepted)
+            transcript.log(description, null, norm=norm, accepted=accepted)
             if accepted:
                 hits.append(i)
                 if first_hit:

@@ -155,19 +155,9 @@ def leap(system: SetSystem) -> int | _Infinity:
 
 def cover(system: SetSystem) -> int | _Infinity:
     """Worst coordinate's smallest containing member size; INFINITY if uncovered."""
-    worst = 0
-    for i in range(system.p):
-        bit = 1 << i
-        best = None
-        for mask in system.sets:
-            if mask & bit:
-                size = mask.bit_count()
-                if best is None or size < best:
-                    best = size
-        if best is None:
-            return INFINITY
-        worst = max(worst, best)
-    return worst
+    if system.support != (1 << system.p) - 1:
+        return INFINITY
+    return rel_cover(system)
 
 
 def rel_leap(system: SetSystem) -> int:

@@ -56,6 +56,18 @@ class TestExponents:
         assert run_cli(["game", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.count("unknown query model 'BOGUS'") == 2
 
+    def test_null_atom_marginal(self, tmp_path):
+        # an atom of probability 0 reports the exponents of the problem without it
+        def exponents_json(name, values, probs, cond):
+            problem = {"P": 1, "marginal": {"values": values, "probs": probs}, "labels": [-1.0, 1.0], "cond": cond}
+            cfg = write_config(tmp_path, f"{name}.json", {"problem": problem})
+            assert run_cli(["exponents", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "exponents.json").read_text()
+
+        full = exponents_json("full", [1.0, -1.0, 0.0], [0.5, 0.5, 0.0], [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        assert full == exponents_json("reduced", [1.0, -1.0], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+        assert json.loads(full)["models"]["CSQ"]["sets"] == [[1]]
+
 
 class TestDetect:
     def test_emits_reports(self, tmp_path):
@@ -185,6 +197,22 @@ class TestDynamicsCommands:
         header = (tmp_path / "df_curve.csv").read_text().splitlines()[0]
         assert header.split(",")[:2] == ["step", "t"]
         assert "umax_1" in header
+
+    def test_df_judges_noisy_labels_against_bayes_mse(self, tmp_path):
+        # y = z_1 flipped with probability 0.4: the run reaches the Bayes MSE
+        # 1 - 0.2^2 = 0.96, a drop of only 4 % of the total MSE
+        cfg = write_config(
+            tmp_path, "flip.json",
+            {"problem": {"hypercube": {"P": 1, "fourier": {"1": 1.0}, "noise": {"kind": "flip", "rate": 0.4}}},
+             "df": {"eta": 0.5, "steps": 400, "loss": "squared", "activation": "tanh", "c_bar": 0.0},
+             "seed": 0},
+        )
+        assert run_cli(["df", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "df_summary.json").read_text())
+        assert summary["bayes_mse"] == pytest.approx(0.96, abs=1e-15)
+        assert summary["final_mse"] == pytest.approx(0.96, abs=1e-6)
+        assert summary["first_activation"] == [1]
+        assert summary["stuck"] is False
 
     def test_sgd_zero_steps_single_row(self, tmp_path):
         cfg = write_config(

@@ -178,6 +178,35 @@ class TestWitnesses:
         assert data["leap"] == 1 and data["cover"] == 1
 
 
+def _with_atoms(values, probs):
+    """P = 2, y = z1 + z1 z2 on the given marginal; a row on an atom of
+    probability 0 has a uniform label."""
+    marginal = FiniteMarginal(values, probs)
+    n = marginal.nx
+    z = marginal.values[(np.arange(n**2)[:, None] // n ** np.arange(2)) % n]
+    labels = np.array([-2.0, 0.0, 2.0])
+    cond = (z[:, 0] + z[:, 0] * z[:, 1])[:, None] == labels
+    return JuntaProblem(2, marginal, labels.tolist(), np.where(cond.any(axis=1)[:, None], cond, 1 / 3))
+
+
+class TestNullAtoms:
+    def test_same_report_as_without_the_atom(self):
+        # rows on a null atom weigh nothing: the sets, exponents and betas
+        # are those of the problem without it
+        full = _with_atoms([1.0, -1.0, 0.0], [0.5, 0.5, 0.0])
+        reduced = _with_atoms([1.0, -1.0], [0.5, 0.5])
+        for run in (detect_sq, detect_csq, lambda p: detect_dlq(p, get_loss("squared")),
+                    lambda p: detect_dlq(p, get_loss("abs"))):
+            got, want = run(full), run(reduced)
+            assert got.system.sets == want.system.sets
+            assert exponents(got) == exponents(want)
+            assert got.beta == pytest.approx(want.beta, rel=1e-15)
+            for mask, w in got.witnesses.items():
+                for pos, table in w.t_coords.items():
+                    np.testing.assert_array_equal(table[:2], want.witnesses[mask].t_coords[pos])
+                    assert table[2] == 0.0
+
+
 class TestHardInstanceDetect:
     def test_sq_yes_dlq_squared_no(self):
         # T = (3y^2 - 2)/2 on uniform three-point labels: zero-mean, |T| <= 1,

@@ -59,6 +59,16 @@ class TestGramSchmidt:
         basis = gram_schmidt(m, seed=7)
         np.testing.assert_allclose(basis.gram(), np.eye(3), atol=1e-10)
 
+    def test_null_atom_tabulated_as_zero(self):
+        # orthonormal on the atoms of positive probability; psi_0 = 1 and
+        # psi_j = 0 (j >= 1) on the atom of probability 0
+        full = gram_schmidt(FiniteMarginal([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5]))
+        reduced = gram_schmidt(FiniteMarginal([-1.0, 1.0], [0.5, 0.5]))
+        assert full.psi.shape == (2, 3)
+        np.testing.assert_array_equal(full.psi[:, [0, 2]], reduced.psi)
+        np.testing.assert_array_equal(full.psi[:, 1], [1.0, 0.0])
+        np.testing.assert_array_equal(full.gram(), reduced.gram())
+
     def test_degenerate_marginal_errors(self):
         m = FiniteMarginal([1.0, 1.0 + 1e-14], [0.5, 0.5])
         with pytest.raises(ValueError):
