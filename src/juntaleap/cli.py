@@ -116,30 +116,40 @@ def _write_csv(rows: list[dict], out_dir: Path, name: str) -> Path:
     return path
 
 
-def _detect(problem, model, loss=None, tol=None, u_grid=None):
-    """detect.detect for a config's query model: "SQ", "CSQ", or "DLQ" with a loss spec."""
+def _detect(problem, model, loss=None, tol=None, u_grid=None, **moments):
+    """detect.detect for a config's query model: "SQ", "CSQ", or "DLQ" with a
+    loss spec; `moments` may pass a prebuilt basis and table."""
     from .detect import DETECT_TOL, detect
 
     if model not in ("SQ", "CSQ", "DLQ"):
         raise ConfigError(f"unknown query model {model!r}")
     tol = DETECT_TOL if tol is None else tol
     if model != "DLQ":
-        return detect(problem, model, tol=tol)
+        return detect(problem, model, tol=tol, **moments)
     if loss is None:
         raise ConfigError("query model DLQ needs a loss")
-    return detect(problem, model, _loss_from_spec(loss), tol=tol, u_grid=u_grid)
+    return detect(problem, model, _loss_from_spec(loss), tol=tol, u_grid=u_grid, **moments)
 
 
-def _detect_reports(problem, block):
+def _detect_reports(problem, block, basis, table):
     """Shared by exponents/detect: one report per entry of `models`, where
-    DLQ is written {"DLQ": loss}."""
+    DLQ is written {"DLQ": loss}, all read from one moment table."""
     reports = []
     for model in block.get("models", ["CSQ", "SQ"]):
         loss = None
         if isinstance(model, dict) and "DLQ" in model:
             model, loss = "DLQ", model["DLQ"]
-        reports.append(_detect(problem, model, loss, block.get("tol"), block.get("u_grid")))
+        reports.append(_detect(problem, model, loss, block.get("tol"), block.get("u_grid"),
+                               basis=basis, table=table))
     return reports
+
+
+def _moments(problem):
+    """The problem's basis and moment table, built once per command."""
+    from .fourier import gram_schmidt, moment_table
+
+    basis = gram_schmidt(problem.marginal)
+    return basis, moment_table(problem, basis)
 
 
 def _planted(problem, d, s_star, rng, seed):
@@ -161,7 +171,7 @@ def cmd_exponents(cfg: dict, out_dir: Path, seed) -> int:
     _check_keys(block, {"models", "tol", "u_grid"}, "exponents")
     problem = _problem_from_config(cfg)
     report = {"P": problem.p, "models": {}}
-    for rep in _detect_reports(problem, block):
+    for rep in _detect_reports(problem, block, *_moments(problem)):
         report["models"][rep.model] = rep.summary()
     path = _dump_json(report, out_dir, "exponents.json")
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
@@ -174,15 +184,15 @@ def cmd_detect(cfg: dict, out_dir: Path, seed) -> int:
     block = cfg.get("detect", {})
     _check_keys(block, {"models", "tol", "u_grid", "dump_moments"}, "detect")
     problem = _problem_from_config(cfg)
+    basis, table = _moments(problem)
     paths = []
-    for rep in _detect_reports(problem, block):
+    for rep in _detect_reports(problem, block, basis, table):
         name = rep.model.replace("[", "_").replace("]", "").replace("/", "_")
         paths.append(_dump_json(rep.to_dict(), out_dir, f"detect_{name}.json"))
     if block.get("dump_moments"):
-        from .fourier import gram_schmidt, moment_table, support_slice
+        from .fourier import support_slice
         from .setsystem import coords_from_mask
 
-        table = moment_table(problem, gram_schmidt(problem.marginal))
         rows = []
         for mask in range(1, 1 << problem.p):
             coords = coords_from_mask(mask)

@@ -140,14 +140,27 @@ def _report(problem, basis, tol, model, value, row, t_label, loss=None, u_values
     return DetectReport(model, p, SetSystem(p, tuple(witnesses)), witnesses, beta, tol, loss, misses)
 
 
-def detect_sq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: OrthonormalBasis | None = None) -> DetectReport:
-    """C_SQ via the conditional-expectation criterion: U is detectable iff
-    xi_U(y) = E[prod psi_{j_i}(z_i) | y] has positive norm for some basis tuple."""
+def _moments(problem, basis, table):
+    """The basis and its moment table, shaped (|Y|, columns); a table passed in
+    must be moment_table(problem, basis), and what is not passed is built."""
     if basis is None:
         basis = gram_schmidt(problem.marginal)
+    if table is None:
+        table = moment_table(problem, basis)
+    return basis, table.reshape(problem.ny, -1)
+
+
+def detect_sq(
+    problem: JuntaProblem,
+    tol: float = DETECT_TOL,
+    basis: OrthonormalBasis | None = None,
+    table: np.ndarray | None = None,
+) -> DetectReport:
+    """C_SQ via the conditional-expectation criterion: U is detectable iff
+    xi_U(y) = E[prod psi_{j_i}(z_i) | y] has positive norm for some basis tuple."""
+    basis, g = _moments(problem, basis, table)
     mu_y = problem.mu_y
     attained = mu_y > _NEGLIGIBLE_MASS
-    g = moment_table(problem, basis).reshape(problem.ny, -1)
     xi = np.zeros_like(g)
     xi[attained] = g[attained] / mu_y[attained, None]
     norms = np.sqrt(mu_y @ xi**2)  # ||xi||_{mu_y} per basis tuple
@@ -155,8 +168,9 @@ def detect_sq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: Orthonormal
     return _report(problem, basis, tol, "SQ", norms, row, lambda r, col: xi[:, col] / norms[col])
 
 
-def _detect_linear(problem, basis, tol, t_rows, model, loss=None, u_values=None):
-    """Shared CSQ/DLQ scan: each row of t_rows is a candidate T over labels.
+def _detect_linear(problem, basis, g, tol, t_rows, model, loss=None, u_values=None):
+    """Shared CSQ/DLQ scan over the moment table g: each row of t_rows is a
+    candidate T over labels.
 
     The (rows, columns) matrix of normalized expectations is reduced in column
     chunks of at most max(table size, 2^16) entries, keeping per column the
@@ -164,7 +178,6 @@ def _detect_linear(problem, basis, tol, t_rows, model, loss=None, u_values=None)
     t_rows = np.asarray(t_rows, dtype=float)
     norms = np.sqrt(t_rows**2 @ problem.mu_y)
     usable = norms > 0
-    g = moment_table(problem, basis).reshape(problem.ny, -1)
     n_cols = g.shape[1]
     value = np.empty(n_cols)
     row = np.empty(n_cols, dtype=np.int64)
@@ -179,13 +192,17 @@ def _detect_linear(problem, basis, tol, t_rows, model, loss=None, u_values=None)
     return _report(problem, basis, tol, model, value, row, lambda r, col: t_rows[r] / norms[r], loss, u_values)
 
 
-def detect_csq(problem: JuntaProblem, tol: float = DETECT_TOL, basis: OrthonormalBasis | None = None) -> DetectReport:
+def detect_csq(
+    problem: JuntaProblem,
+    tol: float = DETECT_TOL,
+    basis: OrthonormalBasis | None = None,
+    table: np.ndarray | None = None,
+) -> DetectReport:
     """C_CSQ: the label test is the identity, so U is detectable iff some
     basis tuple has E[y prod psi_{j_i}(z_i)] != 0."""
     labels = problem.labels_numeric()
-    if basis is None:
-        basis = gram_schmidt(problem.marginal)
-    return _detect_linear(problem, basis, tol, labels[None, :], "CSQ")
+    basis, g = _moments(problem, basis, table)
+    return _detect_linear(problem, basis, g, tol, labels[None, :], "CSQ")
 
 
 def default_u_grid(loss: LossSpec, labels, n_uniform: int = 64, n_random: int = 16, seed: int = 1234) -> np.ndarray:
@@ -216,6 +233,7 @@ def detect_dlq(
     tol: float = DETECT_TOL,
     basis: OrthonormalBasis | None = None,
     grid_seed: int = 1234,
+    table: np.ndarray | None = None,
 ) -> DetectReport:
     """C_DLQ_l: the label tests are the derivative slices l'(u, .) over u_grid.
 
@@ -225,8 +243,7 @@ def detect_dlq(
     negative needs the whole grid to land in the derivative's zero set).
     """
     labels = problem.labels_numeric()
-    if basis is None:
-        basis = gram_schmidt(problem.marginal)
+    basis, g = _moments(problem, basis, table)
     if u_grid is None:
         u_grid = default_u_grid(loss, labels, seed=grid_seed)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -234,7 +251,7 @@ def detect_dlq(
         raise ValueError("u_grid must be non-empty")
     t_rows = loss.deriv(u_grid[:, None], labels[None, :])
     return _detect_linear(
-        problem, basis, tol, t_rows, f"DLQ[{loss.name}]", loss=loss, u_values=u_grid
+        problem, basis, g, tol, t_rows, f"DLQ[{loss.name}]", loss=loss, u_values=u_grid
     )
 
 

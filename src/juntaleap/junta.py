@@ -18,8 +18,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+# |X|^P cap on a problem's table: cond alone then takes up to 8 * |Y| * 10^7 B
 MAX_TABLE_ROWS = 10**7
 _PROB_TOL = 1e-12
+# entries of one chunk of off-support symbols in Sampler.draw_batch (512 KB)
+DRAW_CHUNK_ENTRIES = 1 << 16
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -403,23 +406,31 @@ class Sampler:
         """n i.i.d. draws as (y, x, support row index), x in the internal layout."""
         inst = self.instance
         prob = inst.problem
-        nx = prob.marginal.nx
         if n == 0:
             return self._labels_arr[:0], np.empty((0, inst.d)), np.empty(0, dtype=np.int64)
-        probs = prob.marginal.probs
-        if self._uniform:
-            sym_support = self.rng.integers(0, nx, size=(n, prob.p))
-            sym_rest = self.rng.integers(0, nx, size=(n, inst.d - prob.p))
-        else:
-            sym_support = self.rng.choice(nx, size=(n, prob.p), p=probs)
-            sym_rest = self.rng.choice(nx, size=(n, inst.d - prob.p), p=probs)
+        values = prob.marginal.values
+        x = np.empty((n, inst.d))
+        sym_support = self._symbols((n, prob.p))
+        x[:, : prob.p] = values[sym_support]
+        # off-support symbols in row chunks: both generators fill a C-order
+        # array from the stream in sequence, so the draws are the same bits
+        # as one (n, d - P) draw, and no n-by-d symbol array is held
+        width = inst.d - prob.p
+        chunk = max(1, DRAW_CHUNK_ENTRIES // max(width, 1))
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            x[lo:hi, prob.p :] = values[self._symbols((hi - lo, width))]
         rows = prob.row_index(sym_support)
         u = self.rng.random(n)
         y_idx = (self._cdf[rows] < u[:, None]).sum(axis=1)
-        x = np.empty((n, inst.d))
-        x[:, : prob.p] = prob.marginal.values[sym_support]
-        x[:, prob.p :] = prob.marginal.values[sym_rest]
         return self._labels_arr[y_idx], x, rows
+
+    def _symbols(self, shape: tuple[int, int]) -> np.ndarray:
+        """Symbol indices of the marginal drawn i.i.d. into an array of shape."""
+        nx = self.instance.problem.marginal.nx
+        if self._uniform:
+            return self.rng.integers(0, nx, size=shape)
+        return self.rng.choice(nx, size=shape, p=self.instance.problem.marginal.probs)
 
     def draw_internal(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n i.i.d. draws as (y, x) with x in the internal support-first layout."""

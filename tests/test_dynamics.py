@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,14 +124,19 @@ class TestSgdStep:
             TrainConfig(**{"loss": get_loss("squared"), "eta": 0.1, **bad})
 
 
-def reference_sgd_step(ens, x, y, cfg):
+def reference_sgd_step(ens, x, y, cfg, fused=False):
     """sgd_step as it was before the lean path: sigma and sigma' from separate
-    f and df calls, a full grad_w, and every decay and kappa term applied."""
+    f and df calls, a full grad_w, and every decay and kappa term applied.
+    fused=True takes sigma and sigma' from value_and_deriv instead, as the
+    lean step does."""
     n = x.shape[0]
     act = ens.activation
     z = x @ ens.w.T + ens.b
-    s = act.f(z)
-    sp = act.df(z)
+    if fused:
+        s, sp = act.value_and_deriv(z.copy())
+    else:
+        s = act.f(z)
+        sp = act.df(z)
     f = (s @ ens.a + ens.c.sum()) / ens.m
     if not np.all(np.isfinite(f)):
         raise DivergenceError(-1, "network value")
@@ -162,7 +168,9 @@ class TestLeanSgdStep:
     8 (batch d, eta = 0.5/d, squared-plus-cubic loss, tanh:2:2). Only the tanh
     derivative is computed differently, A g (1 - tanh^2) against A g / cosh^2,
     so polynomial activations must match bit for bit. Measured largest gap
-    over 1,000 steps with tanh: 2.2e-15 relative; bound 1e-12."""
+    over 1,000 steps with tanh: 2.2e-15 relative; bound 1e-12. Given the same
+    derivative, every case matches bit for bit: at batch 1 the einsum outer
+    product gives each entry of grad_w as the k = 1 matmul does."""
 
     @pytest.mark.parametrize("act", ["tanh", "poly:3"])
     @pytest.mark.parametrize("batch", ["1", "d"])
@@ -179,6 +187,7 @@ class TestLeanSgdStep:
         inst = PlantedInstance(fig1_problem(), d, (3, 7, 11, 19), seed=0)
         ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.1, mu_w="normal")
         ref = copy.deepcopy(ens)
+        same_deriv = copy.deepcopy(ens)
         cfg = TrainConfig(loss=get_loss(loss), eta=eta, batch=n, lam_w=lam_w,
                           kappa=np.random.default_rng(4).uniform(0.5, 1.5, d) if kappa else None)
         sampler = inst.sampler(5)
@@ -186,6 +195,9 @@ class TestLeanSgdStep:
             y, x, _ = sampler.draw_batch(n)
             sgd_step(ens, x, y, cfg)
             reference_sgd_step(ref, x, y, cfg)
+            reference_sgd_step(same_deriv, x, y, cfg, fused=True)
+        for k in ("a", "w", "b", "c"):
+            np.testing.assert_array_equal(getattr(ens, k), getattr(same_deriv, k))
         if act.startswith("poly"):
             for k in ("a", "w", "b", "c"):
                 np.testing.assert_array_equal(getattr(ens, k), getattr(ref, k))
@@ -198,6 +210,15 @@ class TestLeanSgdStep:
             s, sp = act.value_and_deriv(x.copy())
             np.testing.assert_array_equal(s, act.f(x))
             np.testing.assert_allclose(sp, act.df(x), rtol=0, atol=1e-15 * act.bound)
+
+    @pytest.mark.parametrize("act", [tanh_activation(), scaled_tanh(4, 2), scaled_tanh(2, 2),
+                                     poly_activation(1), poly_activation(2), poly_activation(3)])
+    def test_inplace_value_is_f_bit_for_bit(self, act):
+        x = np.linspace(-12.0, 12.0, 2001)
+        buf = x.copy()
+        s = act.value(buf)
+        assert np.shares_memory(s, buf)
+        np.testing.assert_array_equal(s, act.f(x))
 
     def test_only_first_layer_overflow_is_caught(self):
         # tanh saturates, so a, b, c and the network value stay finite
@@ -249,6 +270,24 @@ class TestStreamedForward:
         np.testing.assert_allclose(ens.forward(x), whole, rtol=1e-14, atol=1e-15)
         monkeypatch.setattr(dynamics, "FORWARD_BLOCK_ENTRIES", 1)  # one row a block
         np.testing.assert_allclose(ens.forward(x), whole, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", ["tanh:2:2", "poly:3"])
+    def test_peak_memory_is_two_blocks_and_the_output(self, spec):
+        """At the meanfield-batch test-risk shape (n = 8000, d = 300, M = 1024)
+        forward once held a pre-activation block and two temporaries of the
+        same size inside activation.f."""
+        x = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4), seed=0).sampler(7).draw_batch(8000)[1]
+        ens = init_ensemble(300, 1024, make_activation(spec), seed=1, c_bar=0.15, mu_w="normal")
+        ens.forward(x[:1])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = ens.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        bound = 2 * dynamics.FORWARD_BLOCK_ENTRIES * 8 + f.nbytes
+        assert peak <= bound, f"traced peak {peak} B above two blocks and the output, {bound} B"
 
 
 class TestPermutationEquivariance:

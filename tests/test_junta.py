@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from juntaleap import (
     sample,
     uniform_hypercube_marginal,
 )
+from juntaleap import junta
 from juntaleap.fourier import wht
-from conftest import random_problem
+from conftest import fig1_problem, random_problem
 
 
 class TestFiniteMarginal:
@@ -55,6 +57,16 @@ class TestJuntaProblem:
         m = FiniteMarginal([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
         with pytest.raises(ValueError):
             JuntaProblem(20, m, [0.0], np.ones((1, 1)))
+
+    def test_table_cap_is_checked_before_cond_is_read(self):
+        """|X|^P above MAX_TABLE_ROWS is rejected before cond is converted: the
+        cond given here cannot be converted at all, so only the cap can fire.
+        At the cap, cond alone would take 8 * |Y| * 10^7 B (80 MB per label)."""
+        m = FiniteMarginal([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
+        p = 15  # 3^15 = 14,348,907 rows
+        assert 3**p > junta.MAX_TABLE_ROWS >= 3 ** (p - 1)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            JuntaProblem(p, m, [0.0, 1.0], object())
 
     def test_conditional_rows_are_distributions(self, y2_problem):
         # finite spaces: the well-behavedness assumption holds automatically
@@ -219,6 +231,69 @@ class TestSampling:
             PlantedInstance(y1_problem, 3, (1, 2, 3, 4), seed=0)
         with pytest.raises(ValueError):
             PlantedInstance(y1_problem, 10, (1, 1, 2, 3), seed=0)
+
+
+def reference_draw(problem, d, n, rng):
+    """draw_batch as one unchunked draw: support symbols, all off-support
+    symbols in one (n, d - P) array, then the label uniforms."""
+    m = problem.marginal
+    if np.all(m.probs == m.probs[0]):
+        support = rng.integers(0, m.nx, size=(n, problem.p))
+        rest = rng.integers(0, m.nx, size=(n, d - problem.p))
+    else:
+        support = rng.choice(m.nx, size=(n, problem.p), p=m.probs)
+        rest = rng.choice(m.nx, size=(n, d - problem.p), p=m.probs)
+    rows = problem.row_index(support)
+    u = rng.random(n)
+    y_idx = (np.cumsum(problem.cond, axis=1)[rows] < u[:, None]).sum(axis=1)
+    return np.asarray(problem.labels)[y_idx], np.hstack([m.values[support], m.values[rest]]), rows
+
+
+def _two_coordinate_problem(values, probs, seed=0):
+    cond = np.random.default_rng(seed).dirichlet(np.ones(3), size=len(values) ** 2)
+    return JuntaProblem(2, FiniteMarginal(values, probs), [-1.0, 0.0, 2.0], cond)
+
+
+class TestChunkedDraws:
+    """draw_batch draws the off-support symbols in row chunks; the stream and
+    every draw must be bit-identical to one unchunked draw."""
+
+    MARGINALS = {
+        "hypercube": ([1.0, -1.0], [0.5, 0.5]),
+        "uniform3": ([-1.0, 0.0, 2.0], [1 / 3, 1 / 3, 1 / 3]),
+        "skewed3": ([-1.0, 0.5, 3.0], [0.2, 0.5, 0.3]),
+    }
+
+    # the default chunk holds 1724 rows of 38 off-support symbols: n = 5 is
+    # below one chunk and n = 5000 above two, ending in a partial chunk
+    @pytest.mark.parametrize("marginal", sorted(MARGINALS))
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+    @pytest.mark.parametrize("n", [5, 5000])
+    def test_matches_one_unchunked_draw(self, marginal, chunk_rows, n, monkeypatch):
+        d = 40
+        if chunk_rows is not None:
+            monkeypatch.setattr(junta, "DRAW_CHUNK_ENTRIES", chunk_rows * (d - 2))
+        prob = _two_coordinate_problem(*self.MARGINALS[marginal])
+        sampler = PlantedInstance(prob, d, (5, 2), seed=0).sampler(9)
+        rng = np.random.default_rng(9)
+        for size in (n, 3):  # the batch after it reads the stream where the first left it
+            got, want = sampler.draw_batch(size), reference_draw(prob, d, size, rng)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+    def test_peak_memory_is_about_the_inputs(self):
+        """At n = 8000, d = 300 the draw once held its int64 symbols, their
+        float gather and x together, about 3 x.nbytes."""
+        sampler = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4), seed=0).sampler(7)
+        sampler.draw_batch(1)
+        tracemalloc.start()
+        try:
+            _, x, _ = sampler.draw_batch(8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * x.nbytes, f"traced peak {peak} B for x of {x.nbytes} B"
 
 
 class TestHardInstance:
