@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,9 +39,9 @@ class Activation:
     """sigma with its derivative; `bound` is a sup-norm bound K on sigma and its
     first derivatives when one exists (None for polynomial activations).
 
-    `inplace(x)` computes sigma(x) into x, bit-identical to f(x); `fused(x)`
-    computes sigma(x) into x and sigma'(x) from the same pass. Activations
-    without them use f and df."""
+    `inplace(x)` computes sigma(x) into x, bit-identical to f(x);
+    `fused(x, out)` computes sigma(x) into x and sigma'(x) from the same pass,
+    into `out` when it is given. Activations without them use f and df."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
@@ -61,11 +61,12 @@ class Activation:
             return self.inplace(x)
         return self.f(x)
 
-    def value_and_deriv(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_deriv(self, x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(sigma(x), sigma'(x)). x must be a float array the caller owns: it
-        may be overwritten."""
+        may be overwritten. A fused activation writes sigma' into `out` when it
+        is given (an array of x's shape); the others allocate it."""
         if self.fused is not None:
-            return self.fused(x)
+            return self.fused(x, out)
         return self.f(x), self.df(x)
 
 
@@ -84,11 +85,12 @@ def _inplace_tanh(a: float, g: float):
             t *= a
         return t
 
-    def fused(x):
+    def fused(x, out=None):
         t = tanh_gx(x)
-        sp = np.square(t)
+        sp = np.square(t, out=out)
         np.subtract(1.0, sp, out=sp)
-        sp *= a * g
+        if a * g != 1.0:
+            sp *= a * g
         return scale(t), sp
 
     return lambda x: scale(tanh_gx(x)), fused
@@ -206,15 +208,33 @@ FORWARD_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass
+class StepBuffers:
+    """The (n, M) and (M, d) work arrays of one batch-SGD step at batch size n:
+    hidden pre-activations (then sigma of them), sigma' and the first-layer
+    gradient."""
+
+    z: np.ndarray
+    sp: np.ndarray
+    grad_w: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, m: int, d: int) -> "StepBuffers":
+        return cls(np.empty((n, m)), np.empty((n, m)), np.empty((m, d)))
+
+
+@dataclass
 class ParticleEnsemble:
     """Finite-width parameters theta_j = (a_j, w_j, b_j, c_j); one training run
-    owns and mutates one ensemble."""
+    owns and mutates one ensemble, and lends it its step buffers for the run
+    (`run_sgd`)."""
 
     a: np.ndarray
     w: np.ndarray  # (M, d)
     b: np.ndarray
     c: np.ndarray
     activation: Activation
+    # on the ensemble, so that sgd_step keeps its (ens, x, y, cfg) signature
+    step_buffers: StepBuffers | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -224,19 +244,29 @@ class ParticleEnsemble:
     def d(self) -> int:
         return self.w.shape[1]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         """f(x) for a batch of inputs x of shape (n, d), evaluated in row blocks
         of at most FORWARD_BLOCK_ENTRIES hidden pre-activations; one block
-        buffer holds the pre-activations and then sigma of them."""
+        buffer holds the pre-activations and then sigma of them.
+
+        With `values`, x holds symbol indices into it (`Sampler.draw_symbols`),
+        and each row block is expanded into one reused float block: the
+        blocks, and so the bits, are those of forward on the float inputs."""
         n = x.shape[0]
         out = np.empty(n)
         rows = max(1, FORWARD_BLOCK_ENTRIES // self.m)
         block = np.empty((min(rows, n), self.m))
+        inputs = None if values is None else np.empty((min(rows, n), self.d))
         c_sum = self.c.sum()
         for lo in range(0, n, rows):
-            z = np.matmul(x[lo : lo + rows], self.w.T, out=block[: min(rows, n - lo)])
+            k = min(rows, n - lo)
+            xb = x[lo : lo + k]
+            if values is not None:
+                # mode="wrap" writes straight into out; "raise" would buffer
+                xb = np.take(values, xb, out=inputs[:k], mode="wrap")
+            z = np.matmul(xb, self.w.T, out=block[:k])
             z += self.b
-            out[lo : lo + rows] = (self.activation.value(z) @ self.a + c_sum) / self.m
+            out[lo : lo + k] = (self.activation.value(z) @ self.a + c_sum) / self.m
         return out
 
 
@@ -276,13 +306,18 @@ def init_ensemble(
 def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ParticleEnsemble:
     """One batch-SGD update: theta_j <- theta_j - H [ (1/b) sum_i l'(f(x_i), y_i)
     grad_theta sigma_*(x_i; theta_j) + lambda theta_j ], f evaluated at the
-    pre-step parameters for the whole batch. w is updated in place."""
+    pre-step parameters for the whole batch. w is updated in place.
+
+    The step's (n, M) and (M, d) arrays are written into `ens.step_buffers`
+    when the ensemble holds them (for this batch size), and allocated
+    otherwise."""
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     n = x.shape[0]
-    z = x @ ens.w.T  # (n, M)
+    buf = ens.step_buffers
+    z = np.matmul(x, ens.w.T, out=None if buf is None else buf.z)  # (n, M)
     z += ens.b
-    s, gsp = ens.activation.value_and_deriv(z)
+    s, gsp = ens.activation.value_and_deriv(z, None if buf is None else buf.sp)
     f = (s @ ens.a + ens.c.sum()) / ens.m
     if not np.all(np.isfinite(f)):
         raise DivergenceError(-1, "network value")
@@ -295,7 +330,8 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     # at n = 1 each entry is one product, exactly as the k = 1 matmul gives it;
     # at M = 512, d = 100 einsum takes 44-48 us, np.multiply.outer 65-78 us and
     # the matmul 103-110 us (best of 7 timeit repeats, 2-core VM, 2 BLAS threads)
-    grad_w = np.einsum("i,j->ij", gsp[0], x[0]) if n == 1 else gsp.T @ x  # (M, d)
+    out = None if buf is None else buf.grad_w
+    grad_w = np.einsum("i,j->ij", gsp[0], x[0], out=out) if n == 1 else np.matmul(gsp.T, x, out=out)  # (M, d)
     grad_c = g.sum()
 
     eta = cfg.eta
@@ -413,32 +449,57 @@ def init_df_state(
     )
 
 
+class _DFForward(NamedTuple):
+    """One DF state's forward pass: sigma, sigma' and E_G[G sigma'] (None at
+    s = 0) per particle x support point, and the network value per point."""
+
+    sig: np.ndarray
+    sigp: np.ndarray
+    sigp_g: np.ndarray | None
+    f: np.ndarray
+
+
+def _df_forward(state: DFState, zmat: np.ndarray, gh_order: int, work=None) -> _DFForward:
+    """The forward pass df_step takes its gradients from; f equals
+    state.f_table(zmat, gh) bit for bit. At s > 0, `work` may hold two
+    (N, R, gh_order) arrays for the quadrature pre-activations and sigma'."""
+    act = state.activation
+    pre = state.u @ zmat.T + state.b[:, None]  # (N, R)
+    if np.all(state.s == 0.0):
+        sig, sigp = act.value_and_deriv(pre)
+        sigp_g = None
+    else:
+        nodes, wts = gauss_hermite(gh_order)
+        pre3, sigp_full = (None, None) if work is None else work
+        pre3 = np.add(pre[:, :, None], state.s[:, None, None] * nodes, out=pre3)
+        sig3, sigp_full = act.value_and_deriv(pre3, sigp_full)
+        sig = sig3 @ wts
+        sigp = sigp_full @ wts
+        sigp_g = sigp_full @ (wts * nodes)
+    f = (state.weights * state.a) @ sig + float(state.weights @ state.c)  # (R,)
+    return _DFForward(sig, sigp, sigp_g, f)
+
+
+def _decayed(grad, lam: float, v):
+    """grad + lam * v, with no work at lam = 0."""
+    return grad + lam * v if lam else grad
+
+
 def df_step(
     state: DFState,
     problem: JuntaProblem,
     cfg: TrainConfig,
     gh_order: int = 20,
     _tables=None,
+    _work=None,
+    _forward: _DFForward | None = None,
 ) -> DFState:
-    """One step of the discrete dimension-free recursion (exact expectations)."""
+    """One step of the discrete dimension-free recursion (exact expectations).
+
+    run_df passes its tables, its s > 0 work arrays and, when it has already
+    computed it for a risk record, the state's forward pass."""
     zmat, wz, cond, labels = hypercube_tables(problem) if _tables is None else _tables
-    act = state.activation
-    use_g = not np.all(state.s == 0.0)
-    gh = gauss_hermite(gh_order) if use_g else None
-
-    pre = state.u @ zmat.T + state.b[:, None]  # (N, R)
-    if use_g:
-        nodes, wts = gh
-        pre3 = pre[:, :, None] + state.s[:, None, None] * nodes
-        sig3, sigp_full = act.value_and_deriv(pre3)
-        sig = sig3 @ wts
-        sigp = sigp_full @ wts
-        sigp_g = sigp_full @ (wts * nodes)
-    else:
-        sig, sigp = act.value_and_deriv(pre)
-        sigp_g = None
-
-    f = (state.weights * state.a) @ sig + float(state.weights @ state.c)  # (R,)
+    sig, sigp, sigp_g, f = _df_forward(state, zmat, gh_order, _work) if _forward is None else _forward
     if not np.all(np.isfinite(f)):
         raise DivergenceError(state.k, "network value")
     ellp = cfg.loss.deriv(f[:, None], labels[None, :])  # (R, ny)
@@ -449,17 +510,18 @@ def df_step(
     grad_b = asp @ gz
     grad_u = (asp * gz) @ zmat
     grad_c = float(gz.sum())
-    grad_s = (state.a[:, None] * sigp_g) @ gz if use_g else np.zeros(state.n)
+    grad_s = (state.a[:, None] * sigp_g) @ gz if sigp_g is not None else np.zeros(state.n)
 
     eta = cfg.eta
     kap = cfg.kappa_for(state.p)
-    state.a = state.a - eta * cfg.rate_a * (grad_a + cfg.lam_a * state.a)
-    state.u = state.u - (eta * cfg.rate_w * kap) * (grad_u + cfg.lam_w * state.u)
-    state.s = state.s - eta * cfg.rate_w * (grad_s + cfg.lam_w * state.s)
-    state.b = state.b - eta * cfg.rate_b * (grad_b + cfg.lam_b * state.b)
-    state.c = state.c - eta * cfg.rate_c * (grad_c + cfg.lam_c * state.c)
+    state.a = state.a - eta * cfg.rate_a * _decayed(grad_a, cfg.lam_a, state.a)
+    state.u = state.u - (eta * cfg.rate_w * kap) * _decayed(grad_u, cfg.lam_w, state.u)
+    state.s = state.s - eta * cfg.rate_w * _decayed(grad_s, cfg.lam_w, state.s)
+    state.b = state.b - eta * cfg.rate_b * _decayed(grad_b, cfg.lam_b, state.b)
+    state.c = state.c - eta * cfg.rate_c * _decayed(grad_c, cfg.lam_c, state.c)
     state.k += 1
-    if not all(np.all(np.isfinite(v)) for v in (state.u, state.a, state.b, state.c, state.s)):
+    # one scan over every parameter
+    if not np.isfinite(np.concatenate((state.u, state.a, state.b, state.c, state.s), axis=None)).all():
         raise DivergenceError(state.k)
     return state
 
@@ -480,29 +542,39 @@ def run_df(
     risk_every: int | None = None,
     risk_losses: Sequence[tuple[str, LossSpec]] = (),
 ) -> DFRun:
+    """DF training for `steps` steps with the exact risk under each of
+    `risk_losses` every `risk_every` steps and at the last. A recorded state's
+    forward pass serves both its risks and the step that follows; at s > 0
+    the run owns the quadrature work arrays of all its steps."""
     tables = hypercube_tables(problem)
     u_max = np.empty((steps + 1, state.p))
     u_max[0] = np.abs(state.u).max(axis=0) if state.n else 0.0
     history = []
+    work = None
+    if not np.all(state.s == 0.0):
+        shape = (state.n, tables[0].shape[0], gh_order)
+        work = (np.empty(shape), np.empty(shape))
 
     def record(step):
         if risk_every is None or (step % risk_every and step != steps):
-            return
+            return None
+        forward = _df_forward(state, tables[0], gh_order, work)
         row = {"step": step, "t": step * cfg.eta}
         for name, loss in risk_losses:
-            row[name] = df_risk(state, problem, loss, gh_order=gh_order)
+            row[name] = _table_risk(forward.f, tables, loss)
         for i in range(state.p):
             row[f"umax_{i + 1}"] = float(u_max[step, i])
         history.append(row)
+        return forward
 
-    record(0)
+    forward = record(0)
     for step in range(1, steps + 1):
         try:
-            df_step(state, problem, cfg, gh_order=gh_order, _tables=tables)
+            df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _work=work, _forward=forward)
         except DivergenceError as exc:
             raise DivergenceError(step) from exc
         u_max[step] = np.abs(state.u).max(axis=0)
-        record(step)
+        forward = record(step)
     return DFRun(state, u_max, history)
 
 
@@ -618,8 +690,14 @@ def kernel(
 
 def df_risk(state: DFState, problem: JuntaProblem, loss: LossSpec, gh_order: int = 20) -> float:
     """Exact risk of a dimension-free model (depends on x only through z)."""
-    zmat, wz, cond, labels = hypercube_tables(problem)
-    f = state.f_table(zmat, gauss_hermite(gh_order) if not np.all(state.s == 0.0) else None)
+    tables = hypercube_tables(problem)
+    f = state.f_table(tables[0], gauss_hermite(gh_order) if not np.all(state.s == 0.0) else None)
+    return _table_risk(f, tables, loss)
+
+
+def _table_risk(f: np.ndarray, tables, loss: LossSpec) -> float:
+    """E[loss(f(z), y)] for network values f on the support points."""
+    _, wz, cond, labels = tables
     lv = loss.value(f[:, None], labels[None, :])
     return float(wz @ np.einsum("ry,ry->r", cond, lv))
 
@@ -640,8 +718,9 @@ def ensemble_risk_mc(
     """Monte-Carlo risk of a full-width model with the label average taken
     exactly (only the x-randomness is sampled); returns (estimate, std error)."""
     problem = sampler.instance.problem
-    _, x, rows = sampler.draw_batch(n)
-    return label_averaged_risk(ens.forward(x), problem.cond[rows], problem.labels_numeric(), loss)
+    _, symbols, rows = sampler.draw_symbols(n)
+    f = ens.forward(symbols, problem.marginal.values)
+    return label_averaged_risk(f, problem.cond[rows], problem.labels_numeric(), loss)
 
 
 def bayes_risk(
@@ -735,31 +814,40 @@ def run_sgd(
     """Online/batch SGD with periodic test-risk evaluation on a fixed fresh
     sample (labels averaged exactly). Inputs are consumed in the sampler's
     internal support-first layout, making the whole trajectory invariant to
-    ambient coordinate relabeling."""
+    ambient coordinate relabeling.
+
+    The test inputs are held as symbols (test_n * d bytes for |X| <= 256),
+    and the run lends the ensemble one set of step buffers for its batch
+    size, so a step maps no fresh pages."""
     sampler = instance.sampler(data_seed)
     test_sampler = instance.sampler(test_seed)
-    _, x_test, rows_test = test_sampler.draw_batch(test_n)
+    _, sym_test, rows_test = test_sampler.draw_symbols(test_n)
     problem = instance.problem
+    values = problem.marginal.values
     labels = problem.labels_numeric()
     cond_test = problem.cond[rows_test]
     history = []
 
     def evaluate(step):
         row = {"step": step, "t": step * cfg.eta}
-        f = ens.forward(x_test)
+        f = ens.forward(sym_test, values)
         for name, loss in eval_losses:
             row[name], row[f"{name}_se"] = label_averaged_risk(f, cond_test, labels, loss)
         history.append(row)
 
     evaluate(0)
-    for step in range(1, steps + 1):
-        y, x, _ = sampler.draw_batch(cfg.batch)
-        try:
-            sgd_step(ens, x, y, cfg)
-        except DivergenceError:
-            raise DivergenceError(step)
-        if eval_every is not None and (step % eval_every == 0 or step == steps):
-            evaluate(step)
+    ens.step_buffers = StepBuffers.empty(cfg.batch, ens.m, ens.d)
+    try:
+        for step in range(1, steps + 1):
+            y, x, _ = sampler.draw_batch(cfg.batch)
+            try:
+                sgd_step(ens, x, y, cfg)
+            except DivergenceError:
+                raise DivergenceError(step)
+            if eval_every is not None and (step % eval_every == 0 or step == steps):
+                evaluate(step)
+    finally:
+        ens.step_buffers = None
     return SgdRun(ens, history)
 
 

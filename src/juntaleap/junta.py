@@ -21,7 +21,7 @@ import numpy as np
 # |X|^P cap on a problem's table: cond alone then takes up to 8 * |Y| * 10^7 B
 MAX_TABLE_ROWS = 10**7
 _PROB_TOL = 1e-12
-# entries of one chunk of off-support symbols in Sampler.draw_batch (512 KB)
+# entries of one row chunk of int64 symbols in Sampler.draw_symbols and draw_batch (512 KB)
 DRAW_CHUNK_ENTRIES = 1 << 16
 
 
@@ -402,28 +402,43 @@ class Sampler:
         probs = prob.marginal.probs
         self._uniform = bool(np.all(probs == probs[0]))
 
-    def draw_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n i.i.d. draws as (y, x, support row index), x in the internal layout."""
+    def draw_symbols(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n i.i.d. draws as (y, symbols, support row index): symbols[i, j] is
+        the index into marginal.values of x[i, j] in the internal layout, of
+        the smallest unsigned dtype that holds nx - 1.
+
+        The stream is read in a fixed order: the support symbols, the
+        off-support symbols in row chunks, then the label uniforms. Both
+        generators fill a C-order array from the stream in sequence, so the
+        chunks are the same bits as one (n, d - P) draw."""
         inst = self.instance
         prob = inst.problem
+        symbols = np.empty((n, inst.d), dtype=np.min_scalar_type(prob.marginal.nx - 1))
         if n == 0:
-            return self._labels_arr[:0], np.empty((0, inst.d)), np.empty(0, dtype=np.int64)
-        values = prob.marginal.values
-        x = np.empty((n, inst.d))
+            return self._labels_arr[:0], symbols, np.empty(0, dtype=np.int64)
         sym_support = self._symbols((n, prob.p))
-        x[:, : prob.p] = values[sym_support]
-        # off-support symbols in row chunks: both generators fill a C-order
-        # array from the stream in sequence, so the draws are the same bits
-        # as one (n, d - P) draw, and no n-by-d symbol array is held
+        symbols[:, : prob.p] = sym_support
         width = inst.d - prob.p
         chunk = max(1, DRAW_CHUNK_ENTRIES // max(width, 1))
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
-            x[lo:hi, prob.p :] = values[self._symbols((hi - lo, width))]
+            symbols[lo:hi, prob.p :] = self._symbols((hi - lo, width))
         rows = prob.row_index(sym_support)
         u = self.rng.random(n)
         y_idx = (self._cdf[rows] < u[:, None]).sum(axis=1)
-        return self._labels_arr[y_idx], x, rows
+        return self._labels_arr[y_idx], symbols, rows
+
+    def draw_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n i.i.d. draws as (y, x, support row index), x in the internal layout:
+        draw_symbols with each symbol replaced by its value. The values are
+        taken in row chunks, since take first converts its indices to intp."""
+        y, symbols, rows = self.draw_symbols(n)
+        values = self.instance.problem.marginal.values
+        x = np.empty(symbols.shape)
+        chunk = max(1, DRAW_CHUNK_ENTRIES // max(self.instance.d, 1))
+        for lo in range(0, n, chunk):
+            np.take(values, symbols[lo : lo + chunk], out=x[lo : lo + chunk], mode="wrap")
+        return y, x, rows
 
     def _symbols(self, shape: tuple[int, int]) -> np.ndarray:
         """Symbol indices of the marginal drawn i.i.d. into an array of shape."""

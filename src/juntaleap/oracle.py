@@ -278,10 +278,23 @@ class HonestOracle:
         return self.instance.d
 
     def exact_expectation(self, query: Query) -> float:
+        """E_D[phi], summed in term order. Query already holds its coordinates
+        distinct and >= 1, so the terms are checked against d as one block,
+        and each distinct (tables, slot pattern) pair is evaluated once."""
+        every = [c for coords, _ in query.terms for c in coords]
+        if every and max(every) > self.d:
+            raise ValueError("query references a coordinate beyond the ambient dimension")
+        positions = self._pos_array[every].tolist()
+        values = {}
         total = 0.0
-        for coords, tables in query.terms:
-            row = _check_block([coords], len(tables), self.d)[0]
-            total += _term_value(self.problem, query.t_label, tables, self._pos_array[row])
+        lo = 0
+        for _, tables in query.terms:
+            pattern = tuple(positions[lo : lo + len(tables)])
+            lo += len(tables)
+            key = (tuple(map(id, tables)), pattern)
+            if key not in values:
+                values[key] = _term_value(self.problem, query.t_label, tables, pattern)
+            total += values[key]
         return query.scale * total
 
     def _noise(self, exact, bound: float, size: int | None = None):

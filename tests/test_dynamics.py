@@ -31,6 +31,7 @@ from juntaleap.dynamics import (
     DFState,
     DivergenceError,
     ParticleEnsemble,
+    StepBuffers,
     ensemble_risk_mc,
     gauss_hermite,
     hypercube_tables,
@@ -170,7 +171,9 @@ class TestLeanSgdStep:
     so polynomial activations must match bit for bit. Measured largest gap
     over 1,000 steps with tanh: 2.2e-15 relative; bound 1e-12. Given the same
     derivative, every case matches bit for bit: at batch 1 the einsum outer
-    product gives each entry of grad_w as the k = 1 matmul does."""
+    product gives each entry of grad_w as the k = 1 matmul does. A step that
+    writes into a run's step buffers matches the allocating step bit for
+    bit."""
 
     @pytest.mark.parametrize("act", ["tanh", "poly:3"])
     @pytest.mark.parametrize("batch", ["1", "d"])
@@ -188,16 +191,20 @@ class TestLeanSgdStep:
         ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.1, mu_w="normal")
         ref = copy.deepcopy(ens)
         same_deriv = copy.deepcopy(ens)
+        buffered = copy.deepcopy(ens)
+        buffered.step_buffers = StepBuffers.empty(n, m, d)
         cfg = TrainConfig(loss=get_loss(loss), eta=eta, batch=n, lam_w=lam_w,
                           kappa=np.random.default_rng(4).uniform(0.5, 1.5, d) if kappa else None)
         sampler = inst.sampler(5)
         for _ in range(1000):
             y, x, _ = sampler.draw_batch(n)
             sgd_step(ens, x, y, cfg)
+            sgd_step(buffered, x, y, cfg)
             reference_sgd_step(ref, x, y, cfg)
             reference_sgd_step(same_deriv, x, y, cfg, fused=True)
         for k in ("a", "w", "b", "c"):
             np.testing.assert_array_equal(getattr(ens, k), getattr(same_deriv, k))
+            np.testing.assert_array_equal(getattr(buffered, k), getattr(ens, k))
         if act.startswith("poly"):
             for k in ("a", "w", "b", "c"):
                 np.testing.assert_array_equal(getattr(ens, k), getattr(ref, k))
@@ -270,6 +277,15 @@ class TestStreamedForward:
         np.testing.assert_allclose(ens.forward(x), whole, rtol=1e-14, atol=1e-15)
         monkeypatch.setattr(dynamics, "FORWARD_BLOCK_ENTRIES", 1)  # one row a block
         np.testing.assert_allclose(ens.forward(x), whole, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", ["tanh:2:2", "poly:3"])
+    def test_symbols_give_the_bits_of_their_values(self, spec):
+        d, m = 12, 1024  # 256 rows a block: 3 blocks, the last one partial
+        values = np.array([-1.0, 0.5, 2.0])
+        symbols = np.random.default_rng(6).integers(0, 3, size=(700, d)).astype(np.uint8)
+        ens = init_ensemble(d, m, make_activation(spec), seed=2, c_bar=0.3, mu_w="normal")
+        assert 2 * dynamics.FORWARD_BLOCK_ENTRIES < symbols.shape[0] * m < 3 * dynamics.FORWARD_BLOCK_ENTRIES
+        np.testing.assert_array_equal(ens.forward(symbols, values), ens.forward(values[symbols]))
 
     @pytest.mark.parametrize("spec", ["tanh:2:2", "poly:3"])
     def test_peak_memory_is_two_blocks_and_the_output(self, spec):
@@ -395,6 +411,79 @@ class TestDfStep:
         st = init_df_state(prob.p, tanh_activation(), a_order=4, b_order=2)
         with pytest.raises(ValueError):
             df_step(st, prob, TrainConfig(loss=get_loss("squared"), eta=0.1))
+
+
+class TestRunDf:
+    @pytest.mark.parametrize("s0", [0.0, 0.5])
+    def test_records_and_state_match_plain_steps(self, y2_problem, s0):
+        """run_df reuses a recorded state's forward pass for the next step and,
+        at s > 0, owns its quadrature work arrays: its risks and its final
+        state equal those of plain df_step calls and df_risk bit for bit."""
+        cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.05)
+        losses = [("mse", get_loss("squared")), ("train_risk", cfg.loss)]
+        st = init_df_state(4, scaled_tanh(2, 2), c_bar=0.15, a_order=8, b_order=4, s0=s0)
+        ref = st.copy()
+        run = run_df(y2_problem, cfg, 7, st, gh_order=10, risk_every=3, risk_losses=losses)
+        want = []
+        for step in range(8):
+            if step in (0, 3, 6, 7):
+                want.append([df_risk(ref, y2_problem, loss, gh_order=10) for _, loss in losses])
+            if step < 7:
+                df_step(ref, y2_problem, cfg, gh_order=10)
+        assert [[row[name] for name, _ in losses] for row in run.history] == want
+        for k in ("a", "b", "u", "c", "s"):
+            np.testing.assert_array_equal(getattr(st, k), getattr(ref, k))
+
+
+class TestRunOwnedBuffers:
+    """A training run allocates its steps' work arrays once. Each step once
+    allocated them afresh: z, sigma' and grad_w of (n, M) and (M, d) in
+    sgd_step, and the (N, R, K) quadrature pre-activations and sigma' in
+    df_step at s > 0."""
+
+    @staticmethod
+    def step_peaks(monkeypatch, name):
+        """Traced allocation peak of each call of dynamics.<name>, above what
+        was allocated when it started."""
+        step = getattr(dynamics, name)
+        peaks = []
+
+        def measured(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = step(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        monkeypatch.setattr(dynamics, name, measured)
+        return peaks
+
+    def test_sgd_step_at_the_batch_d_shape(self, monkeypatch):
+        n, m, d = 300, 1024, 300
+        inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4), seed=0)
+        ens = init_ensemble(d, m, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
+        cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
+        peaks = self.step_peaks(monkeypatch, "sgd_step")
+        tracemalloc.start()
+        try:
+            run_sgd(inst, ens, cfg, steps=3, test_n=10)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert max(peaks[1:]) < n * m * 8, f"step peaks {peaks} B against one (n, M) block of {n * m * 8} B"
+        assert ens.step_buffers is None  # the run takes its buffers back
+
+    def test_df_step_at_s_pos(self, monkeypatch, y2_problem):
+        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=24, b_order=12, s0=0.5)
+        block = st.n * 2**4 * 20 * 8  # (N, R, K) at gh_order 20
+        peaks = self.step_peaks(monkeypatch, "df_step")
+        tracemalloc.start()
+        try:
+            run_df(y2_problem, TrainConfig(loss=get_loss("squared"), eta=0.002), 3, st, gh_order=20)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert max(peaks[1:]) < block, f"step peaks {peaks} B against one (N, R, K) block of {block} B"
 
 
 class TestSupportAlignment:

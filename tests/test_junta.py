@@ -255,8 +255,9 @@ def _two_coordinate_problem(values, probs, seed=0):
 
 
 class TestChunkedDraws:
-    """draw_batch draws the off-support symbols in row chunks; the stream and
-    every draw must be bit-identical to one unchunked draw."""
+    """draw_symbols draws the off-support symbols in row chunks, and
+    draw_batch expands them in row chunks; the stream and every draw must be
+    bit-identical to one unchunked draw."""
 
     MARGINALS = {
         "hypercube": ([1.0, -1.0], [0.5, 0.5]),
@@ -264,12 +265,7 @@ class TestChunkedDraws:
         "skewed3": ([-1.0, 0.5, 3.0], [0.2, 0.5, 0.3]),
     }
 
-    # the default chunk holds 1724 rows of 38 off-support symbols: n = 5 is
-    # below one chunk and n = 5000 above two, ending in a partial chunk
-    @pytest.mark.parametrize("marginal", sorted(MARGINALS))
-    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
-    @pytest.mark.parametrize("n", [5, 5000])
-    def test_matches_one_unchunked_draw(self, marginal, chunk_rows, n, monkeypatch):
+    def check_draws(self, draw, marginal, chunk_rows, n, monkeypatch):
         d = 40
         if chunk_rows is not None:
             monkeypatch.setattr(junta, "DRAW_CHUNK_ENTRIES", chunk_rows * (d - 2))
@@ -277,10 +273,29 @@ class TestChunkedDraws:
         sampler = PlantedInstance(prob, d, (5, 2), seed=0).sampler(9)
         rng = np.random.default_rng(9)
         for size in (n, 3):  # the batch after it reads the stream where the first left it
-            got, want = sampler.draw_batch(size), reference_draw(prob, d, size, rng)
+            got, want = draw(sampler, prob, size), reference_draw(prob, d, size, rng)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
+
+    # the default chunk holds 1724 rows of 38 off-support symbols: n = 5 is
+    # below one chunk and n = 5000 above two, ending in a partial chunk
+    @pytest.mark.parametrize("marginal", sorted(MARGINALS))
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+    @pytest.mark.parametrize("n", [5, 5000])
+    def test_matches_one_unchunked_draw(self, marginal, chunk_rows, n, monkeypatch):
+        self.check_draws(lambda sampler, _, size: sampler.draw_batch(size), marginal, chunk_rows, n, monkeypatch)
+
+    @pytest.mark.parametrize("marginal", sorted(MARGINALS))
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+    @pytest.mark.parametrize("n", [5, 5000])
+    def test_symbols_match_one_unchunked_draw(self, marginal, chunk_rows, n, monkeypatch):
+        def expanded(sampler, prob, size):
+            y, symbols, rows = sampler.draw_symbols(size)
+            assert symbols.dtype == np.uint8 and symbols.shape == (size, 40)
+            return y, prob.marginal.values[symbols], rows
+
+        self.check_draws(expanded, marginal, chunk_rows, n, monkeypatch)
 
     def test_peak_memory_is_about_the_inputs(self):
         """At n = 8000, d = 300 the draw once held its int64 symbols, their
