@@ -277,9 +277,7 @@ def init_ensemble(
     seed: int,
     c_bar: float = 0.0,
     mu_w: str = "zero",
-    w_scale: float = 1.0,
     mu_b: str = "uniform",
-    b_scale: float = 1.0,
 ) -> ParticleEnsemble:
     """(a0, b0, sqrt(d) w0, c0) ~ mu_a x mu_b x mu_w^d x delta_{c_bar} with
     mu_a = Unif[-1, 1]."""
@@ -288,7 +286,7 @@ def init_ensemble(
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, m)
     if mu_b == "uniform":
-        b = rng.uniform(-b_scale, b_scale, m)
+        b = rng.uniform(-1.0, 1.0, m)
     elif mu_b == "zero":
         b = np.zeros(m)
     else:
@@ -296,7 +294,7 @@ def init_ensemble(
     if mu_w == "zero":
         w = np.zeros((m, d))
     elif mu_w == "normal":
-        w = rng.standard_normal((m, d)) * (w_scale / np.sqrt(d))
+        w = rng.standard_normal((m, d)) * (1.0 / np.sqrt(d))
     else:
         raise ValueError(f"unknown mu_w {mu_w!r}")
     c = np.full(m, float(c_bar))
@@ -342,7 +340,8 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     ens.a -= eta * cfg.rate_a * (grad_a + cfg.lam_a * ens.a)
     ens.b -= eta * cfg.rate_b * (grad_b + cfg.lam_b * ens.b)
     ens.c -= eta * cfg.rate_c * (grad_c + cfg.lam_c * ens.c)
-    if not all(np.all(np.isfinite(v)) for v in (ens.a, ens.w, ens.b, ens.c)):
+    # min and max propagate nan and hold any inf, and need no (M, d) temporary
+    if not all(np.isfinite(v.min()) and np.isfinite(v.max()) for v in (ens.a, ens.w, ens.b, ens.c)):
         raise DivergenceError(-1)
     return ens
 
@@ -378,20 +377,6 @@ class DFState:
             self.a.copy(), self.b.copy(), self.u.copy(), self.c.copy(),
             self.s.copy(), self.weights.copy(), self.activation, self.k,
         )
-
-    def features(self, zmat: np.ndarray, gh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """E_G[sigma(<u, z> + s G + b)] for every particle x support point."""
-        pre = self.u @ zmat.T + self.b[:, None]  # (N, R)
-        if gh is None or np.all(self.s == 0.0):
-            return self.activation.f(pre)
-        nodes, wts = gh
-        pre3 = pre[:, :, None] + self.s[:, None, None] * nodes
-        return self.activation.f(pre3) @ wts
-
-    def f_table(self, zmat: np.ndarray, gh=None) -> np.ndarray:
-        """Network value on every support point."""
-        sig = self.features(zmat, gh)
-        return (self.weights * self.a) @ sig + float(self.weights @ self.c)
 
 
 @functools.lru_cache(maxsize=16)
@@ -450,8 +435,9 @@ def init_df_state(
 
 
 class _DFForward(NamedTuple):
-    """One DF state's forward pass: sigma, sigma' and E_G[G sigma'] (None at
-    s = 0) per particle x support point, and the network value per point."""
+    """One DF state's forward pass: the features E_G[sigma(<u, z> + s G + b)],
+    E_G[sigma'] and E_G[G sigma'] (None at s = 0) per particle x support
+    point, and the network value per point."""
 
     sig: np.ndarray
     sigp: np.ndarray
@@ -460,8 +446,8 @@ class _DFForward(NamedTuple):
 
 
 def _df_forward(state: DFState, zmat: np.ndarray, gh_order: int, work=None) -> _DFForward:
-    """The forward pass df_step takes its gradients from; f equals
-    state.f_table(zmat, gh) bit for bit. At s > 0, `work` may hold two
+    """The only evaluation of a DF state: df_step, df_risk, kernel and the
+    layer-wise step size all read it. At s > 0, `work` may hold two
     (N, R, gh_order) arrays for the quadrature pre-activations and sigma'."""
     act = state.activation
     pre = state.u @ zmat.T + state.b[:, None]  # (N, R)
@@ -545,8 +531,12 @@ def run_df(
     """DF training for `steps` steps with the exact risk under each of
     `risk_losses` every `risk_every` steps and at the last. A recorded state's
     forward pass serves both its risks and the step that follows; at s > 0
-    the run owns the quadrature work arrays of all its steps."""
+    the run owns the quadrature work arrays of all its steps. A divergence is
+    numbered by the state's own step count, `state.k`."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps!r}")
     tables = hypercube_tables(problem)
+    k0 = state.k
     u_max = np.empty((steps + 1, state.p))
     u_max[0] = np.abs(state.u).max(axis=0) if state.n else 0.0
     history = []
@@ -572,7 +562,7 @@ def run_df(
         try:
             df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _work=work, _forward=forward)
         except DivergenceError as exc:
-            raise DivergenceError(step) from exc
+            raise DivergenceError(k0 + step) from exc
         u_max[step] = np.abs(state.u).max(axis=0)
         forward = record(step)
     return DFRun(state, u_max, history)
@@ -644,40 +634,12 @@ def smallest_eigenvalue(mat: np.ndarray) -> float:
     return float(_eigvalsh(mat)[0])
 
 
-def kernel(
-    source,
-    problem: JuntaProblem | None = None,
-    activation: Activation | None = None,
-    p: int | None = None,
-    a_order: int = 64,
-    gh_order: int = 20,
-) -> KernelReport:
+def kernel(state: DFState, problem: JuntaProblem, gh_order: int = 20) -> KernelReport:
     """Second-layer Gram kernel K(z, z') = E_a[phi_a(z) phi_a(z')] on the 2^P
-    support points, with its smallest eigenvalue.
-
-    `source` is either a DFState (features from its particles/weights) or a
-    callable u(a) integrated over mu_a = Unif[-1, 1] with Gauss-Legendre nodes.
-    """
-    if a_order < 2:
-        raise ValueError("quadrature order must be >= 2")
-    if isinstance(source, DFState):
-        if problem is None:
-            raise ValueError("kernel from a DFState needs the problem for its support points")
-        zmat, _, _, _ = hypercube_tables(problem)
-        feats = source.features(zmat, gauss_hermite(gh_order))
-        wts = source.weights
-    else:
-        if activation is None or (problem is None and p is None):
-            raise ValueError("kernel from u(a) needs an activation and P (or a problem)")
-        if problem is not None:
-            zmat, _, _, _ = hypercube_tables(problem)
-        else:
-            r = np.arange(2**p)
-            zmat = 1.0 - 2.0 * ((r[:, None] >> np.arange(p)) & 1)
-        nodes, wts = gauss_legendre_unit(a_order)
-        umat = np.vstack([np.asarray(source(a), dtype=float) for a in nodes])
-        feats = activation.f(umat @ zmat.T)
-    mat = (feats * wts[:, None]).T @ feats
+    support points of `problem`, with its smallest eigenvalue; the features
+    phi are those of the DF state's particles, weighted by its weights."""
+    feats = _df_forward(state, hypercube_tables(problem)[0], gh_order).sig
+    mat = (feats * state.weights[:, None]).T @ feats
     mat = (mat + mat.T) / 2.0
     eig = _eigvalsh(mat)
     return KernelReport(mat, float(eig[0]), len(eig) * np.finfo(float).eps * float(np.max(np.abs(eig))))
@@ -691,8 +653,7 @@ def kernel(
 def df_risk(state: DFState, problem: JuntaProblem, loss: LossSpec, gh_order: int = 20) -> float:
     """Exact risk of a dimension-free model (depends on x only through z)."""
     tables = hypercube_tables(problem)
-    f = state.f_table(tables[0], gauss_hermite(gh_order) if not np.all(state.s == 0.0) else None)
-    return _table_risk(f, tables, loss)
+    return _table_risk(_df_forward(state, tables[0], gh_order).f, tables, loss)
 
 
 def _table_risk(f: np.ndarray, tables, loss: LossSpec) -> float:
@@ -767,26 +728,6 @@ def bayes_risk(
         minimizers[r] = u_star
         values[r] = g(u_star)
     return float(problem.row_weights @ values), minimizers
-
-
-def risk(model, problem, loss: LossSpec, *, sampler: Sampler | None = None, n: int = 10_000):
-    """Risk of a model: exact for DF models, Monte-Carlo (with standard error)
-    for full-width ensembles."""
-    if isinstance(model, DFState):
-        return df_risk(model, problem, loss)
-    if isinstance(model, ParticleEnsemble):
-        if sampler is None:
-            raise ValueError("ensemble risk needs a sampler (Monte-Carlo mode)")
-        return ensemble_risk_mc(model, sampler, loss, n)
-    raise TypeError(f"unsupported model type {type(model)!r}")
-
-
-def excess_risk(model, problem, loss: LossSpec, *, sampler=None, n: int = 10_000):
-    base, _ = bayes_risk(problem, loss)
-    r = risk(model, problem, loss, sampler=sampler, n=n)
-    if isinstance(r, tuple):
-        return r[0] - base, r[1]
-    return r - base
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +827,8 @@ def layerwise_train(
     """Two-phase training of the dimension-free model with sigma(x) = (1+x)^L:
     Phase 1 trains only the first-layer weights u with per-coordinate rates
     eta*kappa_i for k1 (= P by default) steps; Phase 2 trains only the second
-    layer a. The returned kernel report certifies lambda_min(K^{k1}) numerically.
+    layer a for k2 steps of run_df, so a divergence at its step j is numbered
+    k1 + j. The returned kernel report certifies lambda_min(K^{k1}) numerically.
     """
     act = poly_activation(L)
     if k1 is None:
@@ -908,10 +850,9 @@ def layerwise_train(
 
     labels = tables[3]
     if eta2 == "auto":
-        feats = state.features(tables[0])
+        feats, _, _, f0 = _df_forward(state, tables[0], gh_order=20)  # s stays 0: no quadrature
         m = (np.sqrt(state.weights)[:, None] * feats * tables[1]) @ (feats.T * np.sqrt(state.weights))
         lam_feat = float(_eigvalsh((m + m.T) / 2.0)[-1])
-        f0 = state.f_table(tables[0])
         spread = float(np.max(np.abs(f0))) + float(np.max(np.abs(labels))) + 1.0
         h_smooth = second_derivative_bound(cfg.loss, labels, -spread, spread) * max(lam_feat, 1e-12)
         eta2_val = 1.0 / h_smooth
@@ -926,15 +867,9 @@ def layerwise_train(
         loss=cfg.loss, eta=eta2_val, rate_a=1.0, rate_w=0.0, rate_b=0.0, rate_c=0.0,
         lam_a=cfg.lam_a,
     )
-    history = [{
-        "step": 0, "phase": 2, "excess": df_risk(state, problem, cfg.loss) - base,
-        "lambda_min": report.lambda_min,
-    }]
-    for step in range(1, k2 + 1):
-        df_step(state, problem, phase2, _tables=tables)
-        history.append({
-            "step": step, "phase": 2,
-            "excess": df_risk(state, problem, cfg.loss) - base,
-            "lambda_min": report.lambda_min,
-        })
+    run = run_df(problem, phase2, k2, state, risk_every=1, risk_losses=[("risk", cfg.loss)])
+    history = [
+        {"step": row["step"], "phase": 2, "excess": row["risk"] - base, "lambda_min": report.lambda_min}
+        for row in run.history
+    ]
     return LayerwiseResult(state, report, history, eta2_val, trust_violation)

@@ -92,14 +92,21 @@ class Query:
 
         with q_t the product of the term's E[T_i^2] and m_t that of its E[T_i],
         in slot order: a single term's norm does not depend on its coordinates.
+        Each distinct tables tuple's (q, m) is computed once, and the sums are
+        taken in term order.
         """
         marg = problem.marginal
+        moments = {}
         total = m_sum = m_sq = 0.0
         for _, tables in self.terms:
-            q = m = 1.0
-            for tab in tables:
-                q *= float(marg.probs @ (tab * tab))
-                m *= marg.mean(tab)
+            key = tuple(map(id, tables))
+            if key not in moments:
+                q = m = 1.0
+                for tab in tables:
+                    q *= float(marg.probs @ (tab * tab))
+                    m *= marg.mean(tab)
+                moments[key] = q, m
+            q, m = moments[key]
             total += q
             m_sum += m
             m_sq += m * m

@@ -12,7 +12,6 @@ from juntaleap import (
     detect_dlq,
     df_risk,
     df_step,
-    excess_risk,
     expand_hypercube,
     init_df_state,
     init_ensemble,
@@ -32,6 +31,7 @@ from juntaleap.dynamics import (
     DivergenceError,
     ParticleEnsemble,
     StepBuffers,
+    _df_forward,
     ensemble_risk_mc,
     gauss_hermite,
     hypercube_tables,
@@ -238,6 +238,15 @@ class TestLeanSgdStep:
         assert all(np.all(np.isfinite(v)) for v in (ens.a, ens.b, ens.c))
         assert not np.all(np.isfinite(ens.w))
 
+    def test_first_layer_overflow_to_plus_inf_is_caught(self):
+        ens = small_ensemble()
+        ens.w[:] = 0.0
+        ens.w[:, 0] = -1e307
+        cfg = TrainConfig(loss=get_loss("squared"), eta=1.0, lam_w=100.0)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+            sgd_step(ens, np.ones((1, 5)), np.zeros(1), cfg)
+        assert np.all(ens.w[:, 0] == np.inf)
+
     @pytest.mark.parametrize("spec,eta", [("poly:1", 0.5), ("poly:2", 0.5)])
     def test_run_sgd_reports_the_reference_divergence_step(self, spec, eta):
         d, m, batch = 12, 16, 4
@@ -387,8 +396,8 @@ class TestDfStep:
         # s != 0 engages the Gauss-Hermite path; compare against a dense grid
         st = init_df_state(4, tanh_activation(), c_bar=0.1, a_order=4, b_order=2, s0=0.7)
         zmat, _, _, _ = hypercube_tables(y2_problem)
-        f20 = st.features(zmat, gauss_hermite(20))
-        f80 = st.features(zmat, gauss_hermite(80))
+        f20 = _df_forward(st, zmat, 20).sig
+        f80 = _df_forward(st, zmat, 80).sig
         np.testing.assert_allclose(f20, f80, atol=1e-12)
 
     def test_gauss_hermite_computed_once_read_only(self):
@@ -434,6 +443,11 @@ class TestRunDf:
         for k in ("a", "b", "u", "c", "s"):
             np.testing.assert_array_equal(getattr(st, k), getattr(ref, k))
 
+    def test_negative_step_count_rejected(self, y2_problem):
+        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=4, b_order=2)
+        with pytest.raises(ValueError):
+            run_df(y2_problem, TrainConfig(loss=get_loss("squared"), eta=0.01), -1, st)
+
 
 class TestRunOwnedBuffers:
     """A training run allocates its steps' work arrays once. Each step once
@@ -458,8 +472,8 @@ class TestRunOwnedBuffers:
         monkeypatch.setattr(dynamics, name, measured)
         return peaks
 
-    def test_sgd_step_at_the_batch_d_shape(self, monkeypatch):
-        n, m, d = 300, 1024, 300
+    def batch_d_step_peaks(self, monkeypatch, n=300, m=1024, d=300):
+        """Step peaks of a 3-step run_sgd at the meanfield-batch shape, and its ensemble."""
         inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4), seed=0)
         ens = init_ensemble(d, m, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
         cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
@@ -470,8 +484,20 @@ class TestRunOwnedBuffers:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 3
+        return peaks, ens
+
+    def test_sgd_step_at_the_batch_d_shape(self, monkeypatch):
+        n, m = 300, 1024
+        peaks, ens = self.batch_d_step_peaks(monkeypatch, n, m)
         assert max(peaks[1:]) < n * m * 8, f"step peaks {peaks} B against one (n, M) block of {n * m * 8} B"
         assert ens.step_buffers is None  # the run takes its buffers back
+
+    def test_sgd_step_finiteness_check_needs_no_w_sized_temporary(self, monkeypatch):
+        """np.isfinite(w) allocated an (M, d) boolean array, 307 KB, every step;
+        min and max reduce w without one. Measured peak: 80 KB."""
+        m, d = 1024, 300
+        peaks, _ = self.batch_d_step_peaks(monkeypatch, m=m, d=d)
+        assert max(peaks[1:]) < m * d, f"step peaks {peaks} B against one (M, d) boolean array of {m * d} B"
 
     def test_df_step_at_s_pos(self, monkeypatch, y2_problem):
         st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=24, b_order=12, s0=0.5)
@@ -560,16 +586,6 @@ class TestKernel:
             rep = kernel(st, y2_problem)
             np.testing.assert_allclose(rep.matrix, rep.matrix.T, atol=1e-12)
             assert rep.lambda_min >= -1e-10
-
-    def test_kernel_from_weight_function(self):
-        act = poly_activation(3)
-        rep = kernel(lambda a: np.array([0.3 * a, -0.1 * a]), activation=act, p=2)
-        assert rep.matrix.shape == (4, 4)
-        assert rep.lambda_min >= -1e-10
-
-    def test_quadrature_order_guard(self):
-        with pytest.raises(ValueError):
-            kernel(lambda a: np.zeros(2), activation=poly_activation(2), p=2, a_order=1)
 
 
 class TestSmallestEigenvalue:
@@ -660,6 +676,87 @@ class TestRisk:
         # constant model: only the label-conditional row varies across samples
         assert abs(est - exact) <= 4 * se + 1e-12
         assert se < 0.2
+
+
+def reference_layerwise(problem, cfg, L, k1, k2, c_bar, eta2):
+    """layerwise_train with its own phase-2 loop: df_step, then the excess risk
+    from an independent forward formula, sigma = (1+x)^L evaluated on every
+    particle x support point (s stays 0). A phase-2 divergence at step j is
+    reported as step k1 + j. Returns (state, K, eta2, excess history)."""
+    state = init_df_state(problem.p, poly_activation(L), c_bar=c_bar, a_order=64, mu_b="zero")
+    zmat, wz, cond, labels = hypercube_tables(problem)
+
+    def features(st):
+        return st.activation.f(st.u @ zmat.T + st.b[:, None])
+
+    def value(st):
+        return (st.weights * st.a) @ features(st) + float(st.weights @ st.c)
+
+    def risk(st):
+        return float(wz @ np.einsum("ry,ry->r", cond, cfg.loss.value(value(st)[:, None], labels[None, :])))
+
+    phase1 = TrainConfig(loss=cfg.loss, eta=cfg.eta, rate_a=0.0, rate_w=1.0, rate_b=0.0, rate_c=0.0,
+                         kappa=cfg.kappa, lam_w=cfg.lam_w)
+    for _ in range(k1):
+        df_step(state, problem, phase1)
+    feats = features(state)
+    gram = (feats * state.weights[:, None]).T @ feats
+    gram = (gram + gram.T) / 2.0
+    if eta2 == "auto":
+        root = np.sqrt(state.weights)
+        m = (root[:, None] * feats * wz) @ (feats.T * root)
+        lam = float(np.linalg.eigvalsh((m + m.T) / 2.0)[-1])
+        spread = float(np.max(np.abs(value(state)))) + float(np.max(np.abs(labels))) + 1.0
+        eta2 = 1.0 / (dynamics.second_derivative_bound(cfg.loss, labels, -spread, spread) * max(lam, 1e-12))
+    base, _ = bayes_risk(problem, cfg.loss)
+    phase2 = TrainConfig(loss=cfg.loss, eta=eta2, rate_a=1.0, rate_w=0.0, rate_b=0.0, rate_c=0.0, lam_a=cfg.lam_a)
+    history = [risk(state) - base]
+    for j in range(1, k2 + 1):
+        try:
+            df_step(state, problem, phase2)
+        except DivergenceError:
+            raise DivergenceError(k1 + j)
+        history.append(risk(state) - base)
+    return state, gram, eta2, history
+
+
+C9 = {(1,): 1.0, (1, 2): 1.0}
+
+
+class TestLayerwiseMatchesReference:
+    """Phase 2 runs through run_df, which evaluates each state once for both
+    its excess record and its next step."""
+
+    @pytest.mark.parametrize("L,eta2", [(16, "auto"), (16, 0.05), (8, "auto"), (8, 0.01)])
+    def test_bit_for_bit(self, L, eta2, y1_problem):
+        problem = expand_hypercube(HypercubeJunta(2, C9)) if L == 16 else y1_problem
+        rng = np.random.default_rng(L)
+        cfg = TrainConfig(loss=get_loss("squared"), eta=0.002, kappa=rng.uniform(0.5, 1.5, problem.p))
+        res = layerwise_train(problem, cfg, L=L, k1=problem.p, k2=60, c_bar=0.2, eta2=eta2)
+        state, gram, want_eta2, excess = reference_layerwise(problem, cfg, L, problem.p, 60, 0.2, eta2)
+        assert [row["excess"] for row in res.history] == excess
+        assert [row["step"] for row in res.history] == list(range(61))
+        assert res.eta2 == want_eta2
+        np.testing.assert_array_equal(res.kernel_report.matrix, gram)
+        assert res.kernel_report.lambda_min == float(np.linalg.eigvalsh(gram)[0])
+        for k in ("a", "b", "u", "c", "s"):
+            np.testing.assert_array_equal(getattr(res.state, k), getattr(state, k))
+        assert res.state.k == problem.p + 60
+
+    @pytest.mark.parametrize("eta,fault", [(0.002, "non-finite update"), (0.005, "non-finite network value")])
+    def test_phase2_divergence_is_numbered_k1_plus_j(self, eta, fault):
+        """eta2 = 1e300 diverges at phase-2 step j = 2. With eta = 0.005 the
+        phase-1 features are large enough that the network value overflows
+        before a does; that fault was once numbered k1 + j - 1."""
+        problem = expand_hypercube(HypercubeJunta(2, C9))
+        cfg = TrainConfig(loss=get_loss("squared"), eta=eta, kappa=[0.8, 1.2])
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                layerwise_train(problem, cfg, L=16, k1=2, k2=5, c_bar=0.3, eta2=1e300)
+            with pytest.raises(DivergenceError) as want:
+                reference_layerwise(problem, cfg, 16, 2, 5, 0.3, 1e300)
+        assert err.value.step == want.value.step == 2 + 2
+        assert str(err.value.__cause__).startswith(fault)
 
 
 class TestLayerwise:

@@ -66,6 +66,31 @@ class TestQuery:
         want = 0.25 * 2.5 * (qa + qb * qc + 2 * ma * mb * mc)  # scale^2 E[T(y)^2] (...)
         assert q.l2_null_norm(problem) == pytest.approx(np.sqrt(want), rel=1e-14)
 
+    def test_grouped_norm_takes_each_tables_moments_once(self, monkeypatch):
+        """Terms on one tables tuple share its (q, m); the sums still run in
+        term order, so the norm equals the per-term loop bit for bit."""
+        marginal = FiniteMarginal([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3])
+        problem = JuntaProblem(1, marginal, [0.0, 1.0], np.full((3, 2), 0.5))
+        a, b = np.array([1.0, 2.0, 0.1]), np.array([0.5, -1.0, 3.0])
+        terms = tuple(((c,), (a,) if c % 3 else (b,)) for c in range(1, 200)) + (((500, 501), (a, b)),)
+        t_label, scale = np.array([1.0, -2.0]), 0.07
+        total = m_sum = m_sq = 0.0
+        for _, tables in terms:
+            q = m = 1.0
+            for tab in tables:
+                q *= float(marginal.probs @ (tab * tab))
+                m *= marginal.mean(tab)
+            total += q
+            m_sum += m
+            m_sq += m * m
+        total += m_sum * m_sum - m_sq
+        want = scale * float(np.sqrt(problem.mu_y @ t_label**2 * total))
+        means = []
+        mean = FiniteMarginal.mean
+        monkeypatch.setattr(FiniteMarginal, "mean", lambda self, tab: means.append(1) or mean(self, tab))
+        assert Query(terms, t_label, scale).l2_null_norm(problem) == want
+        assert len(means) == 4  # (a,), (b,) and (a, b)
+
     def test_single_term_norm_independent_of_coordinates(self):
         marginal = FiniteMarginal([-1.0, 0.0, 1.0], [0.34, 0.32, 0.34])
         problem = JuntaProblem(1, marginal, [0.0, 1.0], np.full((3, 2), 0.5))
