@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -40,16 +41,34 @@ def _load_config(path_str: str) -> dict:
         raise ConfigError(f"invalid JSON in {path_str}: {exc}") from exc
 
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
+def _check_keys(block, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _require(block: dict, key: str, where: str):
-    if key not in block:
+    if block.get(key) is None:
         raise ConfigError(f"missing key {key!r} in {where}")
     return block[key]
+
+
+def _given(block: dict, *keys) -> dict:
+    """The keys the block sets to a value, so that each one left out or null
+    takes the library's default."""
+    return {k: block[k] for k in keys if block.get(k) is not None}
+
+
+def _count(block: dict, key: str, least: int, default=None):
+    """block[key] as an integer >= least, or `default` when it is left out or null."""
+    value = block.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _checked(what: str, build, *args, **kwargs):
@@ -101,55 +120,57 @@ def _dump_json(data, out_dir: Path, name: str) -> Path:
     return path
 
 
-def _write_csv(rows: list[dict], out_dir: Path, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    if rows:
-        fields = list(rows[0].keys())
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-    else:
-        path.write_text("")
+def _emit(data, out_dir: Path, name: str) -> Path:
+    """Write a summary JSON under out_dir and print it."""
+    path = _dump_json(data, out_dir, name)
+    print(json.dumps(data, indent=2, sort_keys=True, default=_json_default))
     return path
 
 
-def _detect(problem, model, loss=None, tol=None, u_grid=None, **moments):
+def _write_csv(rows: list[dict], out_dir: Path, name: str) -> Path:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    with path.open("w", newline="") as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    return path
+
+
+def _detect(problem, model, loss=None, u_grid=None, **kw):
     """detect.detect for a config's query model: "SQ", "CSQ", or "DLQ" with a
-    loss spec; `moments` may pass a prebuilt basis and table."""
-    from .detect import DETECT_TOL, detect
+    loss spec; `kw` may pass a tol and a prebuilt basis and table."""
+    from .detect import detect
 
     if model not in ("SQ", "CSQ", "DLQ"):
         raise ConfigError(f"unknown query model {model!r}")
-    tol = DETECT_TOL if tol is None else tol
     if model != "DLQ":
-        return detect(problem, model, tol=tol, **moments)
+        return detect(problem, model, **kw)
     if loss is None:
         raise ConfigError("query model DLQ needs a loss")
-    return detect(problem, model, _loss_from_spec(loss), tol=tol, u_grid=u_grid, **moments)
+    return detect(problem, model, _loss_from_spec(loss), u_grid=u_grid, **kw)
 
 
-def _detect_reports(problem, block, basis, table):
-    """Shared by exponents/detect: one report per entry of `models`, where
-    DLQ is written {"DLQ": loss}, all read from one moment table."""
+def _detect_reports(cfg, block):
+    """Shared by exponents/detect: the problem, its moment table, and one
+    report per entry of `models`, where DLQ is written {"DLQ": loss}, all
+    read from that one table."""
+    from .detect import check_detect_params
+    from .fourier import gram_schmidt, moment_table
+
+    params = _given(block, "tol", "u_grid")
+    _checked("bad detection parameters", check_detect_params, **params)
+    problem = _problem_from_config(cfg)
+    basis = gram_schmidt(problem.marginal)
+    table = moment_table(problem, basis)
     reports = []
     for model in block.get("models", ["CSQ", "SQ"]):
         loss = None
         if isinstance(model, dict) and "DLQ" in model:
             model, loss = "DLQ", model["DLQ"]
-        reports.append(_detect(problem, model, loss, block.get("tol"), block.get("u_grid"),
-                               basis=basis, table=table))
-    return reports
-
-
-def _moments(problem):
-    """The problem's basis and moment table, built once per command."""
-    from .fourier import gram_schmidt, moment_table
-
-    basis = gram_schmidt(problem.marginal)
-    return basis, moment_table(problem, basis)
+        reports.append(_detect(problem, model, loss, basis=basis, table=table, **params))
+    return problem, reports, table
 
 
 def _planted(problem, d, s_star, rng, seed):
@@ -165,28 +186,17 @@ def _planted(problem, d, s_star, rng, seed):
     return PlantedInstance(problem, d, tuple(int(c) for c in s_star), seed=seed)
 
 
-def cmd_exponents(cfg: dict, out_dir: Path, seed) -> int:
-    _check_keys(cfg, {"problem", "exponents", "seed"}, "config")
-    block = cfg.get("exponents", {})
-    _check_keys(block, {"models", "tol", "u_grid"}, "exponents")
-    problem = _problem_from_config(cfg)
-    report = {"P": problem.p, "models": {}}
-    for rep in _detect_reports(problem, block, *_moments(problem)):
-        report["models"][rep.model] = rep.summary()
-    path = _dump_json(report, out_dir, "exponents.json")
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
-    print(f"wrote {path}", file=sys.stderr)
+def cmd_exponents(cfg: dict, block: dict, out_dir: Path, seed) -> int:
+    problem, reports, _ = _detect_reports(cfg, block)
+    report = {"P": problem.p, "models": {rep.model: rep.summary() for rep in reports}}
+    print(f"wrote {_emit(report, out_dir, 'exponents.json')}", file=sys.stderr)
     return 0
 
 
-def cmd_detect(cfg: dict, out_dir: Path, seed) -> int:
-    _check_keys(cfg, {"problem", "detect", "seed"}, "config")
-    block = cfg.get("detect", {})
-    _check_keys(block, {"models", "tol", "u_grid", "dump_moments"}, "detect")
-    problem = _problem_from_config(cfg)
-    basis, table = _moments(problem)
+def cmd_detect(cfg: dict, block: dict, out_dir: Path, seed) -> int:
+    problem, reports, table = _detect_reports(cfg, block)
     paths = []
-    for rep in _detect_reports(problem, block, basis, table):
+    for rep in reports:
         name = rep.model.replace("[", "_").replace("]", "").replace("/", "_")
         paths.append(_dump_json(rep.to_dict(), out_dir, f"detect_{name}.json"))
     if block.get("dump_moments"):
@@ -207,40 +217,25 @@ def cmd_detect(cfg: dict, out_dir: Path, seed) -> int:
     return 0
 
 
-def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
+def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
+    from .detect import check_detect_params
     from .oracle import check_game_kinds, check_tau, play_game
 
-    _check_keys(cfg, {"problem", "game", "seed"}, "config")
-    block = _require(cfg, "game", "config")
-    _check_keys(
-        block,
-        {"d", "s_star", "model", "loss", "learner", "oracle", "tau", "tau_factor",
-         "noise_mode", "budget", "max_tuple", "tol"},
-        "game",
-    )
-    for key in ("tau", "tau_factor"):
-        if block.get(key) is not None:
-            _checked(f"bad {key}", check_tau, block[key])
+    for key, value in _given(block, "tau", "tau_factor").items():
+        _checked(f"bad {key}", check_tau, value)
+    _checked("bad detection parameters", check_detect_params, **_given(block, "tol"))
+    d = _count(block, "d", 1)
+    limits = {"budget": _count(block, "budget", 0), "max_tuple": _count(block, "max_tuple", 1)}
     kinds = {"learner": block.get("learner", "adaptive"), "oracle_kind": block.get("oracle", "honest"),
              "noise_mode": block.get("noise_mode", "zero")}
     _checked("bad game", check_game_kinds, **kinds)
     problem = _problem_from_config(cfg)
-    d = _require(block, "d", "game")
     rng = np.random.default_rng(seed)
     instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng, int(seed))
-    report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), block.get("tol"))
-    result = play_game(
-        instance,
-        report,
-        **kinds,
-        tau=block.get("tau"),
-        tau_factor=block.get("tau_factor", 0.25),
-        budget=block.get("budget"),
-        seed=int(seed),
-        max_tuple=block.get("max_tuple"),
-    )
+    report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), **_given(block, "tol"))
+    result = play_game(instance, report, **kinds, **limits, **_given(block, "tau", "tau_factor"), seed=int(seed))
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "game_transcript.jsonl").open("w") as fh:
         result.transcript.to_jsonl(fh)
@@ -252,12 +247,11 @@ def cmd_game(cfg: dict, out_dir: Path, seed) -> int:
         "tau": result.detail.get("tau"),
         "detail": {k: v for k, v in result.detail.items() if k != "tau"},
     }
-    _dump_json(verdict, out_dir, "game_verdict.json")
-    print(json.dumps(verdict, indent=2, sort_keys=True, default=_json_default))
+    _emit(verdict, out_dir, "game_verdict.json")
     return 0
 
 
-def _train_common(block, problem, seed):
+def _train_common(block, seed):
     import numpy as np
 
     from .dynamics import make_activation
@@ -265,10 +259,8 @@ def _train_common(block, problem, seed):
     loss = _loss_from_spec(block.get("loss", "squared"))
     act = _checked("bad activation", make_activation, block.get("activation", "tanh"))
     rng = np.random.default_rng(seed)
-    c_bar = block.get("c_bar")
-    if c_bar is None:
-        c_bar = float(rng.uniform(-0.4, 0.4))
-    return loss, act, float(c_bar), rng
+    c_bar = float(rng.uniform(-0.4, 0.4)) if block.get("c_bar") is None else float(block["c_bar"])
+    return loss, act, c_bar, rng
 
 
 def _bayes_mse(problem) -> float:
@@ -277,44 +269,32 @@ def _bayes_mse(problem) -> float:
     return float(problem.row_weights @ (problem.cond @ labels**2 - (problem.cond @ labels) ** 2))
 
 
-def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
+def cmd_sgd(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     from .dynamics import TrainConfig, init_ensemble, run_sgd
     from .losses import squared
 
-    _check_keys(cfg, {"problem", "sgd", "seed"}, "config")
-    block = _require(cfg, "sgd", "config")
-    _check_keys(
-        block,
-        {"d", "M", "eta", "eta_scale", "batch", "steps", "loss", "activation", "c_bar",
-         "mu_b", "mu_w", "trials", "eval_every", "test_n", "lam_w", "lam_a"},
-        "sgd",
-    )
+    d = _count(block, "d", 1)
+    steps = _count(block, "steps", 0)
+    trials = _count(block, "trials", 1, 1)
+    eval_every = _count(block, "eval_every", 1, max(1, steps // 20))
+    _count(block, "test_n", 2)  # the standard errors divide by test_n - 1
     problem = _problem_from_config(cfg)
-    d = _require(block, "d", "sgd")
     m = block.get("M", 512)
     eta = block["eta"] if "eta" in block else block.get("eta_scale", 0.5) / d
-    steps = _require(block, "steps", "sgd")
-    trials = block.get("trials", 1)
-    loss, act, c_bar, rng = _train_common(block, problem, seed)
+    loss, act, c_bar, rng = _train_common(block, seed)
+    tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=eta,
+                  **_given(block, "batch", "lam_w", "lam_a"))
     eval_losses = [("mse", squared()), ("train_risk", loss)]
 
     bayes_mse = _bayes_mse(problem)
     summary = {"trials": [], "eta": eta, "steps": steps, "c_bar": c_bar, "loss": loss.name,
-               "activation": act.name, "d": d, "M": m, "batch": block.get("batch", 1),
-               "bayes_mse": bayes_mse}
+               "activation": act.name, "d": d, "M": m, "batch": tc.batch, "bayes_mse": bayes_mse}
     for trial in range(trials):
         instance = _checked("bad planted instance", _planted, problem, d, None, rng, int(seed) + trial)
         ens = _checked("bad initialization", init_ensemble, d, m, act, seed=int(seed) * 1000 + trial,
-                       c_bar=c_bar, mu_b=block.get("mu_b", "uniform"), mu_w=block.get("mu_w", "zero"))
-        tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=eta, batch=block.get("batch", 1),
-                      lam_w=block.get("lam_w", 0.0), lam_a=block.get("lam_a", 0.0))
-        run = run_sgd(
-            instance, ens, tc, steps,
-            data_seed=int(seed) * 7919 + trial,
-            eval_every=block.get("eval_every", max(1, steps // 20)),
-            test_n=block.get("test_n", 10_000),
-            eval_losses=eval_losses,
-        )
+                       c_bar=c_bar, **_given(block, "mu_b", "mu_w"))
+        run = run_sgd(instance, ens, tc, steps, data_seed=int(seed) * 7919 + trial, eval_every=eval_every,
+                      eval_losses=eval_losses, **_given(block, "test_n"))
         _write_csv(run.history, out_dir, f"sgd_trial{trial}.csv")
         first, last = run.history[0], run.history[-1]
         init_excess = first["mse"] - bayes_mse
@@ -327,43 +307,28 @@ def cmd_sgd(cfg: dict, out_dir: Path, seed) -> int:
             "learned": bool(last["mse"] - bayes_mse < 0.5 * init_excess),
         })
     summary["stuck"] = bool(all(t["stuck"] for t in summary["trials"]))
-    _dump_json(summary, out_dir, "sgd_summary.json")
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
+    _emit(summary, out_dir, "sgd_summary.json")
     return 0
 
 
-def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
+def cmd_df(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     from .detect import detect
     from .dynamics import TrainConfig, init_df_state, run_df, support_alignment
     from .losses import squared
 
-    _check_keys(cfg, {"problem", "df", "seed"}, "config")
-    block = _require(cfg, "df", "config")
-    _check_keys(
-        block,
-        {"eta", "steps", "loss", "activation", "c_bar", "mu_b", "a_order", "b_order",
-         "s0", "gh_order", "threshold", "risk_every", "kappa"},
-        "df",
-    )
+    steps = _count(block, "steps", 0)
+    risk_every = _count(block, "risk_every", 1, max(1, steps // 50))
+    _count(block, "gh_order", 1)
     problem = _problem_from_config(cfg)
-    steps = _require(block, "steps", "df")
-    loss, act, c_bar, rng = _train_common(block, problem, seed)
-    state = _checked(
-        "bad initialization", init_df_state, problem.p, act, c_bar=c_bar,
-        a_order=block.get("a_order", 32), b_order=block.get("b_order", 16),
-        mu_b=block.get("mu_b", "uniform"), s0=block.get("s0", 0.0),
-    )
-    tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=_require(block, "eta", "df"),
-                  kappa=block.get("kappa"))
-    run = run_df(
-        problem, tc, steps, state,
-        gh_order=block.get("gh_order", 20),
-        risk_every=block.get("risk_every", max(1, steps // 50)),
-        risk_losses=[("mse", squared()), ("train_risk", loss)],
-    )
+    loss, act, c_bar, rng = _train_common(block, seed)
+    state = _checked("bad initialization", init_df_state, problem.p, act, c_bar=c_bar,
+                     **_given(block, "a_order", "b_order", "mu_b", "s0"))
+    tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta"], **_given(block, "kappa"))
+    run = run_df(problem, tc, steps, state, risk_every=risk_every,
+                 risk_losses=[("mse", squared()), ("train_risk", loss)], **_given(block, "gh_order"))
     _write_csv(run.history, out_dir, "df_curve.csv")
     dlq = detect(problem, "DLQ", loss)
-    align = support_alignment(run.u_max, dlq, threshold=block.get("threshold", 0.01))
+    align = support_alignment(run.u_max, dlq, **_given(block, "threshold"))
     first = run.history[0]["mse"] if run.history else None
     last = run.history[-1]["mse"] if run.history else None
     bayes_mse = _bayes_mse(problem)
@@ -378,43 +343,29 @@ def cmd_df(cfg: dict, out_dir: Path, seed) -> int:
         "bayes_mse": bayes_mse,
         "stuck": bool(last is not None and first - last < 0.05 * (first - bayes_mse)),
     }
-    _dump_json(summary, out_dir, "df_summary.json")
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
+    _emit(summary, out_dir, "df_summary.json")
     return 0
 
 
-def cmd_layerwise(cfg: dict, out_dir: Path, seed) -> int:
+def cmd_layerwise(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
+    # imported at call time, so that a caller may replace dynamics.layerwise_train
     from .dynamics import TrainConfig, layerwise_train, poly_activation
 
-    _check_keys(cfg, {"problem", "layerwise", "seed"}, "config")
-    block = _require(cfg, "layerwise", "config")
-    _check_keys(
-        block,
-        {"L", "k1", "k2", "eta", "eta2", "loss", "c_bar", "kappa", "a_order",
-         "lambda_min_threshold"},
-        "layerwise",
-    )
+    k1 = _count(block, "k1", 0)
+    _count(block, "k2", 0)
+    L = block.get("L", 16)
+    _checked("bad activation", poly_activation, L)
     problem = _problem_from_config(cfg)
     loss = _loss_from_spec(block.get("loss", "squared"))
     rng = np.random.default_rng(seed)
-    kappa = block.get("kappa")
-    if kappa is None:
-        kappa = rng.uniform(0.5, 1.5, problem.p).tolist()
-    c_bar = block.get("c_bar")
-    if c_bar is None:
-        c_bar = float(rng.uniform(-0.5, 0.5))
+    kappa = rng.uniform(0.5, 1.5, problem.p).tolist() if block.get("kappa") is None else block["kappa"]
+    c_bar = float(rng.uniform(-0.5, 0.5)) if block.get("c_bar") is None else block["c_bar"]
     tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block.get("eta", 0.002), kappa=kappa)
-    eta2 = block.get("eta2", "auto")
-    if eta2 != "auto":  # the phase-2 step size
-        _checked("bad training parameters", TrainConfig, loss=loss, eta=eta2)
-    L = block.get("L", 16)
-    _checked("bad activation", poly_activation, L)
-    result = layerwise_train(
-        problem, tc, L=L, k1=block.get("k1"), k2=block.get("k2", 500), c_bar=c_bar,
-        a_order=block.get("a_order", 64), eta2=eta2,
-    )
+    if block.get("eta2") not in (None, "auto"):  # the phase-2 step size
+        _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta2"])
+    result = layerwise_train(problem, tc, L=L, k1=k1, c_bar=c_bar, **_given(block, "k2", "a_order", "eta2"))
     _write_csv(result.history, out_dir, "layerwise_curve.csv")
     thresh = block.get("lambda_min_threshold", 1e-6)
     report = result.kernel_report
@@ -428,46 +379,47 @@ def cmd_layerwise(cfg: dict, out_dir: Path, seed) -> int:
         "c_bar": c_bar,
         "trust_violation": result.trust_violation,
     }
-    _dump_json(summary, out_dir, "layerwise_summary.json")
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
+    _emit(summary, out_dir, "layerwise_summary.json")
     return 0
 
 
-def cmd_hard_instance(cfg: dict, out_dir: Path, seed) -> int:
+def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     from .detect import detect
     from .junta import FiniteMarginal, hard_instance
 
-    _check_keys(cfg, {"hard_instance", "seed"}, "config")
-    block = _require(cfg, "hard_instance", "config")
-    _check_keys(block, {"marginal_y", "T", "A", "lambda", "marginal_x", "losses"}, "hard_instance")
-    my = _require(block, "marginal_y", "hard_instance")
+    my = block["marginal_y"]
     try:
-        problem = hard_instance(
-            my["values"], my["probs"], _require(block, "T", "hard_instance"),
-            _require(block, "A", "hard_instance"), _require(block, "lambda", "hard_instance"),
-            FiniteMarginal.from_dict(_require(block, "marginal_x", "hard_instance")),
-        )
+        problem = hard_instance(my["values"], my["probs"], block["T"], block["A"], block["lambda"],
+                                FiniteMarginal.from_dict(block["marginal_x"]))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"hard instance construction failed: {exc}") from exc
     report = {"problem": problem.to_dict()}
     report["sq_detects_singleton"] = bool(problem.p and detect(problem, "SQ").system.sets)
-    verdicts = {}
-    for lname in block.get("losses", ["squared"]):
-        verdicts[lname] = bool(detect(problem, "DLQ", _loss_from_spec(lname)).system.sets)
-    report["dlq_detects_singleton"] = verdicts
+    report["dlq_detects_singleton"] = {lname: bool(detect(problem, "DLQ", _loss_from_spec(lname)).system.sets)
+                                       for lname in block.get("losses", ["squared"])}
     _dump_json(report, out_dir, "hard_instance.json")
     print(json.dumps({k: v for k, v in report.items() if k != "problem"}, indent=2, sort_keys=True, default=_json_default))
     return 0
 
 
+# subcommand: (function, whether its config block is required, the block's
+# required keys, its optional keys); the block is named after the subcommand,
+# with "_" for "-"
 _COMMANDS = {
-    "exponents": cmd_exponents,
-    "detect": cmd_detect,
-    "game": cmd_game,
-    "sgd": cmd_sgd,
-    "df": cmd_df,
-    "layerwise": cmd_layerwise,
-    "hard-instance": cmd_hard_instance,
+    "exponents": (cmd_exponents, False, (), ("models", "tol", "u_grid")),
+    "detect": (cmd_detect, False, (), ("models", "tol", "u_grid", "dump_moments")),
+    "game": (cmd_game, True, ("d",),
+             ("s_star", "model", "loss", "learner", "oracle", "tau", "tau_factor", "noise_mode", "budget",
+              "max_tuple", "tol")),
+    "sgd": (cmd_sgd, True, ("d", "steps"),
+            ("M", "eta", "eta_scale", "batch", "loss", "activation", "c_bar", "mu_b", "mu_w", "trials",
+             "eval_every", "test_n", "lam_w", "lam_a")),
+    "df": (cmd_df, True, ("eta", "steps"),
+           ("loss", "activation", "c_bar", "mu_b", "a_order", "b_order", "s0", "gh_order", "threshold",
+            "risk_every", "kappa")),
+    "layerwise": (cmd_layerwise, True, (),
+                  ("L", "k1", "k2", "eta", "eta2", "loss", "c_bar", "kappa", "a_order", "lambda_min_threshold")),
+    "hard-instance": (cmd_hard_instance, True, ("marginal_y", "T", "A", "lambda", "marginal_x"), ("losses",)),
 }
 
 
@@ -494,18 +446,21 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
+    command, block_required, required, optional = _COMMANDS[args.command]
+    name = args.command.replace("-", "_")
     try:
         cfg = _load_config(args.config)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
+        top = {name, "seed"} if name == "hard_instance" else {"problem", name, "seed"}
+        _check_keys(cfg, top, "config")
+        block = _require(cfg, name, "config") if block_required else cfg.get(name, {})
+        _check_keys(block, {*required, *optional}, name)
+        if name == "game":
+            overrides = {"budget": args.budget, "tau": args.tau, "noise_mode": args.noise_mode}
+            block = dict(block, **{k: v for k, v in overrides.items() if v is not None})
+        for key in required:
+            _require(block, key, name)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if args.command == "game":
-            overrides = {"budget": args.budget, "tau": args.tau,
-                         "noise_mode": getattr(args, "noise_mode")}
-            block = dict(cfg.get("game", {}))
-            block.update({k: v for k, v in overrides.items() if v is not None})
-            cfg = dict(cfg, game=block)
-        return _COMMANDS[args.command](cfg, Path(args.out), seed)
+        return command(cfg, block, Path(args.out), seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -112,6 +112,17 @@ def exponents(report: DetectReport):
     return lp, cv, rel_leap(system), rel_cover(system)
 
 
+def check_detect_params(tol=DETECT_TOL, u_grid=None) -> None:
+    """A detection tolerance must be a finite number >= 0, and a DLQ grid
+    u_grid (None for the default one) a non-empty sequence of finite numbers."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if u_grid is not None:
+        grid = np.asarray(u_grid, dtype=float)
+        if grid.size == 0 or not np.isfinite(grid).all():
+            raise ValueError(f"u_grid must be non-empty and finite, got {u_grid!r}")
+
+
 def _report(problem, basis, tol, model, value, row, t_label, loss=None, u_values=None):
     """Per support mask, the column of largest |value| decides the set and
     gives its witness, whose beta is value[col]; ties go to the lowest test
@@ -158,6 +169,7 @@ def detect_sq(
 ) -> DetectReport:
     """C_SQ via the conditional-expectation criterion: U is detectable iff
     xi_U(y) = E[prod psi_{j_i}(z_i) | y] has positive norm for some basis tuple."""
+    check_detect_params(tol)
     basis, g = _moments(problem, basis, table)
     mu_y = problem.mu_y
     attained = mu_y > _NEGLIGIBLE_MASS
@@ -200,6 +212,7 @@ def detect_csq(
 ) -> DetectReport:
     """C_CSQ: the label test is the identity, so U is detectable iff some
     basis tuple has E[y prod psi_{j_i}(z_i)] != 0."""
+    check_detect_params(tol)
     labels = problem.labels_numeric()
     basis, g = _moments(problem, basis, table)
     return _detect_linear(problem, basis, g, tol, labels[None, :], "CSQ")
@@ -242,13 +255,12 @@ def detect_dlq(
     Sets missed by every grid point are recorded in grid_negatives (a false
     negative needs the whole grid to land in the derivative's zero set).
     """
+    check_detect_params(tol, u_grid)
     labels = problem.labels_numeric()
     basis, g = _moments(problem, basis, table)
     if u_grid is None:
         u_grid = default_u_grid(loss, labels, seed=grid_seed)
     u_grid = np.asarray(u_grid, dtype=float)
-    if u_grid.size == 0:
-        raise ValueError("u_grid must be non-empty")
     t_rows = loss.deriv(u_grid[:, None], labels[None, :])
     return _detect_linear(
         problem, basis, g, tol, t_rows, f"DLQ[{loss.name}]", loss=loss, u_values=u_grid

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -117,6 +118,8 @@ def scaled_tanh(amplitude: float = 1.0, gain: float = 1.0) -> Activation:
 
 def poly_activation(degree: int) -> Activation:
     """sigma(x) = (1+x)^L; Taylor coefficients m_l = l! C(L, l)."""
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral):
+        raise TypeError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError("degree must be >= 1")
     L = int(degree)
@@ -180,9 +183,13 @@ class TrainConfig:
     lam_c: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.batch, bool) or not isinstance(self.batch, numbers.Integral):
+            raise TypeError(f"batch must be an integer, got {self.batch!r}")
         # each test is written so that NaN fails it
         if not (np.isfinite(self.eta) and self.batch >= 1):
             raise ValueError(f"eta must be finite and batch >= 1, got eta={self.eta!r}, batch={self.batch!r}")
+        if not np.isfinite([self.lam_a, self.lam_w, self.lam_b, self.lam_c]).all():
+            raise ValueError("the decay rates lam_a, lam_w, lam_b and lam_c must be finite")
         if self.kappa is not None:
             self.kappa = np.asarray(self.kappa, dtype=float)
             if not np.all((self.kappa >= 0.5 - 1e-12) & (self.kappa <= 1.5 + 1e-12)):
@@ -283,6 +290,8 @@ def init_ensemble(
     mu_a = Unif[-1, 1]."""
     if not m >= 1:
         raise ValueError(f"width m must be >= 1, got {m!r}")
+    if not math.isfinite(c_bar):
+        raise ValueError(f"c_bar must be finite, got {c_bar!r}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, m)
     if mu_b == "uniform":
@@ -413,6 +422,8 @@ def init_df_state(
     s0: float = 0.0,
 ) -> DFState:
     """Quadrature representation of rho_0 = mu_a x mu_b x delta_0 x delta_c x delta_s0."""
+    if not (math.isfinite(c_bar) and math.isfinite(s0)):
+        raise ValueError(f"c_bar and s0 must be finite, got c_bar={c_bar!r}, s0={s0!r}")
     a_nodes, a_wts = gauss_legendre_unit(a_order)
     if mu_b == "uniform":
         b_nodes, b_wts = gauss_legendre_unit(b_order)

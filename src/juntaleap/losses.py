@@ -41,7 +41,6 @@ class LossSpec:
     name: str
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    convex: bool = True
     breakpoints: Callable[[np.ndarray], np.ndarray] | None = None
 
     def breakpoints_for(self, labels) -> np.ndarray:
@@ -129,7 +128,7 @@ def squared_plus_quartic_half() -> LossSpec:
     )
 
 
-def custom_polynomial(coeffs, var: str = "diff", convex: bool = False) -> LossSpec:
+def custom_polynomial(coeffs, var: str = "diff") -> LossSpec:
     """l as a polynomial: sum_k c_k (u-y)^k for var="diff", sum_k c_k (u*y)^k for "prod"."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -143,7 +142,7 @@ def custom_polynomial(coeffs, var: str = "diff", convex: bool = False) -> LossSp
         deriv = lambda u, y: np.polynomial.polynomial.polyval(np.asarray(u, float) * y, dc) * y
     else:
         raise ValueError(f"var must be 'diff' or 'prod', got {var!r}")
-    return LossSpec(f"custom_polynomial[{var}]", value=value, deriv=deriv, convex=convex)
+    return LossSpec(f"custom_polynomial[{var}]", value=value, deriv=deriv)
 
 
 _FACTORIES = {

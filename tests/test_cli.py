@@ -21,6 +21,9 @@ def write_config(tmp_path, name, data):
 
 Y1_SPEC = {"hypercube": {"P": 4, "fourier": {"1": 1.0, "1,2": 1.0, "1,2,3": 1.0, "1,2,3,4": 1.0}}}
 Y2_SPEC = {"hypercube": {"P": 4, "fourier": {"1,2,3": 1.0, "1,2,4": 1.0, "1,3,4": 1.0, "2,3,4": 1.0}}}
+HARD_INSTANCE = {"marginal_y": {"values": [-1.0, 0.0, 1.0], "probs": [1 / 3, 1 / 3, 1 / 3]},
+                 "T": [0.5, -1.0, 0.5], "A": [1.0], "lambda": 2.0,
+                 "marginal_x": {"values": [1.0, -1.0], "probs": [0.5, 0.5]}, "losses": ["squared", "abs"]}
 
 
 class TestExponents:
@@ -306,6 +309,8 @@ class TestConfigValuesRejectedUpFront:
         "sgd": {"d": 4, "M": 4, "steps": 1, "test_n": 20, "c_bar": 0.1},
         "df": {"eta": 0.002, "steps": 2, "c_bar": 0.1},
         "game": {"d": 8},
+        "exponents": {"models": ["CSQ", {"DLQ": "abs"}]},
+        "detect": {"models": ["CSQ", {"DLQ": "abs"}], "dump_moments": True},
     }
 
     @pytest.mark.parametrize("command,bad", [
@@ -325,6 +330,37 @@ class TestConfigValuesRejectedUpFront:
         ("game", {"noise_mode": "bogus"}),
         ("game", {"d": 1}),
         ("game", {"s_star": [3, 3]}),
+        ("sgd", {"trials": 0}),
+        ("sgd", {"steps": -3}),
+        ("sgd", {"steps": 2.5}),
+        ("sgd", {"steps": True}),
+        ("sgd", {"eval_every": 0}),
+        ("sgd", {"test_n": 0}),
+        ("sgd", {"test_n": 1}),
+        ("sgd", {"batch": 2.5}),
+        ("sgd", {"batch": True}),
+        ("sgd", {"lam_w": float("nan")}),
+        ("sgd", {"lam_a": float("nan")}),
+        ("sgd", {"c_bar": float("nan")}),
+        ("sgd", {"loss": {"name": "custom_polynomial", "coeffs": [0.0, 0.0, 1.0], "convex": True}}),
+        ("df", {"steps": -3}),
+        ("df", {"risk_every": 0}),
+        ("df", {"gh_order": 0, "s0": 0.5}),
+        ("df", {"c_bar": float("nan")}),
+        ("df", {"s0": float("inf")}),
+        ("layerwise", {"k1": -1}),
+        ("layerwise", {"k2": -3}),
+        ("layerwise", {"L": 4.5}),
+        ("game", {"d": 8.5}),
+        ("game", {"budget": -1}),
+        ("game", {"max_tuple": 0}),
+        ("exponents", {"tol": -1}),
+        ("exponents", {"tol": float("nan")}),
+        ("exponents", {"u_grid": []}),
+        ("exponents", {"u_grid": [float("nan")]}),
+        ("detect", {"tol": -1.0}),
+        ("detect", {"u_grid": [0.0, float("nan")]}),
+        ("game", {"tol": float("nan")}),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, command, bad):
         spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
@@ -334,17 +370,20 @@ class TestConfigValuesRejectedUpFront:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_budget_flag_below_0_exits_2_without_outputs(self, tmp_path, capsys):
+        spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
+        cfg = write_config(tmp_path, "c.json", {"problem": spec, "game": self.BASE["game"], "seed": 0})
+        out = tmp_path / "out"
+        assert run_cli(["game", "--config", cfg, "--out", str(out), "--budget", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHardInstance:
     def test_singleton_asymmetry(self, tmp_path):
         cfg = write_config(
             tmp_path, "h.json",
-            {"hard_instance": {
-                "marginal_y": {"values": [-1.0, 0.0, 1.0],
-                               "probs": [1 / 3, 1 / 3, 1 / 3]},
-                "T": [0.5, -1.0, 0.5], "A": [1.0], "lambda": 2.0,
-                "marginal_x": {"values": [1.0, -1.0], "probs": [0.5, 0.5]},
-                "losses": ["squared", "abs"]}},
+            {"hard_instance": HARD_INSTANCE},
         )
         assert run_cli(["hard-instance", "--config", cfg, "--out", str(tmp_path)]) == 0
         rep = json.loads((tmp_path / "hard_instance.json").read_text())
@@ -366,6 +405,27 @@ class TestDeterminism:
         assert run_cli(["sgd", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "sgd_summary.json").read_bytes() == (out_b / "sgd_summary.json").read_bytes()
         assert (out_a / "sgd_trial0.csv").read_bytes() == (out_b / "sgd_trial0.csv").read_bytes()
+
+    @pytest.mark.parametrize("command,config", [
+        ("exponents", {"problem": Y2_SPEC, "exponents": {"models": ["CSQ", "SQ", {"DLQ": "abs"}]}}),
+        ("detect", {"problem": Y1_SPEC, "detect": {"models": ["CSQ", {"DLQ": "abs"}], "dump_moments": True}}),
+        ("game", {"problem": Y1_SPEC, "game": {"d": 12, "noise_mode": "uniform"}, "seed": 4}),
+        ("df", {"problem": Y2_SPEC, "df": {"eta": 0.002, "steps": 20, "c_bar": 0.3, "a_order": 6, "b_order": 3,
+                                           "s0": 0.5, "gh_order": 8}, "seed": 2}),
+        ("layerwise", {"problem": {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}},
+                       "layerwise": {"L": 8, "k1": 2, "k2": 20, "a_order": 16}, "seed": 3}),
+        ("hard-instance", {"hard_instance": HARD_INSTANCE}),
+    ])
+    def test_every_command_repeats_its_files_and_stdout(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path, "det.json", config)
+
+        def run(out):
+            assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            return stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        first = run(tmp_path / "a")
+        assert first[1] and first == run(tmp_path / "b")
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(

@@ -11,7 +11,7 @@ from juntaleap import (
     hard_instance,
     uniform_hypercube_marginal,
 )
-from juntaleap.detect import DETECT_TOL, default_u_grid
+from juntaleap.detect import DETECT_TOL, check_detect_params, default_u_grid, detect
 from juntaleap.fourier import OrthonormalBasis, gram_schmidt
 from juntaleap.junta import FiniteMarginal, JuntaProblem, problem_from_dict
 from juntaleap.losses import get_loss
@@ -130,6 +130,29 @@ class TestDlq:
     def test_empty_grid_rejected(self, y1_problem):
         with pytest.raises(ValueError):
             detect_dlq(y1_problem, get_loss("abs"), u_grid=[])
+
+    @pytest.mark.parametrize("grid", [[np.nan], [0.0, np.inf]])
+    def test_non_finite_grid_rejected(self, y1_problem, grid):
+        with pytest.raises(ValueError, match="u_grid must be non-empty and finite"):
+            detect_dlq(y1_problem, get_loss("abs"), u_grid=grid)
+
+
+class TestDetectionParameters:
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("model", ["SQ", "CSQ", "DLQ"])
+    def test_bad_tol_rejected_by_every_model(self, y2_problem, model, tol):
+        loss = get_loss("squared") if model == "DLQ" else None
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            detect(y2_problem, model, loss, tol=tol)
+
+    def test_check_accepts_zero_tol_and_a_finite_grid(self):
+        check_detect_params(0.0)
+        check_detect_params(DETECT_TOL, [-1.0, 0.0, 2.5])
+
+    @pytest.mark.parametrize("bad", [{"tol": -1e-12}, {"u_grid": []}, {"u_grid": [1.0, np.nan]}])
+    def test_check_rejects(self, bad):
+        with pytest.raises(ValueError):
+            check_detect_params(**bad)
 
 
 class TestWitnesses:

@@ -124,6 +124,20 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             TrainConfig(**{"loss": get_loss("squared"), "eta": 0.1, **bad})
 
+    @pytest.mark.parametrize("bad", [{"batch": 2.5}, {"batch": True}, {"batch": "2"}])
+    def test_rejects_a_batch_that_is_not_an_integer(self, bad):
+        with pytest.raises(TypeError, match="batch must be an integer"):
+            TrainConfig(**{"loss": get_loss("squared"), "eta": 0.1, **bad})
+
+    @pytest.mark.parametrize("lam", ["lam_a", "lam_w", "lam_b", "lam_c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_decay(self, lam, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            TrainConfig(loss=get_loss("squared"), eta=0.1, **{lam: value})
+
+    def test_accepts_numpy_integer_batch(self):
+        assert TrainConfig(loss=get_loss("squared"), eta=0.1, batch=np.int64(3)).batch == 3
+
 
 def reference_sgd_step(ens, x, y, cfg, fused=False):
     """sgd_step as it was before the lean path: sigma and sigma' from separate
@@ -815,3 +829,22 @@ class TestActivationSpecs:
 
     def test_smooth_bound_recorded(self):
         assert scaled_tanh(4, 2).bound == 8.0
+
+    @pytest.mark.parametrize("degree", [4.5, 4.0, True, "4"])
+    def test_poly_degree_must_be_an_integer(self, degree):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            poly_activation(degree)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            make_activation({"kind": "poly", "L": degree})
+
+
+class TestInitialStatesAreFinite:
+    @pytest.mark.parametrize("c_bar", [np.nan, np.inf])
+    def test_init_ensemble_rejects_non_finite_c_bar(self, c_bar):
+        with pytest.raises(ValueError, match="c_bar must be finite"):
+            init_ensemble(4, 8, tanh_activation(), seed=0, c_bar=c_bar)
+
+    @pytest.mark.parametrize("bad", [{"c_bar": np.nan}, {"c_bar": -np.inf}, {"s0": np.nan}, {"s0": np.inf}])
+    def test_init_df_state_rejects_non_finite_c_bar_or_s0(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            init_df_state(2, tanh_activation(), a_order=4, b_order=2, **bad)

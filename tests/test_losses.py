@@ -74,6 +74,10 @@ class TestCustomPolynomial:
         with pytest.raises(ValueError):
             get_loss("custom_polynomial", coeffs=[1.0], var="nope")
 
+    def test_takes_no_convex_flag(self):
+        with pytest.raises(TypeError):
+            get_loss("custom_polynomial", coeffs=[0.0, 0.0, 1.0], convex=True)
+
 
 class TestBreakpoints:
     def test_abs_breaks_at_labels(self):
