@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import numbers
 import os
 import sys
@@ -68,6 +69,16 @@ def _count(block: dict, key: str, least: int, default=None):
         return default
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(block: dict, key: str, default=None):
+    """block[key] as a finite real number, or `default` when it is left out or null."""
+    value = block.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
 
@@ -259,7 +270,8 @@ def _train_common(block, seed):
     loss = _loss_from_spec(block.get("loss", "squared"))
     act = _checked("bad activation", make_activation, block.get("activation", "tanh"))
     rng = np.random.default_rng(seed)
-    c_bar = float(rng.uniform(-0.4, 0.4)) if block.get("c_bar") is None else float(block["c_bar"])
+    c_bar = _number(block, "c_bar")
+    c_bar = float(rng.uniform(-0.4, 0.4)) if c_bar is None else float(c_bar)
     return loss, act, c_bar, rng
 
 
@@ -278,9 +290,9 @@ def cmd_sgd(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     trials = _count(block, "trials", 1, 1)
     eval_every = _count(block, "eval_every", 1, max(1, steps // 20))
     _count(block, "test_n", 2)  # the standard errors divide by test_n - 1
+    eta = block["eta"] if "eta" in block else _number(block, "eta_scale", 0.5) / d
     problem = _problem_from_config(cfg)
     m = block.get("M", 512)
-    eta = block["eta"] if "eta" in block else block.get("eta_scale", 0.5) / d
     loss, act, c_bar, rng = _train_common(block, seed)
     tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=eta,
                   **_given(block, "batch", "lam_w", "lam_a"))
@@ -318,7 +330,9 @@ def cmd_df(cfg: dict, block: dict, out_dir: Path, seed) -> int:
 
     steps = _count(block, "steps", 0)
     risk_every = _count(block, "risk_every", 1, max(1, steps // 50))
-    _count(block, "gh_order", 1)
+    for key in ("gh_order", "a_order", "b_order"):
+        _count(block, key, 1)
+    _number(block, "threshold")
     problem = _problem_from_config(cfg)
     loss, act, c_bar, rng = _train_common(block, seed)
     state = _checked("bad initialization", init_df_state, problem.p, act, c_bar=c_bar,
@@ -355,19 +369,22 @@ def cmd_layerwise(cfg: dict, block: dict, out_dir: Path, seed) -> int:
 
     k1 = _count(block, "k1", 0)
     _count(block, "k2", 0)
+    _count(block, "a_order", 1)
+    c_bar = _number(block, "c_bar")
+    thresh = _number(block, "lambda_min_threshold", 1e-6)
     L = block.get("L", 16)
     _checked("bad activation", poly_activation, L)
     problem = _problem_from_config(cfg)
     loss = _loss_from_spec(block.get("loss", "squared"))
     rng = np.random.default_rng(seed)
     kappa = rng.uniform(0.5, 1.5, problem.p).tolist() if block.get("kappa") is None else block["kappa"]
-    c_bar = float(rng.uniform(-0.5, 0.5)) if block.get("c_bar") is None else block["c_bar"]
+    if c_bar is None:
+        c_bar = float(rng.uniform(-0.5, 0.5))
     tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block.get("eta", 0.002), kappa=kappa)
     if block.get("eta2") not in (None, "auto"):  # the phase-2 step size
         _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta2"])
     result = layerwise_train(problem, tc, L=L, k1=k1, c_bar=c_bar, **_given(block, "k2", "a_order", "eta2"))
     _write_csv(result.history, out_dir, "layerwise_curve.csv")
-    thresh = block.get("lambda_min_threshold", 1e-6)
     report = result.kernel_report
     summary = {
         "lambda_min": report.lambda_min,

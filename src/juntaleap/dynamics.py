@@ -15,7 +15,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,122 +37,96 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Activation:
-    """sigma with its derivative; `bound` is a sup-norm bound K on sigma and its
-    first derivatives when one exists (None for polynomial activations).
+    """sigma(x) = A tanh(g x), or (1 + x)^L when `degree` L is set.
 
-    `inplace(x)` computes sigma(x) into x, bit-identical to f(x);
-    `fused(x, out)` computes sigma(x) into x and sigma'(x) from the same pass,
-    into `out` when it is given. Activations without them use f and df."""
+    `value(x)` writes sigma(x) into x, and `value_and_deriv(x, out)` writes
+    sigma(x) into x and sigma'(x) from the same pass into `out` (an array of
+    x's shape, allocated when None); x must be a float array the caller owns.
+    sigma is f(x) bit for bit; sigma' is df(x) bit for bit for (1 + x)^L, and
+    A g (1 - tanh^2) against df's A g / cosh^2 for tanh. f and df are the
+    reference formulas."""
 
     name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
-    bound: float | None = None
+    amplitude: float = 1.0
+    gain: float = 1.0
     degree: int | None = None
-    fused: Callable[[np.ndarray], tuple] | None = None
-    inplace: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __repr__(self):
         return f"Activation({self.name!r})"
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """sigma(x). x must be a float array the caller owns: it may be
-        overwritten."""
-        if self.inplace is not None:
-            return self.inplace(x)
-        return self.f(x)
+    def f(self, x):
+        if self.degree is not None:
+            return (1.0 + x) ** self.degree
+        return self.amplitude * np.tanh(self.gain * x)
 
-    def value_and_deriv(self, x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma(x), sigma'(x)). x must be a float array the caller owns: it
-        may be overwritten. A fused activation writes sigma' into `out` when it
-        is given (an array of x's shape); the others allocate it."""
-        if self.fused is not None:
-            return self.fused(x, out)
-        return self.f(x), self.df(x)
+    def df(self, x):
+        if self.degree is not None:
+            return self.degree * (1.0 + x) ** (self.degree - 1)
+        return self.amplitude * self.gain / np.cosh(self.gain * x) ** 2
 
-
-def _inplace_tanh(a: float, g: float):
-    """(inplace, fused) for sigma = A tanh(g x): sigma in place, bit-identical
-    to A * np.tanh(g * x), and with it sigma' = A g (1 - tanh^2) from the same
-    tanh."""
-
-    def tanh_gx(x):
-        if g != 1.0:
-            x *= g
+    def _inner(self, x: np.ndarray) -> np.ndarray:
+        """1 + x, or tanh(g x), into x."""
+        if self.degree is not None:
+            return np.add(x, 1.0, out=x)
+        if self.gain != 1.0:
+            x *= self.gain
         return np.tanh(x, out=x)
 
-    def scale(t):
-        if a != 1.0:
-            t *= a
+    def _outer(self, t: np.ndarray) -> np.ndarray:
+        """sigma from the inner value t, into t."""
+        if self.degree is not None:
+            return np.power(t, self.degree, out=t)
+        if self.amplitude != 1.0:
+            t *= self.amplitude
         return t
 
-    def fused(x, out=None):
-        t = tanh_gx(x)
-        sp = np.square(t, out=out)
-        np.subtract(1.0, sp, out=sp)
-        if a * g != 1.0:
-            sp *= a * g
-        return scale(t), sp
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self._outer(self._inner(x))
 
-    return lambda x: scale(tanh_gx(x)), fused
-
-
-def tanh_activation() -> Activation:
-    inplace, fused = _inplace_tanh(1.0, 1.0)
-    return Activation("tanh", np.tanh, lambda x: 1.0 / np.cosh(x) ** 2, bound=2.0, fused=fused, inplace=inplace)
+    def value_and_deriv(self, x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        t = self._inner(x)
+        if self.degree is not None:
+            sp = np.power(t, self.degree - 1, out=out)
+            sp *= self.degree
+        else:
+            sp = np.square(t, out=out)
+            np.subtract(1.0, sp, out=sp)
+            if self.amplitude * self.gain != 1.0:
+                sp *= self.amplitude * self.gain
+        return self._outer(t), sp
 
 
 def scaled_tanh(amplitude: float = 1.0, gain: float = 1.0) -> Activation:
     """sigma(x) = A tanh(g x); amplitude sets the output range, gain the slope."""
     a, g = float(amplitude), float(gain)
-    inplace, fused = _inplace_tanh(a, g)
-    return Activation(
-        f"tanh[{a}x{g}]",
-        f=lambda x: a * np.tanh(g * x),
-        df=lambda x: a * g / np.cosh(g * x) ** 2,
-        bound=max(2.0, a * g, a),
-        fused=fused,
-        inplace=inplace,
-    )
+    return Activation(f"tanh[{a}x{g}]", a, g)
+
+
+def tanh_activation() -> Activation:
+    """sigma(x) = tanh(x): scaled_tanh at unit amplitude and gain, named "tanh"."""
+    return Activation("tanh")
 
 
 def poly_activation(degree: int) -> Activation:
-    """sigma(x) = (1+x)^L; Taylor coefficients m_l = l! C(L, l)."""
+    """sigma(x) = (1+x)^L."""
     if isinstance(degree, bool) or not isinstance(degree, numbers.Integral):
         raise TypeError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    L = int(degree)
-    return Activation(
-        f"poly1p^{L}",
-        f=lambda x: (1.0 + x) ** L,
-        df=lambda x: L * (1.0 + x) ** (L - 1),
-        degree=L,
-        inplace=lambda x: np.power(np.add(x, 1.0, out=x), L, out=x),
-    )
+    return Activation(f"poly1p^{int(degree)}", degree=int(degree))
 
 
-def poly_taylor_coefficients(degree: int) -> np.ndarray:
-    """m_l = l! * binomial(L, l) for sigma(x) = (1+x)^L = sum_l m_l x^l / l!."""
-    return np.array([math.factorial(l) * math.comb(degree, l) for l in range(degree + 1)], dtype=float)
-
-
-def make_activation(spec) -> Activation:
-    if isinstance(spec, Activation):
-        return spec
+def make_activation(spec: str) -> Activation:
+    """The activation of a spec: "tanh", "tanh:A[:g]" for A tanh(g x), or
+    "poly:L" for (1 + x)^L."""
     if spec == "tanh":
         return tanh_activation()
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "poly":
-            return poly_activation(spec["L"])
-        if kind == "tanh":
-            return scaled_tanh(spec.get("amplitude", 1.0), spec.get("gain", 1.0))
     if isinstance(spec, str) and spec.startswith("poly:"):
         return poly_activation(int(spec.split(":", 1)[1]))
     if isinstance(spec, str) and spec.startswith("tanh:"):
-        parts = spec.split(":")
-        return scaled_tanh(float(parts[1]), float(parts[2]) if len(parts) > 2 else 1.0)
+        params = [float(v) for v in spec.split(":")[1:]]
+        if len(params) <= 2 and np.isfinite(params).all():
+            return scaled_tanh(*params)
     raise ValueError(f"unknown activation spec {spec!r}")
 
 

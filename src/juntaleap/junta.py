@@ -238,15 +238,6 @@ class LabelNoise:
             return [(h, 1.0 - self.rate), (-h, self.rate)]
         return [(h + v, q) for v, q in zip(self.values, self.probs)]
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.rate is not None:
-            d["rate"] = self.rate
-        if self.values is not None:
-            d["values"] = list(self.values)
-            d["probs"] = list(self.probs)
-        return d
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "LabelNoise":
         return cls(
@@ -283,18 +274,6 @@ class HypercubeJunta:
         from .fourier import inverse_wht
 
         return inverse_wht(self.coefficient_vector())
-
-    def to_dict(self) -> dict:
-        from .setsystem import coords_from_mask, mask_from_coords
-
-        four = {}
-        for key, val in self.fourier.items():
-            mask = key if isinstance(key, int) else mask_from_coords(key, self.p)
-            four[",".join(str(c) for c in coords_from_mask(mask))] = float(val)
-        d = {"P": self.p, "fourier": four}
-        if self.noise is not None:
-            d["noise"] = self.noise.to_dict()
-        return d
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "HypercubeJunta":
@@ -368,14 +347,6 @@ class PlantedInstance:
     def sampler(self, seed: int | None = None) -> "Sampler":
         return Sampler(self, self.seed if seed is None else seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem.to_dict(),
-            "d": self.d,
-            "s_star": list(self.s_star),
-            "seed": self.seed,
-        }
-
 
 class Sampler:
     """Owns the RNG stream of one planted instance; not shareable across threads.
@@ -447,14 +418,9 @@ class Sampler:
             return self.rng.integers(0, nx, size=shape)
         return self.rng.choice(nx, size=shape, p=self.instance.problem.marginal.probs)
 
-    def draw_internal(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n i.i.d. draws as (y, x) with x in the internal support-first layout."""
-        y, x, _ = self.draw_batch(n)
-        return y, x
-
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n i.i.d. draws with x in ambient coordinate order."""
-        y, x_int = self.draw_internal(n)
+        y, x_int, _ = self.draw_batch(n)
         x = np.empty_like(x_int)
         x[:, self._scatter] = x_int
         return y, x

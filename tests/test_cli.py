@@ -361,6 +361,22 @@ class TestConfigValuesRejectedUpFront:
         ("detect", {"tol": -1.0}),
         ("detect", {"u_grid": [0.0, float("nan")]}),
         ("game", {"tol": float("nan")}),
+        ("layerwise", {"c_bar": float("nan")}),
+        ("layerwise", {"c_bar": "x"}),
+        ("layerwise", {"a_order": 0}),
+        ("layerwise", {"a_order": True}),
+        ("df", {"a_order": True}),
+        ("df", {"a_order": 0}),
+        ("df", {"b_order": 2.5}),
+        ("sgd", {"eta_scale": "x"}),
+        ("sgd", {"eta_scale": float("nan")}),
+        ("sgd", {"c_bar": "x"}),
+        ("df", {"threshold": "x"}),
+        ("df", {"threshold": float("nan")}),
+        ("layerwise", {"lambda_min_threshold": "x"}),
+        ("layerwise", {"lambda_min_threshold": float("inf")}),
+        ("sgd", {"activation": "tanh:nan"}),
+        ("df", {"activation": "tanh:4:2:9"}),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, command, bad):
         spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}

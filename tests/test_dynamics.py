@@ -230,7 +230,7 @@ class TestLeanSgdStep:
         for act in (tanh_activation(), scaled_tanh(4, 2), scaled_tanh(2, 2)):
             s, sp = act.value_and_deriv(x.copy())
             np.testing.assert_array_equal(s, act.f(x))
-            np.testing.assert_allclose(sp, act.df(x), rtol=0, atol=1e-15 * act.bound)
+            np.testing.assert_allclose(sp, act.df(x), rtol=0, atol=1e-15 * max(2.0, act.amplitude * act.gain))
 
     @pytest.mark.parametrize("act", [tanh_activation(), scaled_tanh(4, 2), scaled_tanh(2, 2),
                                      poly_activation(1), poly_activation(2), poly_activation(3)])
@@ -486,10 +486,10 @@ class TestRunOwnedBuffers:
         monkeypatch.setattr(dynamics, name, measured)
         return peaks
 
-    def batch_d_step_peaks(self, monkeypatch, n=300, m=1024, d=300):
+    def batch_d_step_peaks(self, monkeypatch, n=300, m=1024, d=300, spec="tanh:2:2"):
         """Step peaks of a 3-step run_sgd at the meanfield-batch shape, and its ensemble."""
         inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4), seed=0)
-        ens = init_ensemble(d, m, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
+        ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.15, mu_w="normal")
         cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
         peaks = self.step_peaks(monkeypatch, "sgd_step")
         tracemalloc.start()
@@ -506,6 +506,12 @@ class TestRunOwnedBuffers:
         assert max(peaks[1:]) < n * m * 8, f"step peaks {peaks} B against one (n, M) block of {n * m * 8} B"
         assert ens.step_buffers is None  # the run takes its buffers back
 
+    def test_poly_sgd_step_at_the_batch_d_shape(self, monkeypatch):
+        """(1 + x)^L once allocated sigma and sigma' afresh, two (n, M) blocks."""
+        n, m = 300, 1024
+        peaks, _ = self.batch_d_step_peaks(monkeypatch, n, m, spec="poly:3")
+        assert max(peaks[1:]) < n * m * 8, f"step peaks {peaks} B against one (n, M) block of {n * m * 8} B"
+
     def test_sgd_step_finiteness_check_needs_no_w_sized_temporary(self, monkeypatch):
         """np.isfinite(w) allocated an (M, d) boolean array, 307 KB, every step;
         min and max reduce w without one. Measured peak: 80 KB."""
@@ -513,17 +519,26 @@ class TestRunOwnedBuffers:
         peaks, _ = self.batch_d_step_peaks(monkeypatch, m=m, d=d)
         assert max(peaks[1:]) < m * d, f"step peaks {peaks} B against one (M, d) boolean array of {m * d} B"
 
-    def test_df_step_at_s_pos(self, monkeypatch, y2_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=24, b_order=12, s0=0.5)
+    def check_s_pos_step_peaks(self, monkeypatch, problem, act):
+        """Each step of a 3-step run_df at s0 = 0.5 after the first peaks below one (N, R, K) block."""
+        st = init_df_state(4, act, c_bar=0.3, a_order=24, b_order=12, s0=0.5)
         block = st.n * 2**4 * 20 * 8  # (N, R, K) at gh_order 20
         peaks = self.step_peaks(monkeypatch, "df_step")
         tracemalloc.start()
         try:
-            run_df(y2_problem, TrainConfig(loss=get_loss("squared"), eta=0.002), 3, st, gh_order=20)
+            run_df(problem, TrainConfig(loss=get_loss("squared"), eta=0.002), 3, st, gh_order=20)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 3
         assert max(peaks[1:]) < block, f"step peaks {peaks} B against one (N, R, K) block of {block} B"
+
+    def test_df_step_at_s_pos(self, monkeypatch, y2_problem):
+        self.check_s_pos_step_peaks(monkeypatch, y2_problem, tanh_activation())
+
+    def test_poly_df_step_at_s_pos(self, monkeypatch, y2_problem):
+        """(1 + x)^L once left the run's work arrays unused, allocating two
+        (N, R, K) arrays a step."""
+        self.check_s_pos_step_peaks(monkeypatch, y2_problem, poly_activation(4))
 
 
 class TestSupportAlignment:
@@ -812,14 +827,18 @@ class TestLayerwise:
 
 
 class TestActivationSpecs:
-    def test_poly_taylor_coefficients(self):
-        from juntaleap.dynamics import poly_taylor_coefficients
-        import math
-
-        L = 5
-        m = poly_taylor_coefficients(L)
-        for l in range(L + 1):
-            assert m[l] == math.factorial(l) * math.comb(L, l)
+    @pytest.mark.parametrize("spec", ["tanh", "tanh:4:2", "poly:1", "poly:2", "poly:3", "poly:4", "poly:8", "poly:16"])
+    def test_value_and_deriv_writes_into_out(self, spec):
+        """sigma' lands in the given `out`, for tanh and polynomial alike; the
+        polynomial's is df bit for bit."""
+        act = make_activation(spec)
+        x = np.linspace(-1.9, 0.1, 2001) if spec.startswith("poly") else np.linspace(-12.0, 12.0, 2001)
+        buf, out = x.copy(), np.empty_like(x)
+        s, sp = act.value_and_deriv(buf, out)
+        assert s is buf and sp is out
+        np.testing.assert_array_equal(s, act.f(x))
+        if spec.startswith("poly"):
+            np.testing.assert_array_equal(sp, act.df(x))
 
     def test_make_activation_strings(self):
         assert make_activation("tanh").name == "tanh"
@@ -827,15 +846,16 @@ class TestActivationSpecs:
         act = make_activation("tanh:4:2")
         assert act.f(0.1) == pytest.approx(4 * np.tanh(0.2))
 
-    def test_smooth_bound_recorded(self):
-        assert scaled_tanh(4, 2).bound == 8.0
+    @pytest.mark.parametrize("spec", [{"kind": "poly", "L": 3}, tanh_activation(), "poly", "sigmoid", "tanh:4:2:9",
+                                      "tanh:nan", "tanh:1:inf"])
+    def test_only_the_string_specs(self, spec):
+        with pytest.raises(ValueError, match="unknown activation spec"):
+            make_activation(spec)
 
     @pytest.mark.parametrize("degree", [4.5, 4.0, True, "4"])
     def test_poly_degree_must_be_an_integer(self, degree):
         with pytest.raises(TypeError, match="degree must be an integer"):
             poly_activation(degree)
-        with pytest.raises(TypeError, match="degree must be an integer"):
-            make_activation({"kind": "poly", "L": degree})
 
 
 class TestInitialStatesAreFinite:
