@@ -20,10 +20,7 @@ _EXPORTS = {
     ),
     "fourier": ("OrthonormalBasis", "conditional_moment_tensor", "gram_schmidt", "inverse_wht", "wht"),
     "detect": ("DetectReport", "Witness", "detect", "detect_csq", "detect_dlq", "detect_sq", "exponents"),
-    "oracle": (
-        "FAIL", "AdversarialOracle", "GameResult", "HonestOracle", "Query", "Transcript", "adaptive_learner",
-        "grouped_learner", "nonadaptive_learner", "play_game",
-    ),
+    "oracle": ("FAIL", "AdversarialOracle", "GameResult", "HonestOracle", "Query", "Transcript", "play_game"),
     "dynamics": (
         "Activation", "DFState", "KernelReport", "ParticleEnsemble", "TrainConfig", "bayes_risk", "df_risk",
         "df_step", "init_df_state", "init_ensemble", "kernel", "layerwise_train", "poly_activation", "run_df",

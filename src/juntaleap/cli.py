@@ -232,7 +232,7 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
     from .detect import check_detect_params
-    from .oracle import check_game_kinds, check_tau, play_game
+    from .oracle import check_adversary_size, check_game_kinds, check_tau, play_game
 
     for key, value in _given(block, "tau", "tau_factor").items():
         _checked(f"bad {key}", check_tau, value)
@@ -241,8 +241,10 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     limits = {"budget": _count(block, "budget", 0), "max_tuple": _count(block, "max_tuple", 1)}
     kinds = {"learner": block.get("learner", "adaptive"), "oracle_kind": block.get("oracle", "honest"),
              "noise_mode": block.get("noise_mode", "zero")}
-    _checked("bad game", check_game_kinds, **kinds)
+    _checked("bad game", check_game_kinds, **kinds, max_tuple=limits["max_tuple"])
     problem = _problem_from_config(cfg)
+    if kinds["oracle_kind"] == "adversarial":
+        _checked("bad game", check_adversary_size, problem.p, d)
     rng = np.random.default_rng(seed)
     instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng, int(seed))
     report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), **_given(block, "tol"))

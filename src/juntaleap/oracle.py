@@ -82,7 +82,7 @@ class Query:
         coords = tuple(int(c) for c in coords)
         if len(coords) != len(witness.coords):
             raise ValueError("tuple length must match the witness set size")
-        return cls(((coords, _witness_tables(witness)),), witness.t_label, scale)
+        return cls(((coords, tuple(witness.t_coords[pos] for pos in witness.coords)),), witness.t_label, scale)
 
     def l2_null_norm(self, problem: JuntaProblem) -> float:
         """||phi||_{L2(D0)} in closed form. Under D0 the coordinates are
@@ -131,11 +131,11 @@ class Transcript:
     in order, built as it is read; the dicts of block rows are copies.
     """
 
-    def __init__(self, tau: float, budget: int | None = None, records=None):
+    def __init__(self, tau: float, budget: int | None = None):
         self.tau = tau
         self.budget = budget
-        self._parts: list = list(records or ())  # dicts and _Blocks, in order
-        self.n_queries = len(self._parts)
+        self._parts: list = []  # dicts and _Blocks, in order
+        self.n_queries = 0
         self._view: list = []
         self._viewed = 0  # parts already in _view
 
@@ -264,7 +264,34 @@ def _jsonl_line(rec: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-class HonestOracle:
+class _BlockOracle:
+    """The block protocol both oracles share. Each oracle answers the rows
+    a block leaves in `_answer_rows(query, rows, transcript, threshold,
+    first_hit) -> (hits, conceded)`."""
+
+    def answer_block(
+        self, witness: Witness, coords, transcript: Transcript, threshold: float, first_hit: bool = False
+    ) -> tuple[list[int], bool]:
+        """Answer the witness query on each row of `coords` (ambient tuples,
+        one per row) in order, logging each with `accepted = |v| > threshold`,
+        with the records of one `answer` per row.
+
+        Logging stops at a concession, and after the first accepted row when
+        `first_hit`. Past the transcript's budget it raises
+        BudgetExceededError, unless one of those ended the block first.
+        Returns the accepted row indices and whether the oracle conceded.
+        """
+        coords = _check_block(coords, len(witness.coords), self.d)
+        room = _room(transcript, len(coords))
+        # the witness query on its own support positions, moved onto each row
+        query = Query.from_witness(witness, witness.coords)
+        hits, conceded = self._answer_rows(query, coords[:room], transcript, threshold, first_hit)
+        if room < len(coords) and not (conceded or (first_hit and hits)):
+            raise BudgetExceededError(transcript)
+        return hits, conceded
+
+
+class HonestOracle(_BlockOracle):
     """Answers with the exact planted expectation plus bounded noise."""
 
     def __init__(self, instance: PlantedInstance, tau: float, noise_mode: str = "zero", seed: int = 0):
@@ -324,68 +351,53 @@ class HonestOracle:
             transcript.log(query.describe(), v, exact=exact, norm=norm, accepted=accepted)
         return v
 
-    def answer_block(
-        self, witness: Witness, coords, transcript: Transcript, threshold: float, first_hit: bool = False
-    ) -> tuple[list[int], bool]:
-        """Answer the witness query on each row of `coords` (ambient tuples,
-        one per row) in order, logging each with `accepted = |v| > threshold`.
-
-        Logging stops after the first accepted row when `first_hit`; at the
-        transcript's budget it raises BudgetExceededError. The transcript and
-        the noise stream are those of one `answer` per row. Each distinct slot
-        pattern and the null norm are evaluated once per block. Returns the
-        accepted row indices and False (the honest oracle never concedes).
-        """
-        coords = _check_block(coords, len(witness.coords), self.d)
-        room = _room(transcript, len(coords))
-        hits: list[int] = []
-        if room:
-            rows = coords[:room]
-            # pattern code: each slot's support position (0 off support) as a digit
-            # in base P + 1; ravel_multi_index raises if (P + 1)^k overflows int64
-            _, first, inverse = np.unique(
-                np.ravel_multi_index(self._pos_array[rows].T, (self.problem.p + 1,) * len(witness.coords)),
-                return_index=True,
-                return_inverse=True,
-            )
-            tables = _witness_tables(witness)
-            # `0.0 +` as in exact_expectation's sum, which turns -0.0 into 0.0
-            values = [0.0 + _term_value(self.problem, witness.t_label, tables, self._pos_array[rows[i]]) for i in first]
-            exact = np.asarray(values)[inverse]
-            norm = Query.from_witness(witness, rows[0]).l2_null_norm(self.problem)
-            rng_state = self.rng.bit_generator.state
-            v = exact + self._noise(exact, self.tau * norm, room)
-            accepted = np.abs(v) > threshold
-            m = room
-            if first_hit and accepted.any():
-                m = int(np.argmax(accepted)) + 1
-                # leave the noise stream where m scalar draws would have left it
-                self.rng.bit_generator.state = rng_state
-                self._noise(exact[:m], self.tau * norm, m)
-            transcript.log_block(rows[:m], v[:m], exact[:m], norm, accepted[:m])
-            hits = np.flatnonzero(accepted[:m]).tolist()
-        if room < len(coords) and not (first_hit and hits):
-            raise BudgetExceededError(transcript)
-        return hits, False
+    def _answer_rows(self, query: Query, rows, transcript, threshold, first_hit):
+        """The unit-scale single-term `query` moved onto each row, with the
+        noise stream of one `answer` per logged row. Each distinct slot
+        pattern and the null norm are evaluated once; it never concedes."""
+        if not len(rows):
+            return [], False
+        ((_, tables),) = query.terms
+        # pattern code: each slot's support position (0 off support) as a digit
+        # in base P + 1; ravel_multi_index raises if (P + 1)^k overflows int64
+        _, first, inverse = np.unique(
+            np.ravel_multi_index(self._pos_array[rows].T, (self.problem.p + 1,) * len(tables)),
+            return_index=True,
+            return_inverse=True,
+        )
+        # `0.0 +` as in exact_expectation's sum, which turns -0.0 into 0.0
+        values = [0.0 + _term_value(self.problem, query.t_label, tables, self._pos_array[rows[i]]) for i in first]
+        exact = np.asarray(values)[inverse]
+        norm = query.l2_null_norm(self.problem)
+        rng_state = self.rng.bit_generator.state
+        v = exact + self._noise(exact, self.tau * norm, len(rows))
+        accepted = np.abs(v) > threshold
+        m = len(rows)
+        if first_hit and accepted.any():
+            m = int(np.argmax(accepted)) + 1
+            # leave the noise stream where m scalar draws would have left it
+            self.rng.bit_generator.state = rng_state
+            self._noise(exact[:m], self.tau * norm, m)
+        transcript.log_block(rows[:m], v[:m], exact[:m], norm, accepted[:m])
+        return np.flatnonzero(accepted[:m]).tolist(), False
 
 
-class AdversarialOracle:
+class AdversarialOracle(_BlockOracle):
     """Answers with the fully decoupled null value whenever that is consistent
     with at least two surviving plantings, pruning only the plantings it
     contradicts; concedes (FAIL) otherwise.
 
     A valid (not necessarily optimal) adversary for single-term structured
-    queries at enumerable scale. The surviving plantings are the rows of an
-    `(n, P)` array, in itertools.permutations order.
+    queries. The surviving plantings are the rows of an `(n, P)` array, in
+    itertools.permutations order, so `check_adversary_size` bounds d and P.
     """
 
-    MAX_D = 14
-    MAX_P = 4
+    MAX_PLANTINGS = 1 << 20  # rows of the plantings array, 32 MiB as int64 at P = 4
+    MAX_P = 4  # bounds the (k + 1)^P pattern arrays
 
     def __init__(self, problem: JuntaProblem, d: int, tau: float):
         check_tau(tau)
-        if d > self.MAX_D or problem.p > self.MAX_P:
-            raise ValueError(f"adversary limited to d <= {self.MAX_D}, P <= {self.MAX_P}")
+        check_adversary_size(problem.p, d)
         if d < problem.p:
             raise ValueError("d must be >= P")
         self.problem = problem
@@ -418,28 +430,13 @@ class AdversarialOracle:
         coords, tables = query.terms[0]
         rows = _check_block([coords], len(tables), self.d)
         transcript = Transcript(self.tau) if transcript is None else transcript
-        _, conceded = self._answer_rows(query, rows, transcript, threshold)
+        _, conceded = self._answer_rows(query, rows, transcript, threshold, first_hit=False)
         return FAIL if conceded else self.null_value(query)
 
-    def answer_block(
-        self, witness: Witness, coords, transcript: Transcript, threshold: float, first_hit: bool = False
-    ) -> tuple[list[int], bool]:
-        """`HonestOracle.answer_block` for the adversary, with the same
-        records as one `answer` per row; the second value is True when the
-        adversary conceded (FAIL ends the block)."""
-        coords = _check_block(coords, len(witness.coords), self.d)
-        room = _room(transcript, len(coords))
-        # the witness query on its own support positions, moved onto each row
-        query = Query.from_witness(witness, witness.coords)
-        hits, conceded = self._answer_rows(query, coords[:room], transcript, threshold, first_hit)
-        if room < len(coords) and not (conceded or (first_hit and hits)):
-            raise BudgetExceededError(transcript)
-        return hits, conceded
-
-    def _answer_rows(self, query: Query, coords, transcript, threshold, first_hit=False):
+    def _answer_rows(self, query: Query, coords, transcript, threshold, first_hit):
         """Answer the single-term `query` moved onto each row c of `coords`,
         in order, up to a concession or, when `first_hit`, the first accepted
-        row. Returns the accepted row indices and whether it conceded.
+        row.
 
         The null value and the null norm do not depend on the row, so they
         are computed once. A planting's slot pattern is coded per support
@@ -493,13 +490,29 @@ def check_tau(tau) -> None:
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
 
 
-def check_game_kinds(learner, oracle_kind, noise_mode) -> None:
-    """Raise ValueError for a learner, oracle kind or noise mode play_game does not know."""
+def check_adversary_size(p: int, d: int) -> None:
+    """Raise ValueError past the adversary's bounds: P <= MAX_P, and at most
+    MAX_PLANTINGS rows of plantings, d!/(d - P)!."""
+    limit = AdversarialOracle.MAX_PLANTINGS
+    if p > AdversarialOracle.MAX_P or math.perm(d, p) > limit:
+        raise ValueError(f"adversary limited to P <= {AdversarialOracle.MAX_P} and d!/(d - P)! <= {limit} "
+                         f"plantings, got P = {p} at d = {d}")
+
+
+def check_game_kinds(learner, oracle_kind, noise_mode, max_tuple) -> None:
+    """Raise ValueError for a learner, oracle kind or noise mode play_game does
+    not know, for the grouped learner against the adversary (which answers
+    single-term queries only), and for a max_tuple with any learner but the
+    adaptive one."""
     for what, value, known in (("learner", learner, ("adaptive", "nonadaptive", "grouped")),
                                ("oracle kind", oracle_kind, ("honest", "adversarial")),
                                ("noise mode", noise_mode, NOISE_MODES)):
         if value not in known:
             raise ValueError(f"unknown {what} {value!r}")
+    if learner == "grouped" and oracle_kind == "adversarial":
+        raise ValueError("the adversary answers single-term queries, not the grouped learner's sums")
+    if max_tuple is not None and learner != "adaptive":
+        raise ValueError(f"max_tuple applies to the adaptive learner only, not to {learner!r}")
 
 
 def _term_value(problem: JuntaProblem, t_label, tables, positions) -> float:
@@ -516,10 +529,6 @@ def _term_value(problem: JuntaProblem, t_label, tables, positions) -> float:
             if off == 0.0:
                 return 0.0
     return off * (problem.joint_expectation(t_label, on, on.keys()) if on else problem.label_expectation(t_label))
-
-
-def _witness_tables(witness: Witness) -> tuple[np.ndarray, ...]:
-    return tuple(witness.t_coords[pos] for pos in witness.coords)
 
 
 def _check_block(coords, k: int, d: int) -> np.ndarray:
@@ -561,10 +570,10 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
     the fewest new coordinates, enumerating ordered fresh tuples (and all
     injections of recovered coordinates into old slots) until a response
     clears beta/2."""
-    if report.beta is None:
-        return frozenset(), Transcript(oracle.tau, budget)
-    threshold = report.beta / 2.0
     transcript = Transcript(oracle.tau, budget)
+    if report.beta is None:
+        return frozenset(), transcript
+    threshold = report.beta / 2.0
     explored = 0
     assigned: dict[int, int] = {}
     s_hat: list[int] = []
@@ -618,10 +627,10 @@ def run_nonadaptive(oracle, d: int, report: DetectReport, *, budget=None):
     """All queries fixed in advance: for every coordinate's minimal covering
     set, every ordered ambient tuple of that size; the decision map returns
     the union of coordinates in accepted tuples."""
-    if report.beta is None:
-        return frozenset(), Transcript(oracle.tau, budget)
-    threshold = report.beta / 2.0
     transcript = Transcript(oracle.tau, budget)
+    if report.beta is None:
+        return frozenset(), transcript
+    threshold = report.beta / 2.0
     by_size = sorted(report.system.sets, key=lambda m: (m.bit_count(), m))
     families = {next(m for m in by_size if m >> (i - 1) & 1) for i in coords_from_mask(report.system.support)}
     recovered: set[int] = set()
@@ -675,29 +684,6 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
     return frozenset([coord]), transcript, position
 
 
-# convenience wrappers over an honest oracle ----------------------------------
-
-
-def adaptive_learner(instance, report, tau, *, noise_mode="zero", seed=0, budget=None, max_tuple=None):
-    oracle = HonestOracle(instance, tau, noise_mode, seed)
-    return run_adaptive(oracle, instance.d, report, budget=budget, max_tuple=max_tuple)
-
-
-def nonadaptive_learner(instance, report, tau, *, noise_mode="zero", seed=0, budget=None):
-    oracle = HonestOracle(instance, tau, noise_mode, seed)
-    return run_nonadaptive(oracle, instance.d, report, budget=budget)
-
-
-def grouped_learner(instance, report, d=None, *, tau=None, noise_mode="zero", seed=0, budget=None):
-    d = instance.d if d is None else d
-    beta = abs(_singleton_witness(report).beta)
-    if tau is None:
-        tau = beta / (4.0 * np.sqrt(d))
-    oracle = HonestOracle(instance, tau, noise_mode, seed)
-    s_hat, transcript, _ = run_grouped(oracle, d, report, budget=budget)
-    return s_hat, transcript
-
-
 # ---------------------------------------------------------------------------
 # Game driver
 # ---------------------------------------------------------------------------
@@ -728,7 +714,7 @@ def play_game(
     max_tuple: int | None = None,
 ) -> GameResult:
     """Run one support-recovery game and grade the outcome."""
-    check_game_kinds(learner, oracle_kind, noise_mode)
+    check_game_kinds(learner, oracle_kind, noise_mode, max_tuple)
     if tau is None:
         if report.beta is None:
             raise ValueError("report has no detectable sets; tau must be explicit")

@@ -377,6 +377,11 @@ class TestConfigValuesRejectedUpFront:
         ("layerwise", {"lambda_min_threshold": float("inf")}),
         ("sgd", {"activation": "tanh:nan"}),
         ("df", {"activation": "tanh:4:2:9"}),
+        ("game", {"oracle": "adversarial", "d": 1025}),
+        ("game", {"oracle": "adversarial", "learner": "grouped"}),
+        ("game", {"oracle": "adversarial", "learner": "grouped", "d": 3}),
+        ("game", {"learner": "nonadaptive", "max_tuple": 2}),
+        ("game", {"learner": "grouped", "max_tuple": 1}),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, command, bad):
         spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
@@ -384,6 +389,15 @@ class TestConfigValuesRejectedUpFront:
         out = tmp_path / "out"
         assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_adversary_size_found_before_detection(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("juntaleap.cli._detect", lambda *args, **kwargs: pytest.fail("detection ran"))
+        spec = {"hypercube": {"P": 5, "fourier": {"1,2,3,4,5": 1.0}}}
+        cfg = write_config(tmp_path, "c.json", {"problem": spec, "game": {"d": 8, "oracle": "adversarial"}})
+        out = tmp_path / "out"
+        assert run_cli(["game", "--config", cfg, "--out", str(out)]) == 2
+        assert "P <= 4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_flag_below_0_exits_2_without_outputs(self, tmp_path, capsys):

@@ -15,12 +15,9 @@ from juntaleap import (
     JuntaProblem,
     PlantedInstance,
     Query,
-    adaptive_learner,
     detect_csq,
     detect_sq,
     expand_hypercube,
-    grouped_learner,
-    nonadaptive_learner,
     play_game,
 )
 from juntaleap.oracle import BudgetExceededError, Transcript, run_adaptive, run_grouped, run_nonadaptive
@@ -151,19 +148,18 @@ class TestHonestOracle:
     def test_soundness_post_hoc(self, y2_problem):
         rep = detect_csq(y2_problem)
         inst = PlantedInstance(y2_problem, 12, (1, 5, 9, 11), seed=3)
-        s_hat, transcript = adaptive_learner(inst, rep, tau=rep.beta / 4,
-                                             noise_mode="uniform", seed=9)
-        assert transcript.check_soundness()
-        assert s_hat == frozenset({1, 5, 9, 11})
+        result = play_game(inst, rep, tau=rep.beta / 4, noise_mode="uniform", seed=9)
+        assert result.transcript.check_soundness()
+        assert result.s_hat == frozenset({1, 5, 9, 11})
 
 
 class TestAdaptiveLearner:
     def test_no_distractors(self, y1_problem):
         rep = detect_csq(y1_problem)
         inst = PlantedInstance(y1_problem, 4, (2, 1, 4, 3), seed=0)
-        s_hat, transcript = adaptive_learner(inst, rep, tau=rep.beta / 4)
-        assert s_hat == frozenset({1, 2, 3, 4})
-        assert transcript.n_queries <= 100
+        result = play_game(inst, rep, tau=rep.beta / 4)
+        assert result.s_hat == frozenset({1, 2, 3, 4})
+        assert result.transcript.n_queries <= 100
 
     def test_y1_linear_scaling(self, y1_problem):
         rep = detect_csq(y1_problem)
@@ -171,17 +167,15 @@ class TestAdaptiveLearner:
         for trial in range(10):
             s = tuple(int(c) for c in rng.choice(np.arange(1, 31), 4, replace=False))
             inst = PlantedInstance(y1_problem, 30, s, seed=trial)
-            s_hat, transcript = adaptive_learner(
-                inst, rep, tau=rep.beta / 4, noise_mode="adversarial_sign", seed=trial
-            )
-            assert s_hat == frozenset(s)
-            assert transcript.n_queries <= 50 * 30
+            result = play_game(inst, rep, tau=rep.beta / 4, noise_mode="adversarial_sign", seed=trial)
+            assert result.s_hat == frozenset(s)
+            assert result.transcript.n_queries <= 50 * 30
 
     def test_budget_exhaustion(self, y2_problem):
         rep = detect_csq(y2_problem)
         inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12), seed=0)
         with pytest.raises(BudgetExceededError):
-            adaptive_learner(inst, rep, tau=rep.beta / 4, budget=5)
+            run_adaptive(HonestOracle(inst, rep.beta / 4), inst.d, rep, budget=5)
 
     def test_relative_support_recovery(self):
         # the label ignores coordinate 2 of the support: the learner recovers
@@ -190,15 +184,14 @@ class TestAdaptiveLearner:
         rep = detect_csq(prob)
         assert rep.system.support == 0b01
         inst = PlantedInstance(prob, 6, (4, 5), seed=0)
-        s_hat, _ = adaptive_learner(inst, rep, tau=rep.beta / 4)
-        assert s_hat == frozenset({4})
+        assert play_game(inst, rep, tau=rep.beta / 4).s_hat == frozenset({4})
 
     def test_sq_count_no_worse_than_csq_on_y2(self, y2_problem):
         sq = detect_sq(y2_problem)
         csq = detect_csq(y2_problem)
         inst = PlantedInstance(y2_problem, 12, (2, 5, 7, 11), seed=1)
-        _, t_sq = adaptive_learner(inst, sq, tau=sq.beta / 4)
-        _, t_csq = adaptive_learner(inst, csq, tau=csq.beta / 4)
+        t_sq = play_game(inst, sq, tau=sq.beta / 4).transcript
+        t_csq = play_game(inst, csq, tau=csq.beta / 4).transcript
         assert t_sq.n_queries <= t_csq.n_queries
 
 
@@ -206,20 +199,19 @@ class TestNonadaptiveLearner:
     def test_y1_d8_block_structure(self, y1_problem):
         rep = detect_csq(y1_problem)
         inst = PlantedInstance(y1_problem, 8, (3, 6, 1, 8), seed=0)
-        s_hat, transcript = nonadaptive_learner(inst, rep, tau=rep.beta / 4,
-                                                noise_mode="adversarial_sign")
-        assert s_hat == frozenset({3, 6, 1, 8})
-        sizes = sorted({len(r["terms"][0]) for r in transcript.records})
+        result = play_game(inst, rep, learner="nonadaptive", tau=rep.beta / 4, noise_mode="adversarial_sign")
+        assert result.s_hat == frozenset({3, 6, 1, 8})
+        sizes = sorted({len(r["terms"][0]) for r in result.transcript.records})
         assert sizes == [1, 2, 3, 4]
         # P(8,1) + P(8,2) + P(8,3) + P(8,4)
-        assert transcript.n_queries == 8 + 56 + 336 + 1680
+        assert result.transcript.n_queries == 8 + 56 + 336 + 1680
 
     def test_all_singletons_needs_d_queries(self, p1_problem):
         rep = detect_csq(p1_problem)
         inst = PlantedInstance(p1_problem, 15, (11,), seed=0)
-        s_hat, transcript = nonadaptive_learner(inst, rep, tau=rep.beta / 4)
-        assert s_hat == frozenset({11})
-        assert transcript.n_queries == 15
+        result = play_game(inst, rep, learner="nonadaptive", tau=rep.beta / 4)
+        assert result.s_hat == frozenset({11})
+        assert result.transcript.n_queries == 15
 
 
 class TestGroupedLearner:
@@ -227,27 +219,26 @@ class TestGroupedLearner:
         rep = detect_csq(p1_problem)
         for coord in (1, 7, 16):
             inst = PlantedInstance(p1_problem, 16, (coord,), seed=0)
-            s_hat, transcript = grouped_learner(inst, rep, tau=0.0)
-            assert s_hat == frozenset({coord})
-            assert transcript.n_queries == 4
+            result = play_game(inst, rep, learner="grouped", tau=0.0)
+            assert result.s_hat == frozenset({coord})
+            assert result.transcript.n_queries == 4
 
     def test_d1_zero_queries(self, p1_problem):
         rep = detect_csq(p1_problem)
         inst = PlantedInstance(p1_problem, 1, (1,), seed=0)
-        s_hat, transcript = grouped_learner(inst, rep)
-        assert s_hat == frozenset({1})
-        assert transcript.n_queries == 0
+        result = play_game(inst, rep, learner="grouped")
+        assert result.s_hat == frozenset({1})
+        assert result.transcript.n_queries == 0
 
     def test_adversarial_sign_noise_still_decodes(self, p1_problem):
         rep = detect_csq(p1_problem)
         beta = abs(rep.witnesses[0b1].beta)
         for coord in (37, 129, 256):
             inst = PlantedInstance(p1_problem, 256, (coord,), seed=0)
-            s_hat, transcript = grouped_learner(
-                inst, rep, tau=beta / (4 * np.sqrt(256)), noise_mode="adversarial_sign"
-            )
-            assert s_hat == frozenset({coord})
-            assert transcript.n_queries == 8
+            result = play_game(inst, rep, learner="grouped", tau=beta / (4 * np.sqrt(256)),
+                               noise_mode="adversarial_sign")
+            assert result.s_hat == frozenset({coord})
+            assert result.transcript.n_queries == 8
 
     def test_d4096_in_12_queries(self, p1_problem):
         # the grouped norm is linear in the number of terms, so d in the
@@ -262,8 +253,8 @@ class TestGroupedLearner:
     def test_requires_singleton(self, y2_problem):
         rep = detect_csq(y2_problem)
         inst = PlantedInstance(y2_problem, 12, (1, 2, 3, 4), seed=0)
-        with pytest.raises(ValueError):
-            grouped_learner(inst, rep)
+        with pytest.raises(ValueError, match="singleton"):
+            play_game(inst, rep, learner="grouped")
 
 
 class TestAdversary:
@@ -319,9 +310,17 @@ class TestAdversary:
         assert result.verdict == "FAIL"
         assert result.detail["survivors"] == 10 * 9 * 8 * 7
 
-    def test_scale_guard(self, y2_problem):
-        with pytest.raises(ValueError):
-            AdversarialOracle(y2_problem, d=20, tau=0.1)
+    def test_scale_guard(self, y2_problem, monkeypatch):
+        # at most 2^20 rows of plantings, d!/(d - P)!: y2 up to d = 33
+        assert math.perm(33, 4) <= AdversarialOracle.MAX_PLANTINGS < math.perm(34, 4)
+        assert len(AdversarialOracle(y2_problem, d=20, tau=0.1).survivors) == math.perm(20, 4)
+        p5_problem = expand_hypercube(HypercubeJunta(5, {(1, 2, 3, 4, 5): 1.0}))
+        # the bound is checked before the plantings are enumerated
+        monkeypatch.setattr("juntaleap.oracle._ordered_tuples", lambda pool, k: pytest.fail("enumerated"))
+        with pytest.raises(ValueError, match="plantings, got P = 4 at d = 34"):
+            AdversarialOracle(y2_problem, d=34, tau=0.1)
+        with pytest.raises(ValueError, match="P <= 4"):
+            AdversarialOracle(p5_problem, d=5, tau=0.1)
 
     @pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
     def test_both_oracles_reject_bad_tau(self, y2_problem, tau):
@@ -339,7 +338,7 @@ class TestTranscript:
     def test_jsonl_emission(self, y1_problem):
         rep = detect_csq(y1_problem)
         inst = PlantedInstance(y1_problem, 6, (1, 2, 3, 4), seed=0)
-        _, transcript = adaptive_learner(inst, rep, tau=rep.beta / 4)
+        transcript = play_game(inst, rep, tau=rep.beta / 4).transcript
         buf = io.StringIO()
         transcript.to_jsonl(buf)
         lines = buf.getvalue().strip().split("\n")
@@ -371,6 +370,18 @@ class TestPlayGame:
         inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12), seed=0)
         result = play_game(inst, rep, tau_factor=0.25, budget=3)
         assert result.verdict == "FAIL(budget)"
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_grouped_against_the_adversary_rejected_at_every_d(self, p1_problem, d):
+        inst = PlantedInstance(p1_problem, d, (d,), seed=0)
+        with pytest.raises(ValueError, match="single-term"):
+            play_game(inst, detect_csq(p1_problem), learner="grouped", oracle_kind="adversarial")
+
+    @pytest.mark.parametrize("learner", ["nonadaptive", "grouped"])
+    def test_max_tuple_only_for_the_adaptive_learner(self, p1_problem, learner):
+        inst = PlantedInstance(p1_problem, 8, (3,), seed=0)
+        with pytest.raises(ValueError, match="max_tuple"):
+            play_game(inst, detect_csq(p1_problem), learner=learner, max_tuple=1)
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +637,16 @@ class TestTranscriptLines:
             {"t": 6, "terms": [[1, 2]], "scale": 1.0, "response": None, "norm": 1.0},
             {"t": 7, "terms": [[True]], "scale": 1.0, "response": 0.5, "exact": 0.5, "norm": 1.0, "accepted": True},
         ]
-        records = records * 700  # more than one chunk of lines
-        transcript = Transcript(0.1, records=records)
+        transcript = Transcript(0.1)
+        expected = []
+        for rec in records * 700:  # more than one chunk of lines
+            response = FAIL if rec["response"] is None else rec["response"]
+            transcript.log({"terms": rec["terms"], "scale": rec["scale"]}, response,
+                           **{k: rec[k] for k in ("exact", "norm", "accepted") if k in rec})
+            expected.append({**rec, "t": len(expected) + 1})
         buf = io.StringIO()
         transcript.to_jsonl(buf)
-        assert buf.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert buf.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
 
 # ---------------------------------------------------------------------------
