@@ -232,7 +232,7 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
     from .detect import check_detect_params
-    from .oracle import check_adversary_size, check_game_kinds, check_tau, play_game
+    from .oracle import check_adversary_size, check_game_kinds, check_tau, play_game, singleton_witness
 
     for key, value in _given(block, "tau", "tau_factor").items():
         _checked(f"bad {key}", check_tau, value)
@@ -248,6 +248,8 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     rng = np.random.default_rng(seed)
     instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng, int(seed))
     report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), **_given(block, "tol"))
+    if kinds["learner"] == "grouped":
+        _checked("bad game", singleton_witness, report)
     result = play_game(instance, report, **kinds, **limits, **_given(block, "tau", "tau_factor"), seed=int(seed))
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "game_transcript.jsonl").open("w") as fh:

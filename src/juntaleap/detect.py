@@ -218,18 +218,19 @@ def detect_csq(
     return _detect_linear(problem, basis, g, tol, labels[None, :], "CSQ")
 
 
-def default_u_grid(loss: LossSpec, labels, n_uniform: int = 64, n_random: int = 16, seed: int = 1234) -> np.ndarray:
+def default_u_grid(loss: LossSpec, labels) -> np.ndarray:
     """Evaluation points for the DLQ derivative test functions l'(u, .).
 
-    Uniform points on [-R, R] with R = 4 max|label|, u = 0, seeded random
-    points (zero sets of analytic derivatives have measure zero, so these
-    find a nonzero u whenever one exists), and for piecewise losses the
-    branch points, their midpoints, and points beyond both extremes.
+    64 uniform points on [-R, R] with R = 4 max|label|, u = 0, 16 random
+    points drawn with seed 1234 (zero sets of analytic derivatives have
+    measure zero, so these find a nonzero u whenever one exists), and for
+    piecewise losses the branch points, their midpoints, and points beyond
+    both extremes.
     """
     labels = np.asarray(labels, dtype=float)
     r = 4.0 * float(np.max(np.abs(labels))) if np.any(labels != 0) else 1.0
-    rng = np.random.default_rng(seed)
-    pts = [np.linspace(-r, r, n_uniform), np.zeros(1), rng.uniform(-r, r, n_random)]
+    rng = np.random.default_rng(1234)
+    pts = [np.linspace(-r, r, 64), np.zeros(1), rng.uniform(-r, r, 16)]
     bps = np.unique(loss.breakpoints_for(labels))
     if bps.size:
         pts.append(bps)
@@ -245,7 +246,6 @@ def detect_dlq(
     u_grid=None,
     tol: float = DETECT_TOL,
     basis: OrthonormalBasis | None = None,
-    grid_seed: int = 1234,
     table: np.ndarray | None = None,
 ) -> DetectReport:
     """C_DLQ_l: the label tests are the derivative slices l'(u, .) over u_grid.
@@ -259,7 +259,7 @@ def detect_dlq(
     labels = problem.labels_numeric()
     basis, g = _moments(problem, basis, table)
     if u_grid is None:
-        u_grid = default_u_grid(loss, labels, seed=grid_seed)
+        u_grid = default_u_grid(loss, labels)
     u_grid = np.asarray(u_grid, dtype=float)
     t_rows = loss.deriv(u_grid[:, None], labels[None, :])
     return _detect_linear(

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .junta import JuntaProblem, PlantedInstance, Sampler
+from .junta import JuntaProblem, PlantedInstance
 from .losses import LossSpec, squared
 from .setsystem import coords_from_mask, greedy_closure
 
@@ -28,6 +28,7 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, what: str = "update"):
         super().__init__(f"non-finite {what} at step {step}")
         self.step = step
+        self.what = what
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +548,7 @@ def run_df(
         try:
             df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _work=work, _forward=forward)
         except DivergenceError as exc:
-            raise DivergenceError(k0 + step) from exc
+            raise DivergenceError(k0 + step, exc.what) from exc
         u_max[step] = np.abs(state.u).max(axis=0)
         forward = record(step)
     return DFRun(state, u_max, history)
@@ -655,28 +656,15 @@ def label_averaged_risk(f: np.ndarray, cond: np.ndarray, labels: np.ndarray, los
     return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(per_sample.size))
 
 
-def ensemble_risk_mc(
-    ens: ParticleEnsemble,
-    sampler: Sampler,
-    loss: LossSpec,
-    n: int,
-) -> tuple[float, float]:
-    """Monte-Carlo risk of a full-width model with the label average taken
-    exactly (only the x-randomness is sampled); returns (estimate, std error)."""
-    problem = sampler.instance.problem
-    _, symbols, rows = sampler.draw_symbols(n)
-    f = ens.forward(symbols, problem.marginal.values)
-    return label_averaged_risk(f, problem.cond[rows], problem.labels_numeric(), loss)
+# points of bayes_risk's grid over u, before the golden-section refinement
+BAYES_GRID = 512
 
 
-def bayes_risk(
-    problem: JuntaProblem,
-    loss: LossSpec,
-    grid: int = 512,
-    refine_tol: float = 1e-10,
-) -> tuple[float, np.ndarray]:
+def bayes_risk(problem: JuntaProblem, loss: LossSpec) -> tuple[float, np.ndarray]:
     """inf_f E[l(f(z), y)] with the per-z minimization done on a grid plus
-    golden-section refinement; returns (risk, per-row minimizers)."""
+    golden-section refinement to a bracket of 1e-10; returns (risk, per-row
+    minimizers)."""
+    grid = BAYES_GRID
     labels = problem.labels_numeric()
     span = float(labels.max() - labels.min()) if labels.size > 1 else 1.0
     lo = float(labels.min()) - 0.5 * span - 1.0
@@ -700,7 +688,7 @@ def bayes_risk(
         x1 = b - gr * (b - a)
         x2 = a + gr * (b - a)
         g1, g2 = g(x1), g(x2)
-        while b - a > refine_tol:
+        while b - a > 1e-10:
             if g1 <= g2:
                 b, x2, g2 = x2, x1, g1
                 x1 = b - gr * (b - a)
@@ -734,19 +722,18 @@ def run_sgd(
     data_seed: int = 0,
     eval_every: int | None = None,
     test_n: int = 10_000,
-    test_seed: int = 10**6,
     eval_losses: Sequence[tuple[str, LossSpec]] = (("mse", squared()),),
 ) -> SgdRun:
     """Online/batch SGD with periodic test-risk evaluation on a fixed fresh
-    sample (labels averaged exactly). Inputs are consumed in the sampler's
-    internal support-first layout, making the whole trajectory invariant to
-    ambient coordinate relabeling.
+    sample, drawn with seed 10^6 (labels averaged exactly). Inputs are
+    consumed in the sampler's internal support-first layout, making the whole
+    trajectory invariant to ambient coordinate relabeling.
 
     The test inputs are held as symbols (test_n * d bytes for |X| <= 256),
     and the run lends the ensemble one set of step buffers for its batch
     size, so a step maps no fresh pages."""
     sampler = instance.sampler(data_seed)
-    test_sampler = instance.sampler(test_seed)
+    test_sampler = instance.sampler(10**6)
     _, sym_test, rows_test = test_sampler.draw_symbols(test_n)
     problem = instance.problem
     values = problem.marginal.values
@@ -768,8 +755,8 @@ def run_sgd(
             y, x, _ = sampler.draw_batch(cfg.batch)
             try:
                 sgd_step(ens, x, y, cfg)
-            except DivergenceError:
-                raise DivergenceError(step)
+            except DivergenceError as exc:
+                raise DivergenceError(step, exc.what) from exc
             if eval_every is not None and (step % eval_every == 0 or step == steps):
                 evaluate(step)
     finally:

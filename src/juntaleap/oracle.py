@@ -2,15 +2,16 @@
 
 Queries are restricted to the structured family
 
-    phi(y, x) = scale * sum_terms T(y) * prod_slots T_i(x_{c_i}),
+    phi(y, x) = scale * sum_rows T(y) * prod_slots T_i(x_{c_i}),
 
-which is what the upper-bound algorithms use; norms and expectations are then
-exact. Honest responses obey |v - E_D[phi]| <= tau * ||phi||_{L2(D0)} with D0
-the decoupled null (label marginal x input marginal).
+one term moved onto each row of coordinates, which is what the upper-bound
+algorithms use; norms and expectations are then exact. Honest responses obey
+|v - E_D[phi]| <= tau * ||phi||_{L2(D0)} with D0 the decoupled null (label
+marginal x input marginal).
 
-No two terms share a coordinate, so the null norm has a closed form, linear
-in the terms and independent of the coordinates: both oracles take it once
-per block of witness queries.
+No two rows share a coordinate, so the null norm has a closed form that does
+not depend on the coordinates: both oracles take it once per block of witness
+queries.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -57,69 +57,58 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Query:
-    """scale * sum over terms of T(y) prod_i T_i(x_{c_i}).
+    """scale * sum over the rows c of `coords` of T(y) prod_i T_i(x_{c_i}).
 
-    Each term is (coords, tables): an ordered tuple of ambient coordinates
-    and the per-slot coordinate functions tabulated on X. No coordinate
-    occurs twice, within a term or across terms.
+    `coords` is an (n, k) array of 1-based ambient coordinates, one term per
+    row, and `tables` holds the k per-slot coordinate functions tabulated on
+    X that every row shares. No coordinate occurs twice, within a row or
+    across rows.
     """
 
-    terms: tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]
+    coords: np.ndarray
+    tables: tuple[np.ndarray, ...]
     t_label: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self):
-        if any(len(coords) != len(tables) for coords, tables in self.terms):
-            raise ValueError("each slot needs a coordinate and a table")
-        every = [c for coords, _ in self.terms for c in coords]
-        if any(c < 1 for c in every):
+        coords = np.asarray(self.coords, dtype=np.int64)
+        object.__setattr__(self, "coords", coords)
+        if coords.ndim != 2 or coords.shape[1] != len(self.tables) or not coords.size:
+            raise ValueError("coords must be a non-empty (n, k) array, with one table per slot")
+        if coords.min() < 1:
             raise ValueError("coordinates are 1-based")
-        if len(set(every)) != len(every):
-            raise ValueError("coordinates must be distinct within a term and across terms")
-
-    @classmethod
-    def from_witness(cls, witness: Witness, coords: Sequence[int], scale: float = 1.0) -> "Query":
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != len(witness.coords):
-            raise ValueError("tuple length must match the witness set size")
-        return cls(((coords, tuple(witness.t_coords[pos] for pos in witness.coords)),), witness.t_label, scale)
+        if len(set(coords.ravel().tolist())) != coords.size:
+            raise ValueError("coordinates must be distinct within a row and across rows")
 
     def l2_null_norm(self, problem: JuntaProblem) -> float:
         """||phi||_{L2(D0)} in closed form. Under D0 the coordinates are
-        independent of y and of each other, and no two terms share one, so
+        independent of y and of each other, and no two rows share one, so
 
-            E[phi^2] = scale^2 E[T(y)^2] (sum_t q_t + sum_{s != t} m_s m_t)
+            E[phi^2] = scale^2 E[T(y)^2] (sum_rows q + (sum_rows m)^2 - sum_rows m^2)
 
-        with q_t the product of the term's E[T_i^2] and m_t that of its E[T_i],
-        in slot order: a single term's norm does not depend on its coordinates.
-        Each distinct tables tuple's (q, m) is computed once, and the sums are
-        taken in term order.
+        with q the product of the E[T_i^2] and m that of the E[T_i], in slot
+        order: the norm does not depend on the coordinates. The sums over the
+        rows add one row at a time, as the terms of a sum do (n q rounds
+        differently), and the cross term is added only when n > 1.
         """
         marg = problem.marginal
-        moments = {}
+        q = m = 1.0
+        for tab in self.tables:
+            q *= float(marg.probs @ (tab * tab))
+            m *= marg.mean(tab)
+        n = len(self.coords)
         total = m_sum = m_sq = 0.0
-        for _, tables in self.terms:
-            key = tuple(map(id, tables))
-            if key not in moments:
-                q = m = 1.0
-                for tab in tables:
-                    q *= float(marg.probs @ (tab * tab))
-                    m *= marg.mean(tab)
-                moments[key] = q, m
-            q, m = moments[key]
+        for _ in range(n):
             total += q
             m_sum += m
             m_sq += m * m
-        if len(self.terms) > 1:
+        if n > 1:
             total += m_sum * m_sum - m_sq
         label_sq = problem.mu_y @ np.asarray(self.t_label, float) ** 2
         return abs(self.scale) * float(np.sqrt(max(label_sq * total, 0.0)))
 
     def describe(self) -> dict:
-        return {
-            "terms": [list(coords) for coords, _ in self.terms],
-            "scale": self.scale,
-        }
+        return {"terms": self.coords.tolist(), "scale": self.scale}
 
 
 class Transcript:
@@ -188,17 +177,6 @@ class Transcript:
             for lo in range(0, len(part.exact), _JSONL_CHUNK_LINES):
                 fp.write(part.jsonl(lo, lo + _JSONL_CHUNK_LINES))
         fp.write("".join(lines))
-
-    def check_soundness(self) -> bool:
-        """Post-hoc: every logged response obeys the tolerance contract."""
-        for part in self._parts:
-            if not isinstance(part, dict):
-                if np.any(np.abs(part.responses - part.exact) > self.tau * part.norm + 1e-12):
-                    return False
-            elif part["response"] is not None and "exact" in part:
-                if abs(part["response"] - part["exact"]) > self.tau * part["norm"] + 1e-12:
-                    return False
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,9 +261,11 @@ class _BlockOracle:
         """
         coords = _check_block(coords, len(witness.coords), self.d)
         room = _room(transcript, len(coords))
-        # the witness query on its own support positions, moved onto each row
-        query = Query.from_witness(witness, witness.coords)
-        hits, conceded = self._answer_rows(query, coords[:room], transcript, threshold, first_hit)
+        hits, conceded = [], False
+        if room:
+            # the first row's query: its null value and null norm are every row's
+            query = Query(coords[:1], tuple(witness.t_coords[pos] for pos in witness.coords), witness.t_label)
+            hits, conceded = self._answer_rows(query, coords[:room], transcript, threshold, first_hit)
         if room < len(coords) and not (conceded or (first_hit and hits)):
             raise BudgetExceededError(transcript)
         return hits, conceded
@@ -312,24 +292,26 @@ class HonestOracle(_BlockOracle):
         return self.instance.d
 
     def exact_expectation(self, query: Query) -> float:
-        """E_D[phi], summed in term order. Query already holds its coordinates
-        distinct and >= 1, so the terms are checked against d as one block,
-        and each distinct (tables, slot pattern) pair is evaluated once."""
-        every = [c for coords, _ in query.terms for c in coords]
-        if every and max(every) > self.d:
+        """E_D[phi], summed over the rows in row order. Query already holds its
+        coordinates distinct and >= 1; here they are checked against d."""
+        if query.coords.max() > self.d:
             raise ValueError("query references a coordinate beyond the ambient dimension")
-        positions = self._pos_array[every].tolist()
-        values = {}
-        total = 0.0
-        lo = 0
-        for _, tables in query.terms:
-            pattern = tuple(positions[lo : lo + len(tables)])
-            lo += len(tables)
-            key = (tuple(map(id, tables)), pattern)
-            if key not in values:
-                values[key] = _term_value(self.problem, query.t_label, tables, pattern)
-            total += values[key]
-        return query.scale * total
+        return query.scale * float(np.cumsum(self._row_values(query.t_label, query.tables, query.coords))[-1])
+
+    def _row_values(self, t_label, tables, rows: np.ndarray) -> np.ndarray:
+        """E_D[T(y) prod_i T_i(x_{c_i})] on each row c of `rows`, each as
+        `0.0 + value`, a one-row sum (which turns -0.0 into 0.0). Each distinct
+        slot pattern is evaluated once."""
+        positions = self._pos_array[rows]
+        # pattern code: each slot's support position (0 off support) as a digit
+        # in base P + 1; ravel_multi_index raises if (P + 1)^k overflows int64
+        _, first, inverse = np.unique(
+            np.ravel_multi_index(positions.T, (self.problem.p + 1,) * len(tables)),
+            return_index=True,
+            return_inverse=True,
+        )
+        values = [0.0 + _term_value(self.problem, t_label, tables, positions[i]) for i in first]
+        return np.asarray(values)[inverse]
 
     def _noise(self, exact, bound: float, size: int | None = None):
         """Noise of at most `bound` on the exact value(s): zero, uniform draws
@@ -352,22 +334,10 @@ class HonestOracle(_BlockOracle):
         return v
 
     def _answer_rows(self, query: Query, rows, transcript, threshold, first_hit):
-        """The unit-scale single-term `query` moved onto each row, with the
-        noise stream of one `answer` per logged row. Each distinct slot
-        pattern and the null norm are evaluated once; it never concedes."""
-        if not len(rows):
-            return [], False
-        ((_, tables),) = query.terms
-        # pattern code: each slot's support position (0 off support) as a digit
-        # in base P + 1; ravel_multi_index raises if (P + 1)^k overflows int64
-        _, first, inverse = np.unique(
-            np.ravel_multi_index(self._pos_array[rows].T, (self.problem.p + 1,) * len(tables)),
-            return_index=True,
-            return_inverse=True,
-        )
-        # `0.0 +` as in exact_expectation's sum, which turns -0.0 into 0.0
-        values = [0.0 + _term_value(self.problem, query.t_label, tables, self._pos_array[rows[i]]) for i in first]
-        exact = np.asarray(values)[inverse]
+        """The unit-scale one-row `query` moved onto each row, with the noise
+        stream of one `answer` per logged row. The null norm is evaluated
+        once; it never concedes."""
+        exact = self._row_values(query.t_label, query.tables, rows)
         norm = query.l2_null_norm(self.problem)
         rng_state = self.rng.bit_generator.state
         v = exact + self._noise(exact, self.tau * norm, len(rows))
@@ -411,24 +381,24 @@ class AdversarialOracle(_BlockOracle):
         return set(map(tuple, self._plantings.tolist()))
 
     def null_value(self, query: Query) -> float:
+        """E_{D0}[phi]: on each row, E[T(y)] times the slot means in slot
+        order (stopping at 0.0), summed over the rows in row order."""
+        prod = self.problem.label_expectation(query.t_label)
+        for tab in query.tables:
+            prod *= self.problem.marginal.mean(tab)
+            if prod == 0.0:
+                break
         total = 0.0
-        mean_t = self.problem.label_expectation(query.t_label)
-        for coords, tables in query.terms:
-            prod = mean_t
-            for tab in tables:
-                prod *= self.problem.marginal.mean(tab)
-                if prod == 0.0:
-                    break
+        for _ in range(len(query.coords)):
             total += prod
         return query.scale * total
 
     def answer(self, query: Query, transcript: Transcript | None = None, threshold: float | None = None):
         """The null value, or FAIL; logged as `HonestOracle.answer` logs,
         without `accepted` on a FAIL. One query is a one-row block."""
-        if len(query.terms) != 1:
+        if len(query.coords) != 1:
             raise ValueError("adversary handles single-term structured queries")
-        coords, tables = query.terms[0]
-        rows = _check_block([coords], len(tables), self.d)
+        rows = _check_block(query.coords, len(query.tables), self.d)
         transcript = Transcript(self.tau) if transcript is None else transcript
         _, conceded = self._answer_rows(query, rows, transcript, threshold, first_hit=False)
         return FAIL if conceded else self.null_value(query)
@@ -445,7 +415,7 @@ class AdversarialOracle(_BlockOracle):
         tau times the norm is decided once, when the pattern first occurs,
         and the plantings of a straying pattern are pruned.
         """
-        tables = query.terms[0][1]
+        tables = query.tables
         p, k = self.problem.p, len(tables)
         null, norm = self.null_value(query), query.l2_null_norm(self.problem)
         accepted = None if threshold is None else abs(null) > threshold
@@ -502,8 +472,9 @@ def check_adversary_size(p: int, d: int) -> None:
 def check_game_kinds(learner, oracle_kind, noise_mode, max_tuple) -> None:
     """Raise ValueError for a learner, oracle kind or noise mode play_game does
     not know, for the grouped learner against the adversary (which answers
-    single-term queries only), and for a max_tuple with any learner but the
-    adaptive one."""
+    single-term queries only), for a noise mode but "zero" against the
+    adversary (which adds no noise), and for a max_tuple with any learner but
+    the adaptive one."""
     for what, value, known in (("learner", learner, ("adaptive", "nonadaptive", "grouped")),
                                ("oracle kind", oracle_kind, ("honest", "adversarial")),
                                ("noise mode", noise_mode, NOISE_MODES)):
@@ -511,6 +482,8 @@ def check_game_kinds(learner, oracle_kind, noise_mode, max_tuple) -> None:
             raise ValueError(f"unknown {what} {value!r}")
     if learner == "grouped" and oracle_kind == "adversarial":
         raise ValueError("the adversary answers single-term queries, not the grouped learner's sums")
+    if oracle_kind == "adversarial" and noise_mode != "zero":
+        raise ValueError(f"noise mode {noise_mode!r} applies to the honest oracle only; the adversary adds no noise")
     if max_tuple is not None and learner != "adaptive":
         raise ValueError(f"max_tuple applies to the adaptive learner only, not to {learner!r}")
 
@@ -643,7 +616,7 @@ def run_nonadaptive(oracle, d: int, report: DetectReport, *, budget=None):
     return frozenset(recovered), transcript
 
 
-def _singleton_witness(report: DetectReport) -> Witness:
+def singleton_witness(report: DetectReport) -> Witness:
     """The witness of the lowest detectable singleton, which the grouped learner queries."""
     singles = [m for m in report.system.sets if m.bit_count() == 1]
     if not singles:
@@ -660,7 +633,7 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
     (e.g. P = 1 plantings); returns that coordinate and the support position
     used.
     """
-    witness = _singleton_witness(report)
+    witness = singleton_witness(report)
     position = witness.coords[0]
     beta = abs(witness.beta)
     table = witness.t_coords[position]
@@ -668,11 +641,11 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
     n_bits = max(0, (d - 1).bit_length())
     scale = 1.0 / np.sqrt(d)
     threshold = beta / (2.0 * np.sqrt(d))
+    coords = np.arange(1, d + 1).reshape(d, 1)
     index = 0
     for k in range(n_bits):
-        group = [c for c in range(1, d + 1) if (c - 1) >> k & 1]
-        terms = tuple(((c,), (table,)) for c in group)
-        query = Query(terms, witness.t_label, scale)
+        # one row per coordinate whose 0-based index has bit k set
+        query = Query(coords[(np.arange(d) >> k) & 1 == 1], (table,), witness.t_label, scale)
         if not _room(transcript, 1):
             raise BudgetExceededError(transcript)
         v = oracle.answer(query, transcript, threshold)
@@ -721,7 +694,7 @@ def play_game(
         if learner == "grouped":
             # grouped queries carry a 1/sqrt(d) signal, so the tolerance must
             # shrink with it (tau <= c/sqrt(d))
-            tau = tau_factor * abs(_singleton_witness(report).beta) / np.sqrt(instance.d)
+            tau = tau_factor * abs(singleton_witness(report).beta) / np.sqrt(instance.d)
         else:
             tau = tau_factor * report.beta
     if oracle_kind == "honest":

@@ -6,7 +6,6 @@ all set operations are O(1) integer arithmetic. P is capped at 32.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -94,14 +93,6 @@ class SetSystem:
 
     def members_as_coords(self) -> tuple[tuple[int, ...], ...]:
         return tuple(coords_from_mask(m) for m in self.sets)
-
-    def to_json(self) -> str:
-        return json.dumps([list(s) for s in self.members_as_coords()])
-
-    @classmethod
-    def from_json(cls, text: str, p: int) -> "SetSystem":
-        data = json.loads(text)
-        return cls.from_coords(p, data)
 
 
 def greedy_closure(system: SetSystem, k: int, start: int = 0) -> int:

@@ -382,6 +382,7 @@ class TestConfigValuesRejectedUpFront:
         ("game", {"oracle": "adversarial", "learner": "grouped", "d": 3}),
         ("game", {"learner": "nonadaptive", "max_tuple": 2}),
         ("game", {"learner": "grouped", "max_tuple": 1}),
+        ("game", {"oracle": "adversarial", "noise_mode": "uniform"}),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, command, bad):
         spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
@@ -398,6 +399,23 @@ class TestConfigValuesRejectedUpFront:
         out = tmp_path / "out"
         assert run_cli(["game", "--config", cfg, "--out", str(out)]) == 2
         assert "P <= 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grouped_without_a_singleton_exits_2_before_any_query(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("juntaleap.oracle.play_game", lambda *args, **kwargs: pytest.fail("game played"))
+        cfg = write_config(tmp_path, "c.json", {"problem": Y2_SPEC, "game": {"d": 10, "learner": "grouped"}})
+        out = tmp_path / "out"
+        assert run_cli(["game", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "grouped learner needs a leap-1 singleton" in err
+        assert not out.exists()
+
+    def test_noise_mode_flag_against_the_adversary_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"problem": Y2_SPEC, "game": {"d": 8, "oracle": "adversarial"},
+                                                "seed": 3})
+        out = tmp_path / "out"
+        assert run_cli(["game", "--config", cfg, "--out", str(out), "--noise-mode", "uniform"]) == 2
+        assert "honest oracle only" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_flag_below_0_exits_2_without_outputs(self, tmp_path, capsys):

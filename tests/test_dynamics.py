@@ -32,7 +32,6 @@ from juntaleap.dynamics import (
     ParticleEnsemble,
     StepBuffers,
     _df_forward,
-    ensemble_risk_mc,
     gauss_hermite,
     hypercube_tables,
     make_activation,
@@ -282,6 +281,17 @@ class TestLeanSgdStep:
                     break
         assert 1 < err.value.step == step < 1000
 
+    def test_run_sgd_keeps_the_subject_of_a_divergence(self):
+        # the first step's network value overflows, and run_sgd numbers it step 1
+        inst = PlantedInstance(fig1_problem(), 6, (1, 2, 3, 4), seed=0)
+        ens = init_ensemble(6, 8, make_activation("poly:3"), seed=1, c_bar=0.1)
+        ens.b[:] = 1e120
+        cfg = TrainConfig(loss=get_loss("squared"), eta=0.01)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_sgd(inst, ens, cfg, steps=3, test_n=10)
+        assert (err.value.step, err.value.what) == (1, "network value")
+        assert str(err.value) == "non-finite network value at step 1"
+
 
 class TestStreamedForward:
     def test_blocks_match_one_shot(self):
@@ -461,6 +471,17 @@ class TestRunDf:
         st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=4, b_order=2)
         with pytest.raises(ValueError):
             run_df(y2_problem, TrainConfig(loss=get_loss("squared"), eta=0.01), -1, st)
+
+    @pytest.mark.parametrize("risk_every", [None, 1])
+    def test_keeps_the_subject_of_a_divergence(self, y2_problem, risk_every):
+        # the first state's network value overflows, and run_df numbers it step 1
+        st = init_df_state(4, poly_activation(3), c_bar=0.3, a_order=4, b_order=2)
+        st.b[:] = 1e120
+        cfg = TrainConfig(loss=get_loss("squared"), eta=0.01)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_df(y2_problem, cfg, 3, st, risk_every=risk_every, risk_losses=[("mse", cfg.loss)])
+        assert (err.value.step, err.value.what) == (1, "network value")
+        assert str(err.value) == "non-finite network value at step 1"
 
 
 class TestRunOwnedBuffers:
@@ -671,10 +692,11 @@ class TestRisk:
             vals = cond[r] @ np.abs(grid[None, :] - labels[:, None])
             assert cond[r] @ np.abs(minimizers[r] - labels) <= vals.min() + 1e-8
 
-    def test_grid_refinement_stability(self, y2_problem):
+    def test_grid_refinement_stability(self, y2_problem, monkeypatch):
         loss = get_loss("abs")
-        v1, _ = bayes_risk(y2_problem, loss, grid=512)
-        v2, _ = bayes_risk(y2_problem, loss, grid=5120)
+        v1, _ = bayes_risk(y2_problem, loss)
+        monkeypatch.setattr(dynamics, "BAYES_GRID", 10 * dynamics.BAYES_GRID)
+        v2, _ = bayes_risk(y2_problem, loss)
         assert abs(v1 - v2) <= 1e-8
 
     def test_constant_predictor_closed_form(self, y2_problem):
@@ -699,7 +721,9 @@ class TestRisk:
         inst = PlantedInstance(y2_problem, 30, (3, 9, 21, 27), seed=0)
         ens = init_ensemble(30, 8, tanh_activation(), seed=1, c_bar=0.5)
         ens.a[:] = 0.0
-        est, se = ensemble_risk_mc(ens, inst.sampler(5), get_loss("squared"), 4000)
+        # run_sgd's step-0 record: the label-averaged risk on its test sample
+        row = run_sgd(inst, ens, TrainConfig(loss=get_loss("squared"), eta=0.01), 0, test_n=4000).history[0]
+        est, se = row["mse"], row["mse_se"]
         labels = y2_problem.labels_numeric()
         exact = float(y2_problem.mu_y @ (0.5 - labels) ** 2)
         # constant model: only the label-conditional row varies across samples

@@ -30,14 +30,21 @@ def p1_problem():
     return expand_hypercube(HypercubeJunta(1, {(1,): 1.0}))
 
 
-def witness_query(report, mask, coords, scale=1.0):
-    return Query.from_witness(report.witnesses[mask], coords, scale)
+def witness_query(witness, coords, scale=1.0):
+    """The witness's query on one row of ambient coordinates."""
+    return Query([coords], tuple(witness.t_coords[pos] for pos in witness.coords), witness.t_label, scale)
+
+
+def assert_sound(transcript):
+    """Every logged response is within tau times its null norm of the exact value."""
+    for rec in transcript.records:
+        assert abs(rec["response"] - rec["exact"]) <= transcript.tau * rec["norm"] + 1e-12, rec
 
 
 class TestQuery:
     def test_single_term_norm_closed_form(self, y1_problem):
         rep = detect_csq(y1_problem)
-        q = witness_query(rep, 0b0011, (4, 9))
+        q = witness_query(rep.witnesses[0b0011], (4, 9))
         # normalized witnesses have unit null norm
         assert q.l2_null_norm(y1_problem) == pytest.approx(1.0, rel=1e-10)
 
@@ -46,47 +53,48 @@ class TestQuery:
         w = rep.witnesses[0b1]
         table = w.t_coords[1]
         for n in (16, 2048):
-            terms = tuple(((c,), (table,)) for c in range(1, n + 1))
-            q = Query(terms, w.t_label, scale=1.0 / np.sqrt(n))
+            q = Query(np.arange(1, n + 1)[:, None], (table,), w.t_label, scale=1.0 / np.sqrt(n))
             # zero-mean tables on distinct coordinates: cross terms vanish,
             # norm^2 = scale^2 * n * ||T||^2 ||T_1||^2 = 1
             assert q.l2_null_norm(p1_problem) == pytest.approx(1.0, rel=1e-10)
 
     def test_grouped_norm_cross_terms(self):
-        # two terms with nonzero means: E[phi^2] = q_1 + q_2 + 2 m_1 m_2 under D0
+        # three rows with nonzero means: E[phi^2] = 3 q + 6 m^2 under D0
         marginal = FiniteMarginal([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3])
         problem = JuntaProblem(1, marginal, [0.0, 1.0], np.full((3, 2), 0.5))
-        a, b, c = np.array([1.0, 2.0, 0.0]), np.array([0.5, -1.0, 3.0]), np.array([2.0, 1.0, 1.0])
-        q = Query((((1,), (a,)), ((2, 3), (b, c))), np.array([1.0, -2.0]), scale=0.5)
-        qa, qb, qc = (marginal.probs @ t**2 for t in (a, b, c))
-        ma, mb, mc = map(marginal.mean, (a, b, c))
-        want = 0.25 * 2.5 * (qa + qb * qc + 2 * ma * mb * mc)  # scale^2 E[T(y)^2] (...)
+        b, c = np.array([0.5, -1.0, 3.0]), np.array([2.0, 1.0, 1.0])
+        q = Query([[1, 2], [3, 4], [6, 5]], (b, c), np.array([1.0, -2.0]), scale=0.5)
+        qb, qc = (marginal.probs @ t**2 for t in (b, c))
+        mb, mc = map(marginal.mean, (b, c))
+        want = 0.25 * 2.5 * (3 * qb * qc + 6 * (mb * mc) ** 2)  # scale^2 E[T(y)^2] (...)
         assert q.l2_null_norm(problem) == pytest.approx(np.sqrt(want), rel=1e-14)
 
     def test_grouped_norm_takes_each_tables_moments_once(self, monkeypatch):
-        """Terms on one tables tuple share its (q, m); the sums still run in
-        term order, so the norm equals the per-term loop bit for bit."""
+        """The rows share one tables tuple and its (q, m), taken once; the sums
+        still run row by row, so the norm equals the per-row loop bit for bit,
+        where n q would not."""
         marginal = FiniteMarginal([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3])
         problem = JuntaProblem(1, marginal, [0.0, 1.0], np.full((3, 2), 0.5))
         a, b = np.array([1.0, 2.0, 0.1]), np.array([0.5, -1.0, 3.0])
-        terms = tuple(((c,), (a,) if c % 3 else (b,)) for c in range(1, 200)) + (((500, 501), (a, b)),)
+        rows = np.arange(1, 399).reshape(199, 2)
         t_label, scale = np.array([1.0, -2.0]), 0.07
         total = m_sum = m_sq = 0.0
-        for _, tables in terms:
+        for _ in rows:
             q = m = 1.0
-            for tab in tables:
+            for tab in (a, b):
                 q *= float(marginal.probs @ (tab * tab))
                 m *= marginal.mean(tab)
             total += q
             m_sum += m
             m_sq += m * m
+        assert total != len(rows) * q
         total += m_sum * m_sum - m_sq
         want = scale * float(np.sqrt(problem.mu_y @ t_label**2 * total))
         means = []
         mean = FiniteMarginal.mean
         monkeypatch.setattr(FiniteMarginal, "mean", lambda self, tab: means.append(1) or mean(self, tab))
-        assert Query(terms, t_label, scale).l2_null_norm(problem) == want
-        assert len(means) == 4  # (a,), (b,) and (a, b)
+        assert Query(rows, (a, b), t_label, scale).l2_null_norm(problem) == want
+        assert len(means) == 2  # a and b
 
     def test_single_term_norm_independent_of_coordinates(self):
         marginal = FiniteMarginal([-1.0, 0.0, 1.0], [0.34, 0.32, 0.34])
@@ -95,7 +103,7 @@ class TestQuery:
         e1, e2, e3 = (float(marginal.probs @ (t * t)) for t in tables)
         assert (e1 * e2) * e3 != (e1 * e3) * e2  # the slot order matters in floating point
         t_label = np.array([1.0, 3.0])
-        norms = {coords: Query(((coords, tables),), t_label).l2_null_norm(problem)
+        norms = {coords: Query([coords], tables, t_label).l2_null_norm(problem)
                  for coords in itertools.permutations((1, 2, 3))}
         label_sq = problem.mu_y @ t_label**2
         assert set(norms.values()) == {float(np.sqrt(label_sq * (e1 * e2 * e3)))}
@@ -104,13 +112,19 @@ class TestQuery:
         rep = detect_csq(p1_problem)
         w = rep.witnesses[0b1]
         with pytest.raises(ValueError):
-            Query((((2, 2), (w.t_coords[1], w.t_coords[1])),), w.t_label)
+            Query([[2, 2]], (w.t_coords[1], w.t_coords[1]), w.t_label)
 
     def test_rejects_terms_sharing_a_coordinate(self, p1_problem):
         w = detect_csq(p1_problem).witnesses[0b1]
         t = w.t_coords[1]
-        with pytest.raises(ValueError, match="across terms"):
-            Query((((1,), (t,)), ((2, 1), (t, t))), w.t_label)
+        with pytest.raises(ValueError, match="across rows"):
+            Query([[1, 2], [3, 1]], (t, t), w.t_label)
+
+    @pytest.mark.parametrize("coords", [[[1, 2]], [1], np.empty((0, 1), dtype=int), [[0]]])
+    def test_rejects_coords_that_are_not_rows_of_slots(self, p1_problem, coords):
+        w = detect_csq(p1_problem).witnesses[0b1]
+        with pytest.raises(ValueError):
+            Query(coords, (w.t_coords[1],), w.t_label)
 
 
 class TestHonestOracle:
@@ -118,7 +132,7 @@ class TestHonestOracle:
         rep = detect_csq(y1_problem)
         inst = PlantedInstance(y1_problem, 10, (1, 2, 3, 4), seed=0)
         oracle = HonestOracle(inst, tau=0.1, noise_mode="uniform", seed=1)
-        q = witness_query(rep, 0b1, (9,))
+        q = witness_query(rep.witnesses[0b1], (9,))
         assert oracle.exact_expectation(q) == 0.0
         v = oracle.answer(q)
         assert abs(v) <= 0.1 * q.l2_null_norm(y1_problem) + 1e-12
@@ -128,14 +142,14 @@ class TestHonestOracle:
         inst = PlantedInstance(y2_problem, 9, (4, 6, 8, 2), seed=0)
         oracle = HonestOracle(inst, tau=0.0)
         w = rep.witnesses[0b0111]  # positions {1,2,3}
-        q = Query.from_witness(w, (4, 6, 8))
+        q = witness_query(w, (4, 6, 8))
         assert oracle.exact_expectation(q) == pytest.approx(w.beta, abs=1e-12)
 
     def test_tau_zero_is_exact(self, y1_problem):
         rep = detect_csq(y1_problem)
         inst = PlantedInstance(y1_problem, 8, (5, 6, 7, 8), seed=0)
         oracle = HonestOracle(inst, tau=0.0, noise_mode="adversarial_sign")
-        q = witness_query(rep, 0b1, (5,))
+        q = witness_query(rep.witnesses[0b1], (5,))
         assert oracle.answer(q) == oracle.exact_expectation(q)
 
     def test_rejects_out_of_range_coordinate(self, y1_problem):
@@ -143,13 +157,28 @@ class TestHonestOracle:
         inst = PlantedInstance(y1_problem, 8, (5, 6, 7, 8), seed=0)
         oracle = HonestOracle(inst, tau=0.0)
         with pytest.raises(ValueError):
-            oracle.answer(witness_query(rep, 0b1, (9,)))
+            oracle.answer(witness_query(rep.witnesses[0b1], (9,)))
+
+    def test_grouped_exact_is_the_sum_of_its_rows(self, three_atom_problem):
+        """Rows on and off the support, on a marginal where every table has a
+        nonzero mean: the exact value is the row-by-row sum of one-row values."""
+        rep = detect_sq(three_atom_problem)
+        oracle = HonestOracle(PlantedInstance(three_atom_problem, 40, (7, 3, 30), seed=0), tau=0.1)
+        for mask in rep.system.sets:
+            w = rep.witnesses[mask]
+            tables = tuple(w.t_coords[pos] + 0.25 for pos in w.coords)
+            rows = np.random.default_rng(mask).permutation(np.arange(1, 41))[: 9 * len(tables)]
+            rows = rows.reshape(9, len(tables))
+            total = 0.0
+            for row in rows:
+                total += oracle.exact_expectation(Query([row], tables, w.t_label))
+            assert oracle.exact_expectation(Query(rows, tables, w.t_label, 0.3)) == 0.3 * total
 
     def test_soundness_post_hoc(self, y2_problem):
         rep = detect_csq(y2_problem)
         inst = PlantedInstance(y2_problem, 12, (1, 5, 9, 11), seed=3)
         result = play_game(inst, rep, tau=rep.beta / 4, noise_mode="uniform", seed=9)
-        assert result.transcript.check_soundness()
+        assert_sound(result.transcript)
         assert result.s_hat == frozenset({1, 5, 9, 11})
 
 
@@ -248,7 +277,7 @@ class TestGroupedLearner:
         result = play_game(inst, rep, learner="grouped", noise_mode="uniform", seed=3)
         assert result.success and result.s_hat == frozenset({2731})
         assert result.transcript.n_queries == 12
-        assert result.transcript.check_soundness()
+        assert_sound(result.transcript)
 
     def test_requires_singleton(self, y2_problem):
         rep = detect_csq(y2_problem)
@@ -262,7 +291,7 @@ class TestAdversary:
         rep = detect_csq(y2_problem)
         adv = AdversarialOracle(y2_problem, d=8, tau=100.0)
         n0 = len(adv.survivors)
-        q = witness_query(rep, 0b0111, (1, 2, 3))
+        q = witness_query(rep.witnesses[0b0111], (1, 2, 3))
         assert adv.answer(q) == pytest.approx(0.0)
         assert len(adv.survivors) == n0
 
@@ -278,7 +307,7 @@ class TestAdversary:
         for _ in range(60):
             k = int(rng.integers(1, 3))
             coords = tuple(int(c) for c in rng.choice(np.arange(1, 11), k, replace=False))
-            q = Query(((coords, (table,) * k),), w3.t_label)
+            q = Query([coords], (table,) * k, w3.t_label)
             v = adv.answer(q)
             assert v == pytest.approx(0.0)
         assert len(adv.survivors) == n0
@@ -294,7 +323,7 @@ class TestAdversary:
         w = rep.witnesses[0b0111]
         seen_fail = False
         for tup in itertools.permutations(range(1, d + 1), 3):
-            v = adv.answer(Query.from_witness(w, tup))
+            v = adv.answer(witness_query(w, tup))
             if v is FAIL:
                 seen_fail = True
                 break
@@ -377,6 +406,12 @@ class TestPlayGame:
         with pytest.raises(ValueError, match="single-term"):
             play_game(inst, detect_csq(p1_problem), learner="grouped", oracle_kind="adversarial")
 
+    @pytest.mark.parametrize("noise_mode", ["uniform", "adversarial_sign"])
+    def test_noise_against_the_adversary_rejected(self, y2_problem, noise_mode):
+        inst = PlantedInstance(y2_problem, 8, (1, 2, 3, 4), seed=3)
+        with pytest.raises(ValueError, match="honest oracle only"):
+            play_game(inst, detect_csq(y2_problem), oracle_kind="adversarial", noise_mode=noise_mode)
+
     @pytest.mark.parametrize("learner", ["nonadaptive", "grouped"])
     def test_max_tuple_only_for_the_adaptive_learner(self, p1_problem, learner):
         inst = PlantedInstance(p1_problem, 8, (3,), seed=0)
@@ -416,7 +451,7 @@ def scalar_adaptive(oracle, d, report, budget=None):
                     slot_map = dict(zip(old_pos, inj))
                     slot_map.update(zip(new_pos, fresh))
                     _charge(transcript)
-                    v = oracle.answer(Query.from_witness(witness, [slot_map[p] for p in witness.coords]), transcript)
+                    v = oracle.answer(witness_query(witness, [slot_map[p] for p in witness.coords]), transcript)
                     hit = bool(abs(v) > threshold)
                     transcript.records[-1]["accepted"] = hit
                     if hit:
@@ -443,7 +478,7 @@ def scalar_nonadaptive(oracle, d, report, budget=None):
     for mask in sorted(families, key=lambda m: (m.bit_count(), m)):
         for tup in itertools.permutations(range(1, d + 1), mask.bit_count()):
             _charge(transcript)
-            v = oracle.answer(Query.from_witness(report.witnesses[mask], tup), transcript)
+            v = oracle.answer(witness_query(report.witnesses[mask], tup), transcript)
             hit = bool(abs(v) > threshold)
             transcript.records[-1]["accepted"] = hit
             if hit:
@@ -540,7 +575,7 @@ class TestBlockAnswers:
         hits, conceded = block_adv.answer_block(w, tuples, transcript, rep.beta / 2)
         ref = Transcript(ref_adv.tau)
         for tup in tuples.tolist():
-            v = ref_adv.answer(Query.from_witness(w, tup), ref)
+            v = ref_adv.answer(witness_query(w, tup), ref)
             if v is FAIL:
                 break
             ref.records[-1]["accepted"] = bool(abs(v) > rep.beta / 2)
@@ -559,7 +594,7 @@ class TestBlockAnswers:
             try:
                 for tup in tuples.tolist():
                     _charge(ref)
-                    v = adv.answer(Query.from_witness(w, tup), ref)
+                    v = adv.answer(witness_query(w, tup), ref)
                     if v is FAIL:
                         break
                     ref.records[-1]["accepted"] = bool(abs(v) > rep.beta / 2)
@@ -663,7 +698,7 @@ def block_records(t0, coords, responses, exact, norm, accepted):
 
 
 class TestColumnTranscript:
-    QUERY = Query((((4, 1), (np.ones(2), np.ones(2))),), np.ones(2), 0.5)
+    QUERY = Query([[4, 1]], (np.ones(2), np.ones(2)), np.ones(2), 0.5)
 
     def test_mixed_records_and_blocks_write_json_dumps_lines(self):
         rng = np.random.default_rng(1)
@@ -715,18 +750,6 @@ class TestColumnTranscript:
         assert [r["t"] for r in view] == [1, 2, 3]
         assert view[1]["terms"] == [[3, 1]] and view[2]["scale"] == 0.5
 
-    def test_soundness_checks_every_block_row(self):
-        n = 3000
-        coords = np.column_stack([np.arange(1, n + 1), np.arange(2, n + 2)])
-        exact = np.linspace(-1, 1, n)
-        transcript = Transcript(0.1)
-        transcript.log_block(coords, exact + 0.1, exact, 1.0, np.zeros(n, bool))
-        assert transcript.check_soundness()
-        responses = exact.copy()
-        responses[1777] += 0.1 + 1e-9
-        transcript.log_block(coords, responses, exact, 1.0, np.zeros(n, bool))
-        assert not transcript.check_soundness()
-
 
 # ---------------------------------------------------------------------------
 # Adversary pruning against a set-based reference
@@ -753,7 +776,7 @@ class ReferenceAdversary:
         self.survivors = set(itertools.permutations(range(1, d + 1), problem.p))
 
     def answer(self, query):
-        coords, tables = query.terms[0]
+        coords, tables = tuple(query.coords[0].tolist()), query.tables
         t_label = np.asarray(query.t_label, float)
         null = self.helper.null_value(query)
         tol = self.tau * query.l2_null_norm(self.helper.problem)
@@ -802,7 +825,7 @@ class TestAdversaryPruning:
                 coords = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), len(w.coords), replace=False))
                 # witness tables, some shifted off zero mean so that slots differ
                 tables = tuple(w.t_coords[p] + rng.choice([0.0, 0.0, 0.5]) for p in w.coords)
-                query = Query(((coords, tables),), w.t_label, float(rng.choice([1.0, -0.5, 3.0])))
+                query = Query([coords], tables, w.t_label, float(rng.choice([1.0, -0.5, 3.0])))
                 got, want = adv.answer(query), ref.answer(query)
                 assert (got is FAIL) == (want is FAIL)
                 assert adv.survivors == ref.survivors

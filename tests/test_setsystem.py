@@ -60,10 +60,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SetSystem(33, ())
 
-    def test_json_round_trip(self):
-        s = system(4, [1], [1, 2])
-        assert SetSystem.from_json(s.to_json(), 4) == s
-
 
 class TestGreedyClosure:
     def test_y1_chain_k1(self):
