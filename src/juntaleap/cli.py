@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import numbers
@@ -96,6 +97,10 @@ def _problem_from_config(cfg: dict):
     spec = _require(cfg, "problem", "config")
     if isinstance(spec, str):
         spec = _load_config(spec)
+        # a whole config, such as a bundled example, holds its spec in a
+        # "problem" block; that block is taken as it is, one level only
+        if isinstance(spec, dict) and "problem" in spec:
+            spec = spec["problem"]
     return _checked("bad problem spec", problem_from_dict, spec)
 
 
@@ -124,17 +129,26 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _dump_json(data, out_dir: Path, name: str) -> Path:
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True, default=_json_default)
+
+
+def _write_text(text: str, out_dir: Path, name: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(data, indent=2, sort_keys=True, default=_json_default) + "\n")
+    path.write_text(text + "\n")
     return path
 
 
+def _dump_json(data, out_dir: Path, name: str) -> Path:
+    return _write_text(_json_text(data), out_dir, name)
+
+
 def _emit(data, out_dir: Path, name: str) -> Path:
-    """Write a summary JSON under out_dir and print it."""
-    path = _dump_json(data, out_dir, name)
-    print(json.dumps(data, indent=2, sort_keys=True, default=_json_default))
+    """Write a summary JSON under out_dir and print the same text."""
+    text = _json_text(data)
+    path = _write_text(text, out_dir, name)
+    print(text)
     return path
 
 
@@ -250,7 +264,9 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), **_given(block, "tol"))
     if kinds["learner"] == "grouped":
         _checked("bad game", singleton_witness, report)
-    result = play_game(instance, report, **kinds, **limits, **_given(block, "tau", "tau_factor"), seed=int(seed))
+    # the seed draws s_star for every game, and the noise of an honest one
+    seeded = {"seed": int(seed)} if kinds["oracle_kind"] == "honest" else {}
+    result = play_game(instance, report, **kinds, **limits, **_given(block, "tau", "tau_factor"), **seeded)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "game_transcript.jsonl").open("w") as fh:
         result.transcript.to_jsonl(fh)
@@ -419,7 +435,7 @@ def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     report["dlq_detects_singleton"] = {lname: bool(detect(problem, "DLQ", _loss_from_spec(lname)).system.sets)
                                        for lname in block.get("losses", ["squared"])}
     _dump_json(report, out_dir, "hard_instance.json")
-    print(json.dumps({k: v for k, v in report.items() if k != "problem"}, indent=2, sort_keys=True, default=_json_default))
+    print(_json_text({k: v for k, v in report.items() if k != "problem"}))
     return 0
 
 
@@ -444,7 +460,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(prog="juntaleap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -459,7 +477,11 @@ def main(argv=None) -> int:
             p.add_argument("--noise-mode", default=None,
                            choices=["zero", "uniform", "adversarial_sign"],
                            help="override the honest-oracle noise mode")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.threads is not None:
         # read by the BLAS when numpy first loads; a caller that imported

@@ -207,20 +207,24 @@ class _Block:
         if not (math.isfinite(self.norm) and np.isfinite(responses).all() and np.isfinite(exact).all()):
             return "".join(map(_jsonl_line, self.records(lo, hi)))
         coords = self.coords[lo:hi]
-        # the JSON text of a finite float is its repr, of an int its str;
-        # columns of Python strings are joined by object-array addition
-        ints = np.array(list(map(str, range(coords.max() + 1))), dtype=object)
-        terms = ints[coords[:, 0]]
-        for j in range(1, coords.shape[1]):
-            terms = terms + ", " + ints[coords[:, j]]
+        m, k = coords.shape
+        # the JSON text of a finite float is its repr, of an int its str; each
+        # line is one row of Python strings, the constant fragments broadcast
+        # into their columns, and the rows are joined in one pass
+        cols = np.empty((m, 7 + 2 * k), dtype=object)
         heads = np.array(['{"accepted": false, "exact": ', '{"accepted": true, "exact": '], dtype=object)
-        t = np.array(list(map(str, range(self.t0 + lo, self.t0 + lo + len(exact)))), dtype=object)
-        lines = (
-            heads[self.accepted[lo:hi].view(np.uint8)] + _float_text(exact)
-            + f', "norm": {self.norm!r}, "response": ' + _float_text(responses)
-            + ', "scale": 1.0, "t": ' + t + ', "terms": [[' + terms + "]]}\n"
-        )
-        return "".join(lines.tolist())
+        cols[:, 0] = heads[self.accepted[lo:hi].view(np.uint8)]
+        cols[:, 1] = _float_text(exact)
+        cols[:, 2] = f', "norm": {self.norm!r}, "response": '
+        cols[:, 3] = _float_text(responses)
+        cols[:, 4] = ', "scale": 1.0, "t": '
+        cols[:, 5] = list(map(str, range(self.t0 + lo, self.t0 + lo + m)))
+        cols[:, 6] = ', "terms": [['
+        ints = np.array(list(map(str, range(coords.max() + 1))), dtype=object)
+        cols[:, 7:-1:2] = ints[coords]
+        cols[:, 8:-1:2] = ", "
+        cols[:, -1] = "]]}\n"
+        return "".join(cols.ravel().tolist())
 
 
 def _float_text(values: np.ndarray) -> np.ndarray:
@@ -683,11 +687,15 @@ def play_game(
     tau_factor: float = 0.25,
     noise_mode: str = "zero",
     budget: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
     max_tuple: int | None = None,
 ) -> GameResult:
-    """Run one support-recovery game and grade the outcome."""
+    """Run one support-recovery game and grade the outcome. `seed` seeds the
+    honest oracle's noise (0 when None); the adversary draws nothing, so a
+    seed against it is an error."""
     check_game_kinds(learner, oracle_kind, noise_mode, max_tuple)
+    if oracle_kind == "adversarial" and seed is not None:
+        raise ValueError("the adversary draws no noise and takes no seed")
     if tau is None:
         if report.beta is None:
             raise ValueError("report has no detectable sets; tau must be explicit")
@@ -698,7 +706,7 @@ def play_game(
         else:
             tau = tau_factor * report.beta
     if oracle_kind == "honest":
-        oracle = HonestOracle(instance, tau, noise_mode, seed)
+        oracle = HonestOracle(instance, tau, noise_mode, 0 if seed is None else seed)
     else:
         oracle = AdversarialOracle(instance.problem, instance.d, tau)
 

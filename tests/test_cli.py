@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -152,6 +153,16 @@ class TestGame:
         verdict = json.loads((tmp_path / "game_verdict.json").read_text())
         assert verdict["verdict"] == "FAIL"
 
+    def test_adversary_transcript_does_not_depend_on_the_seed(self, tmp_path):
+        # the seed draws s_star only: the adversary has no planting to keep
+        cfg = write_config(tmp_path, "g.json", {"problem": Y2_SPEC, "game": {"d": 8, "oracle": "adversarial"}})
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for seed, out in zip(("1", "2"), outs):
+            assert run_cli(["game", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        verdicts = [json.loads((out / "game_verdict.json").read_text()) for out in outs]
+        assert verdicts[0]["s_star"] != verdicts[1]["s_star"]
+        assert [v["verdict"] for v in verdicts] == ["FAIL", "FAIL"] and verdicts[0]["queries"] == 197
+        assert (outs[0] / "game_transcript.jsonl").read_bytes() == (outs[1] / "game_transcript.jsonl").read_bytes()
 
     @pytest.mark.parametrize("oracle", ["honest", "adversarial"])
     @pytest.mark.parametrize("bad", [{"tau": -0.1}, {"tau": float("nan")}, {"tau_factor": float("inf")},
@@ -167,6 +178,30 @@ class TestGame:
     def test_bad_tau_flag_exits_2(self, tmp_path, tau):
         cfg = write_config(tmp_path, "g.json", {"problem": Y1_SPEC, "game": {"d": 8, "oracle": "adversarial"}})
         assert run_cli(["game", "--config", cfg, "--out", str(tmp_path), "--tau", tau]) == 2
+
+
+class TestProblemNamedByString:
+    def outputs(self, tmp_path, name, problem, command="game"):
+        block = {"game": {"d": 12, "noise_mode": "uniform"}} if command == "game" else {}
+        cfg = write_config(tmp_path, f"{name}.json", {"problem": problem, **block, "seed": 4})
+        out = tmp_path / name
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    def test_bundled_config_gives_its_problem_block(self, tmp_path):
+        # y1.json is a whole config: its spec sits under "problem"
+        assert self.outputs(tmp_path, "named", "y1.json") == self.outputs(tmp_path, "inline", Y1_SPEC)
+
+    def test_bare_problem_file(self, tmp_path):
+        path = write_config(tmp_path, "y2_problem.json", Y2_SPEC)
+        named = self.outputs(tmp_path, "named", path, "exponents")
+        assert named == self.outputs(tmp_path, "inline", Y2_SPEC, "exponents")
+
+    def test_problem_block_followed_one_level_only(self, tmp_path, capsys):
+        path = write_config(tmp_path, "wrapper.json", {"problem": "y1.json"})
+        cfg = write_config(tmp_path, "c.json", {"problem": path, "game": {"d": 12}})
+        assert run_cli(["game", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "bad problem spec" in capsys.readouterr().err
 
 
 class TestDynamicsCommands:
@@ -486,6 +521,73 @@ class TestDeterminism:
         va = json.loads((out_a / "game_verdict.json").read_text())
         vb = json.loads((out_b / "game_verdict.json").read_text())
         assert va["s_star"] != vb["s_star"]
+
+
+class TestPinnedGames:
+    """sha256 of a game's transcript and verdict, taken from the CLI before
+    transcript chunks were assembled as one array of columns."""
+
+    @pytest.mark.parametrize("config,transcript,verdict", [
+        ({"problem": Y1_SPEC, "game": {"d": 10, "learner": "nonadaptive", "noise_mode": "uniform"}, "seed": 3},
+         "13beced490391769b7adb6adbe94d500f585b4306fe9a55d24ad6e145337996f",
+         "0b701a6742f2db1553342518fe1d9d43f107ab15e35a0e804615fbbf05f59df9"),
+        ({"problem": Y2_SPEC, "game": {"d": 12, "learner": "adaptive", "noise_mode": "adversarial_sign"}, "seed": 7},
+         "ad82918f2bfc140f3210960aa15db320df07094a0420525413cf6ccee46dc4b7",
+         "cb939d07e4c846ce8f4c28119edabccbb34df8cfc998cfc5c25f41bdc7c21e08"),
+        ({"problem": Y2_SPEC, "game": {"d": 8, "oracle": "adversarial"}, "seed": 1},
+         "3f8ca663f09d47eeb906cbc0384cd22e9d04def1cab33655532e7fdfacba7dc8",
+         "7094c2bf100a3cf843f138641cd1882acba875b9bf53da533a1b668f9eeb5c40"),
+    ], ids=["y1-nonadaptive-uniform-d10", "y2-adaptive-adversarial_sign-d12", "y2-adversary-d8"])
+    def test_digests(self, tmp_path, config, transcript, verdict):
+        cfg = write_config(tmp_path, "g.json", config)
+        assert run_cli(["game", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        digest = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+                  for f in ("game_transcript.jsonl", "game_verdict.json")}
+        assert digest == {"game_transcript.jsonl": transcript, "game_verdict.json": verdict}
+
+
+class TestParserReuse:
+    """main builds its parser once; what one call parses must not reach the next."""
+
+    def fresh(self, argv):
+        """The stdout of `argv` run in a new interpreter."""
+        proc = subprocess.run([sys.executable, "-m", "juntaleap.cli", *argv], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "g.json", {"problem": Y2_SPEC, "game": {"d": 12}, "seed": 1})
+        flagged = ["--noise-mode", "uniform", "--tau", "0.01", "--budget", "50", "--seed", "4"]
+        runs = {}
+        for name, flags in (("flagged", flagged), ("plain", [])):
+            for how in ("in-process", "fresh"):
+                out = tmp_path / f"{name}-{how}"
+                argv = ["game", "--config", cfg, "--out", str(out), *flags]
+                if how == "fresh":
+                    stdout = self.fresh(argv)
+                else:
+                    assert run_cli(argv) == 0
+                    stdout = capsys.readouterr().out
+                runs[name, how] = stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert runs["flagged", "in-process"] == runs["flagged", "fresh"]
+        assert runs["plain", "in-process"] == runs["plain", "fresh"]
+        assert runs["flagged", "fresh"] != runs["plain", "fresh"]
+        assert json.loads(runs["flagged", "fresh"][0])["verdict"] == "FAIL(budget)"
+
+    @pytest.mark.parametrize("bad", [["game", "--config", "y1.json", "--tau", "x"], ["bogus"], ["game"]])
+    def test_bad_argv_after_a_good_call_exits_2(self, tmp_path, capsys, bad):
+        assert run_cli(["exponents", "--config", "y1.json", "--out", str(tmp_path)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+        assert "usage: juntaleap" in capsys.readouterr().err
+
+    def test_import_builds_no_parser(self):
+        probe = ("import sys; from juntaleap import cli; "
+                 "assert 'numpy' not in sys.modules and cli._parser.cache_info().currsize == 0")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEntryPoint:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juntaleap import (
     FAIL,
@@ -20,7 +21,9 @@ from juntaleap import (
     expand_hypercube,
     play_game,
 )
-from juntaleap.oracle import BudgetExceededError, Transcript, run_adaptive, run_grouped, run_nonadaptive
+from juntaleap.oracle import (
+    _JSONL_CHUNK_LINES, BudgetExceededError, Transcript, _Block, run_adaptive, run_grouped, run_nonadaptive,
+)
 from juntaleap.detect import DetectReport, Witness
 from juntaleap.setsystem import SetSystem
 
@@ -412,6 +415,12 @@ class TestPlayGame:
         with pytest.raises(ValueError, match="honest oracle only"):
             play_game(inst, detect_csq(y2_problem), oracle_kind="adversarial", noise_mode=noise_mode)
 
+    def test_seed_against_the_adversary_rejected(self, y2_problem):
+        inst = PlantedInstance(y2_problem, 8, (1, 2, 3, 4), seed=3)
+        with pytest.raises(ValueError, match="takes no seed"):
+            play_game(inst, detect_csq(y2_problem), oracle_kind="adversarial", seed=1)
+        assert play_game(inst, detect_csq(y2_problem), oracle_kind="adversarial").transcript.n_queries == 197
+
     @pytest.mark.parametrize("learner", ["nonadaptive", "grouped"])
     def test_max_tuple_only_for_the_adaptive_learner(self, p1_problem, learner):
         inst = PlantedInstance(p1_problem, 8, (3,), seed=0)
@@ -738,6 +747,31 @@ class TestColumnTranscript:
         buf = io.StringIO()
         transcript.to_jsonl(buf)
         assert buf.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
+
+    # -0.0, subnormals, the extremes and floats whose repr needs 17 digits
+    SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+               0.1 + 0.2, 1 / 3, -1.0, 1.0]
+
+    @given(k=st.integers(1, 5), m=st.sampled_from([1, 2, 7, 2047, 2048, 2049, 4097]),
+           t0=st.one_of(st.just(1), st.integers(1, 10**18)),
+           pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+           norm=st.one_of(st.sampled_from(SPECIAL), st.floats(min_value=0.0, allow_infinity=False)),
+           nonfinite=st.sampled_from([None, np.nan, np.inf, -np.inf]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_block_chunks_write_json_dumps_lines(self, k, m, t0, pool, norm, nonfinite, seed):
+        # a non-finite value goes through json.dumps for its chunk only, next
+        # to chunks of finite values written column by column
+        rng = np.random.default_rng(seed)
+        floats = np.array(self.SPECIAL + pool + rng.normal(size=64).tolist())
+        coords = rng.integers(1, 3000, size=(m, k))
+        responses, exact = rng.choice(floats, m), rng.choice(floats, m)
+        if nonfinite is not None:
+            (responses if rng.random() < 0.5 else exact)[rng.integers(m)] = nonfinite
+        accepted = rng.random(m) < 0.3
+        block = _Block(t0, coords, responses, exact, norm, accepted)
+        text = "".join(block.jsonl(lo, lo + _JSONL_CHUNK_LINES) for lo in range(0, m, _JSONL_CHUNK_LINES))
+        records = block_records(t0, coords, responses, exact, norm, accepted)
+        assert text == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     def test_records_view_grows_with_the_log(self):
         transcript = Transcript(0.1)
