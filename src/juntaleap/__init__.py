@@ -16,7 +16,7 @@ _EXPORTS = {
     "losses": ("LossSpec", "get_loss"),
     "junta": (
         "FiniteMarginal", "HypercubeJunta", "JuntaProblem", "LabelNoise", "PlantedInstance", "expand_hypercube",
-        "hard_instance", "problem_from_dict", "sample", "uniform_hypercube_marginal",
+        "hard_instance", "problem_from_dict", "uniform_hypercube_marginal",
     ),
     "fourier": ("OrthonormalBasis", "conditional_moment_tensor", "gram_schmidt", "inverse_wht", "wht"),
     "detect": ("DetectReport", "Witness", "detect", "detect_csq", "detect_dlq", "detect_sq", "exponents"),

@@ -208,7 +208,7 @@ def _planted(problem, d, s_star, rng, seed):
     if s_star is None:
         # a d below P draws from [P] instead, so that PlantedInstance rejects the d
         s_star = rng.choice(np.arange(1, max(d, problem.p) + 1), size=problem.p, replace=False)
-    return PlantedInstance(problem, d, tuple(int(c) for c in s_star), seed=seed)
+    return PlantedInstance(problem, d, tuple(s_star), seed=seed)
 
 
 def cmd_exponents(cfg: dict, block: dict, out_dir: Path, seed) -> int:
@@ -260,12 +260,12 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     if kinds["oracle_kind"] == "adversarial":
         _checked("bad game", check_adversary_size, problem.p, d)
     rng = np.random.default_rng(seed)
-    instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng, int(seed))
+    instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng, seed)
     report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), **_given(block, "tol"))
     if kinds["learner"] == "grouped":
         _checked("bad game", singleton_witness, report)
     # the seed draws s_star for every game, and the noise of an honest one
-    seeded = {"seed": int(seed)} if kinds["oracle_kind"] == "honest" else {}
+    seeded = {"seed": seed} if kinds["oracle_kind"] == "honest" else {}
     result = play_game(instance, report, **kinds, **limits, **_given(block, "tau", "tau_factor"), **seeded)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "game_transcript.jsonl").open("w") as fh:
@@ -322,10 +322,10 @@ def cmd_sgd(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     summary = {"trials": [], "eta": eta, "steps": steps, "c_bar": c_bar, "loss": loss.name,
                "activation": act.name, "d": d, "M": m, "batch": tc.batch, "bayes_mse": bayes_mse}
     for trial in range(trials):
-        instance = _checked("bad planted instance", _planted, problem, d, None, rng, int(seed) + trial)
-        ens = _checked("bad initialization", init_ensemble, d, m, act, seed=int(seed) * 1000 + trial,
+        instance = _checked("bad planted instance", _planted, problem, d, None, rng, seed + trial)
+        ens = _checked("bad initialization", init_ensemble, d, m, act, seed=seed * 1000 + trial,
                        c_bar=c_bar, **_given(block, "mu_b", "mu_w"))
-        run = run_sgd(instance, ens, tc, steps, data_seed=int(seed) * 7919 + trial, eval_every=eval_every,
+        run = run_sgd(instance, ens, tc, steps, data_seed=seed * 7919 + trial, eval_every=eval_every,
                       eval_losses=eval_losses, **_given(block, "test_n"))
         _write_csv(run.history, out_dir, f"sgd_trial{trial}.csv")
         first, last = run.history[0], run.history[-1]
@@ -355,9 +355,10 @@ def cmd_df(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     _number(block, "threshold")
     problem = _problem_from_config(cfg)
     loss, act, c_bar, rng = _train_common(block, seed)
+    tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta"], **_given(block, "kappa"))
+    _checked("bad training parameters", tc.kappa_for, problem.p)  # one kappa per support coordinate
     state = _checked("bad initialization", init_df_state, problem.p, act, c_bar=c_bar,
                      **_given(block, "a_order", "b_order", "mu_b", "s0"))
-    tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta"], **_given(block, "kappa"))
     run = run_df(problem, tc, steps, state, risk_every=risk_every,
                  risk_losses=[("mse", squared()), ("train_risk", loss)], **_given(block, "gh_order"))
     _write_csv(run.history, out_dir, "df_curve.csv")
@@ -401,6 +402,7 @@ def cmd_layerwise(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     if c_bar is None:
         c_bar = float(rng.uniform(-0.5, 0.5))
     tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block.get("eta", 0.002), kappa=kappa)
+    _checked("bad training parameters", tc.kappa_for, problem.p)  # one kappa per support coordinate
     if block.get("eta2") not in (None, "auto"):  # the phase-2 step size
         _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta2"])
     result = layerwise_train(problem, tc, L=L, k1=k1, c_bar=c_bar, **_given(block, "k2", "a_order", "eta2"))
@@ -502,7 +504,7 @@ def main(argv=None) -> int:
             block = dict(block, **{k: v for k, v in overrides.items() if v is not None})
         for key in required:
             _require(block, key, name)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = _count({"seed": args.seed if args.seed is not None else cfg.get("seed")}, "seed", 0, 0)
         return command(cfg, block, Path(args.out), seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

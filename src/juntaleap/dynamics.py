@@ -1,7 +1,7 @@
 """Two-layer SGD, discrete dimension-free dynamics, kernels, and risk.
 
 The particle network is f(x; Theta) = (1/M) sum_j [a_j sigma(<w_j, x> + b_j) + c_j];
-batch SGD updates every theta_j with per-block step sizes and l2 decay.
+batch SGD updates every theta_j with per-block step sizes and l2 decay of a and w.
 
 The dimension-free (DF) state tracks weighted particles (a, b, u, c, s) living
 on the P support coordinates plus a Gaussian residual s*G; each step applies
@@ -142,6 +142,8 @@ class TrainConfig:
 
     eta is the base step size; each block uses eta * rate_<block>, and the
     w-block additionally multiplies per-coordinate kappa factors (in [1/2, 3/2]).
+    lam_a and lam_w are the l2 decay rates of a and of w (u and s in the DF
+    recursion); b and c are not decayed.
     """
 
     loss: LossSpec
@@ -154,8 +156,6 @@ class TrainConfig:
     kappa: np.ndarray | None = None
     lam_a: float = 0.0
     lam_w: float = 0.0
-    lam_b: float = 0.0
-    lam_c: float = 0.0
 
     def __post_init__(self):
         if isinstance(self.batch, bool) or not isinstance(self.batch, numbers.Integral):
@@ -163,8 +163,8 @@ class TrainConfig:
         # each test is written so that NaN fails it
         if not (np.isfinite(self.eta) and self.batch >= 1):
             raise ValueError(f"eta must be finite and batch >= 1, got eta={self.eta!r}, batch={self.batch!r}")
-        if not np.isfinite([self.lam_a, self.lam_w, self.lam_b, self.lam_c]).all():
-            raise ValueError("the decay rates lam_a, lam_w, lam_b and lam_c must be finite")
+        if not np.isfinite([self.lam_a, self.lam_w]).all():
+            raise ValueError("the decay rates lam_a and lam_w must be finite")
         if self.kappa is not None:
             self.kappa = np.asarray(self.kappa, dtype=float)
             if not np.all((self.kappa >= 0.5 - 1e-12) & (self.kappa <= 1.5 + 1e-12)):
@@ -287,8 +287,9 @@ def init_ensemble(
 
 def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ParticleEnsemble:
     """One batch-SGD update: theta_j <- theta_j - H [ (1/b) sum_i l'(f(x_i), y_i)
-    grad_theta sigma_*(x_i; theta_j) + lambda theta_j ], f evaluated at the
-    pre-step parameters for the whole batch. w is updated in place.
+    grad_theta sigma_*(x_i; theta_j) + lambda theta_j ] (lambda = 0 for b and
+    c), f evaluated at the pre-step parameters for the whole batch. w is
+    updated in place.
 
     The step's (n, M) and (M, d) arrays are written into `ens.step_buffers`
     when the ensemble holds them (for this batch size), and allocated
@@ -322,8 +323,8 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     grad_w *= eta * cfg.rate_w * cfg.kappa_for(ens.d)
     ens.w -= grad_w
     ens.a -= eta * cfg.rate_a * (grad_a + cfg.lam_a * ens.a)
-    ens.b -= eta * cfg.rate_b * (grad_b + cfg.lam_b * ens.b)
-    ens.c -= eta * cfg.rate_c * (grad_c + cfg.lam_c * ens.c)
+    ens.b -= eta * cfg.rate_b * grad_b
+    ens.c -= eta * cfg.rate_c * grad_c
     # min and max propagate nan and hold any inf, and need no (M, d) temporary
     if not all(np.isfinite(v.min()) and np.isfinite(v.max()) for v in (ens.a, ens.w, ens.b, ens.c)):
         raise DivergenceError(-1)
@@ -355,12 +356,6 @@ class DFState:
     @property
     def p(self) -> int:
         return self.u.shape[1]
-
-    def copy(self) -> "DFState":
-        return DFState(
-            self.a.copy(), self.b.copy(), self.u.copy(), self.c.copy(),
-            self.s.copy(), self.weights.copy(), self.activation, self.k,
-        )
 
 
 @functools.lru_cache(maxsize=16)
@@ -489,8 +484,8 @@ def df_step(
     state.a = state.a - eta * cfg.rate_a * _decayed(grad_a, cfg.lam_a, state.a)
     state.u = state.u - (eta * cfg.rate_w * kap) * _decayed(grad_u, cfg.lam_w, state.u)
     state.s = state.s - eta * cfg.rate_w * _decayed(grad_s, cfg.lam_w, state.s)
-    state.b = state.b - eta * cfg.rate_b * _decayed(grad_b, cfg.lam_b, state.b)
-    state.c = state.c - eta * cfg.rate_c * _decayed(grad_c, cfg.lam_c, state.c)
+    state.b = state.b - eta * cfg.rate_b * grad_b
+    state.c = state.c - eta * cfg.rate_c * grad_c
     state.k += 1
     # one scan over every parameter
     if not np.isfinite(np.concatenate((state.u, state.a, state.b, state.c, state.s), axis=None)).all():

@@ -13,7 +13,7 @@ as in marginal.values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -262,11 +262,7 @@ class HypercubeJunta:
 
         coef = np.zeros(2**self.p)
         for key, val in self.fourier.items():
-            if isinstance(key, int):
-                mask = key
-            else:
-                mask = mask_from_coords(key, self.p)
-            coef[mask] += float(val)
+            coef[mask_from_coords(key, self.p)] += float(val)
         return coef
 
     def clean_table(self) -> np.ndarray:
@@ -325,6 +321,8 @@ class PlantedInstance:
     seed: int = 0
 
     def __post_init__(self):
+        if any(isinstance(c, bool) or not isinstance(c, Integral) for c in self.s_star):
+            raise ValueError(f"s_star entries must be integers, got {list(self.s_star)!r}")
         s = tuple(int(c) for c in self.s_star)
         object.__setattr__(self, "s_star", s)
         if self.d < self.problem.p:
@@ -334,16 +332,6 @@ class PlantedInstance:
         if len(set(s)) != len(s) or any(not 1 <= c <= self.d for c in s):
             raise ValueError("s_star entries must be distinct coordinates in [1, d]")
 
-    @property
-    def support_set(self) -> frozenset[int]:
-        return frozenset(self.s_star)
-
-    def internal_order(self) -> tuple[int, ...]:
-        """Ambient coordinates in the sampler's internal column order:
-        planted support first (in planted order), then the rest ascending."""
-        rest = [c for c in range(1, self.d + 1) if c not in self.support_set]
-        return self.s_star + tuple(rest)
-
     def sampler(self, seed: int | None = None) -> "Sampler":
         return Sampler(self, self.seed if seed is None else seed)
 
@@ -351,9 +339,11 @@ class PlantedInstance:
 class Sampler:
     """Owns the RNG stream of one planted instance; not shareable across threads.
 
-    Internally, columns are laid out support-first so two instances that differ
-    only by a relabeling of ambient coordinates consume identical random streams
-    and produce bit-identical internal draws.
+    Draws are in the internal support-first layout: column j < P holds
+    coordinate s_star[j], the other columns the off-support coordinates. So
+    two instances that differ only by a relabeling of ambient coordinates
+    consume identical random streams and produce bit-identical draws. The
+    labels must be numeric.
     """
 
     def __init__(self, instance: PlantedInstance, seed: int):
@@ -361,14 +351,7 @@ class Sampler:
         self.rng = np.random.default_rng(seed)
         prob = instance.problem
         self._cdf = np.cumsum(prob.cond, axis=1)
-        self._labels_arr = (
-            prob.labels_numeric()
-            if all(isinstance(v, Real) for v in prob.labels)
-            else np.asarray(prob.labels, dtype=object)
-        )
-        # scatter map: internal column j holds ambient coordinate order[j]
-        order = np.asarray(instance.internal_order(), dtype=np.int64) - 1
-        self._scatter = order
+        self._labels = prob.labels_numeric()
         # integer draws only for an exactly uniform marginal
         probs = prob.marginal.probs
         self._uniform = bool(np.all(probs == probs[0]))
@@ -386,7 +369,7 @@ class Sampler:
         prob = inst.problem
         symbols = np.empty((n, inst.d), dtype=np.min_scalar_type(prob.marginal.nx - 1))
         if n == 0:
-            return self._labels_arr[:0], symbols, np.empty(0, dtype=np.int64)
+            return self._labels[:0], symbols, np.empty(0, dtype=np.int64)
         sym_support = self._symbols((n, prob.p))
         symbols[:, : prob.p] = sym_support
         width = inst.d - prob.p
@@ -397,7 +380,7 @@ class Sampler:
         rows = prob.row_index(sym_support)
         u = self.rng.random(n)
         y_idx = (self._cdf[rows] < u[:, None]).sum(axis=1)
-        return self._labels_arr[y_idx], symbols, rows
+        return self._labels[y_idx], symbols, rows
 
     def draw_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n i.i.d. draws as (y, x, support row index), x in the internal layout:
@@ -417,21 +400,6 @@ class Sampler:
         if self._uniform:
             return self.rng.integers(0, nx, size=shape)
         return self.rng.choice(nx, size=shape, p=self.instance.problem.marginal.probs)
-
-    def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n i.i.d. draws with x in ambient coordinate order."""
-        y, x_int, _ = self.draw_batch(n)
-        x = np.empty_like(x_int)
-        x[:, self._scatter] = x_int
-        return y, x
-
-
-def sample(instance: PlantedInstance, n: int) -> list[tuple]:
-    """n i.i.d. (y, x) pairs, reproducible from instance.seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    y, x = instance.sampler().draw(n)
-    return [(y[i], x[i]) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

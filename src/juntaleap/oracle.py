@@ -536,10 +536,16 @@ def _room(transcript: Transcript, n: int) -> int:
 
 def _ordered_tuples(pool, k: int) -> np.ndarray:
     """The ordered k-tuples of distinct entries of `pool`, one per row, in
-    itertools.permutations order."""
-    pool = list(pool)
-    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(pool, k)), dtype=np.int64)
-    return flat.reshape(math.perm(len(pool), k), k)
+    itertools.permutations order: each prefix of positions is extended by every
+    position it does not hold, ascending, and nonzero lists those row by row."""
+    pool = np.fromiter(pool, dtype=np.int64)
+    idx = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(k):
+        free = np.ones((idx.shape[0], pool.size), dtype=bool)
+        free[np.arange(idx.shape[0])[:, None], idx] = False
+        rows, cols = np.nonzero(free)
+        idx = np.column_stack((idx[rows], cols))
+    return pool[idx]
 
 
 def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple=None):

@@ -461,6 +461,60 @@ class TestConfigValuesRejectedUpFront:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["abc", 1.5, 1e30, -1, True])
+    @pytest.mark.parametrize("command", ["exponents", "detect", "game", "sgd", "df", "layerwise", "hard-instance"])
+    def test_seed_not_an_integer_at_least_0_exits_2(self, tmp_path, capsys, command, seed):
+        if command == "hard-instance":
+            config = {"hard_instance": HARD_INSTANCE, "seed": seed}
+        else:
+            config = {"problem": Y1_SPEC, command: self.BASE[command], "seed": seed}
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: seed must be an integer >= 0" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["game", "sgd"])
+    def test_seed_flag_below_0_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "c.json", {"problem": Y1_SPEC, command: self.BASE[command], "seed": 0})
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out), "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: seed must be an integer >= 0" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_null_seed_is_seed_0(self, tmp_path, capsys):
+        texts = []
+        for seed in (None, 0):
+            cfg = write_config(tmp_path, "c.json", {"problem": Y1_SPEC, "game": {"d": 8}, "seed": seed})
+            out = tmp_path / f"out{seed}"
+            assert run_cli(["game", "--config", cfg, "--out", str(out)]) == 0
+            texts.append([(out / name).read_bytes() for name in ("game_verdict.json", "game_transcript.jsonl")])
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("s_star", [[1.7, 2, 3, 4], [True, 2, 3, 4], ["2", 3, 4, 5], [1.0, 2, 3, 4]])
+    def test_s_star_entry_not_an_integer_exits_2_before_detection(self, tmp_path, capsys, monkeypatch, s_star):
+        monkeypatch.setattr("juntaleap.cli._detect", lambda *args, **kwargs: pytest.fail("detection ran"))
+        cfg = write_config(tmp_path, "c.json", {"problem": Y1_SPEC, "game": {"d": 10, "s_star": s_star}})
+        out = tmp_path / "out"
+        assert run_cli(["game", "--config", cfg, "--out", str(out)]) == 2
+        assert "s_star entries must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,target", [("df", "juntaleap.dynamics.init_df_state"),
+                                                ("layerwise", "juntaleap.dynamics.layerwise_train")])
+    def test_kappa_of_the_wrong_length_exits_2_before_training(self, tmp_path, capsys, monkeypatch, command,
+                                                               target):
+        monkeypatch.setattr(target, lambda *args, **kwargs: pytest.fail("training started"))
+        block = dict(self.BASE[command], kappa=[1.0, 1.0])
+        cfg = write_config(tmp_path, "c.json", {"problem": Y1_SPEC, command: block})
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "kappa has length 2, expected 4" in err
+        assert not out.exists()
+
 
 class TestHardInstance:
     def test_singleton_asymmetry(self, tmp_path):

@@ -14,7 +14,6 @@ from juntaleap import (
     expand_hypercube,
     hard_instance,
     problem_from_dict,
-    sample,
     uniform_hypercube_marginal,
 )
 from juntaleap import junta
@@ -181,14 +180,16 @@ class TestExpandHypercube:
 class TestSampling:
     def test_empty_draw(self, y1_problem):
         inst = PlantedInstance(y1_problem, 10, (2, 4, 6, 8), seed=0)
-        assert sample(inst, 0) == []
+        y, x, rows = inst.sampler().draw_batch(0)
+        assert y.shape == (0,) and x.shape == (0, 10) and rows.shape == (0,)
 
     def test_noiseless_consistency(self, y1_problem):
+        # the support is columns [:P] of the internal layout, in s_star order
         inst = PlantedInstance(y1_problem, 12, (3, 1, 7, 9), seed=5)
-        for y, x in sample(inst, 200):
-            z = [x[c - 1] for c in inst.s_star]
-            h = z[0] + z[0] * z[1] + z[0] * z[1] * z[2] + z[0] * z[1] * z[2] * z[3]
-            assert y == pytest.approx(h)
+        y, x, _ = inst.sampler().draw_batch(200)
+        z = x[:, :4].T
+        h = z[0] + z[0] * z[1] + z[0] * z[1] * z[2] + z[0] * z[1] * z[2] * z[3]
+        assert y == pytest.approx(h)
 
     def test_empirical_mean_within_3_sigma(self):
         rng = np.random.default_rng(11)
@@ -196,22 +197,19 @@ class TestSampling:
         inst = PlantedInstance(prob, prob.p + 3, tuple(range(1, prob.p + 1)), seed=2)
         exact = prob.label_expectation(np.asarray(prob.labels, dtype=float))
         n = 100_000
-        y, _ = inst.sampler().draw(n)
+        y, _, _ = inst.sampler().draw_batch(n)
         sd = float(np.std(np.asarray(prob.labels, float))) + 1e-9
         assert abs(float(np.mean(y)) - exact) <= 3 * sd / np.sqrt(n) + 1e-3
 
     def test_reproducible(self, y2_problem):
         inst = PlantedInstance(y2_problem, 9, (1, 5, 7, 2), seed=42)
-        a = sample(inst, 25)
-        b = sample(inst, 25)
-        for (ya, xa), (yb, xb) in zip(a, b):
-            assert ya == yb
-            np.testing.assert_array_equal(xa, xb)
+        for a, b in zip(inst.sampler().draw_batch(25), inst.sampler().draw_batch(25)):
+            np.testing.assert_array_equal(a, b)
 
     def test_near_uniform_marginal_is_not_sampled_as_uniform(self):
         def draws(probs):
             prob = JuntaProblem(1, FiniteMarginal([1.0, -1.0], probs), [0.0], np.ones((2, 1)))
-            return PlantedInstance(prob, 3, (2,), seed=0).sampler().draw(2000)[1]
+            return PlantedInstance(prob, 3, (2,), seed=0).sampler().draw_batch(2000)[1]
 
         assert not np.array_equal(draws([0.500004, 0.499996]), draws([0.5, 0.5]))
 
@@ -231,6 +229,20 @@ class TestSampling:
             PlantedInstance(y1_problem, 3, (1, 2, 3, 4), seed=0)
         with pytest.raises(ValueError):
             PlantedInstance(y1_problem, 10, (1, 1, 2, 3), seed=0)
+
+    @pytest.mark.parametrize("s_star", [(1.7, 2, 3, 4), (True, 2, 3, 4), ("2", 3, 4, 5), (1.0, 2, 3, 4)])
+    def test_rejects_s_star_entries_that_are_not_integers(self, y1_problem, s_star):
+        with pytest.raises(ValueError, match="s_star entries must be integers"):
+            PlantedInstance(y1_problem, 10, s_star, seed=0)
+
+    def test_accepts_numpy_integer_s_star(self, y1_problem):
+        inst = PlantedInstance(y1_problem, 10, tuple(np.array([4, 2, 9, 1])), seed=0)
+        assert inst.s_star == (4, 2, 9, 1) and all(type(c) is int for c in inst.s_star)
+
+    def test_sampler_needs_numeric_labels(self):
+        prob = JuntaProblem(1, uniform_hypercube_marginal(), ["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not numeric"):
+            PlantedInstance(prob, 3, (2,), seed=0).sampler()
 
 
 def reference_draw(problem, d, n, rng):

@@ -22,7 +22,8 @@ from juntaleap import (
     play_game,
 )
 from juntaleap.oracle import (
-    _JSONL_CHUNK_LINES, BudgetExceededError, Transcript, _Block, run_adaptive, run_grouped, run_nonadaptive,
+    _JSONL_CHUNK_LINES, BudgetExceededError, Transcript, _Block, _ordered_tuples, run_adaptive, run_grouped,
+    run_nonadaptive,
 )
 from juntaleap.detect import DetectReport, Witness
 from juntaleap.setsystem import SetSystem
@@ -364,6 +365,22 @@ class TestAdversary:
         for oracle_kind in ("honest", "adversarial"):
             with pytest.raises(ValueError, match="tau"):
                 play_game(PlantedInstance(y2_problem, 8, (1, 2, 3, 4)), rep, oracle_kind=oracle_kind, tau=tau)
+
+
+class TestOrderedTuples:
+    """The array-built tuples are the rows of itertools.permutations, in its order."""
+
+    @pytest.mark.parametrize("pool", [range(1, 7), [5, 2, 9, 1, 7], [3], []])
+    def test_matches_itertools(self, pool):
+        for k in range(len(pool) + 2):
+            got = _ordered_tuples(pool, k)
+            want = np.array(list(itertools.permutations(pool, k)), dtype=np.int64).reshape(math.perm(len(pool), k), k)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_k_0_and_k_len_pool(self):
+        assert _ordered_tuples([4, 1, 3], 0).shape == (1, 0)
+        assert _ordered_tuples([4, 1, 3], 3).tolist() == [list(t) for t in itertools.permutations([4, 1, 3])]
 
 
 class TestTranscript:
