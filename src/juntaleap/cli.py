@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import numbers
 import os
 import sys
@@ -58,29 +57,36 @@ def _require(block: dict, key: str, where: str):
 
 
 def _given(block: dict, *keys) -> dict:
-    """The keys the block sets to a value, so that each one left out or null
-    takes the library's default."""
-    return {k: block[k] for k in keys if block.get(k) is not None}
+    """The keys the block sets, so that each one left out takes the library's default."""
+    return {k: block[k] for k in keys if k in block}
 
 
-def _count(block: dict, key: str, least: int, default=None):
-    """block[key] as an integer >= least, or `default` when it is left out or null."""
-    value = block.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-    return value
+def _finite(value) -> bool:
+    # NaN fails the comparison, and so does an integer too large for a float
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
 
 
-def _number(block: dict, key: str, default=None):
-    """block[key] as a finite real number, or `default` when it is left out or null."""
-    value = block.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return value
+# a config value's kind: an int n for an integer >= n, or one of these, named by what
+# its values must be (LIBRARY: the library call that reads the value checks it)
+NUMBER, NUMBERS, AUTO_OR_NUMBER, FLAG, LIBRARY = (
+    "a finite number", "a list of finite numbers", '"auto" or a finite number', "true or false", "library-checked")
+_KIND_TESTS = {
+    NUMBER: _finite,
+    NUMBERS: lambda v: isinstance(v, list) and all(map(_finite, v)),
+    AUTO_OR_NUMBER: lambda v: v == "auto" or _finite(v),
+    FLAG: lambda v: isinstance(v, bool),
+    LIBRARY: lambda v: True,
+}
+
+
+def _check_kind(key: str, value, kind) -> None:
+    if isinstance(kind, int):
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= kind
+        kind = f"an integer >= {kind}"
+    else:
+        ok = _KIND_TESTS[kind](value)
+    if not ok:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def _checked(what: str, build, *args, **kwargs):
@@ -251,8 +257,8 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     for key, value in _given(block, "tau", "tau_factor").items():
         _checked(f"bad {key}", check_tau, value)
     _checked("bad detection parameters", check_detect_params, **_given(block, "tol"))
-    d = _count(block, "d", 1)
-    limits = {"budget": _count(block, "budget", 0), "max_tuple": _count(block, "max_tuple", 1)}
+    d = block["d"]
+    limits = {"budget": block.get("budget"), "max_tuple": block.get("max_tuple")}
     kinds = {"learner": block.get("learner", "adaptive"), "oracle_kind": block.get("oracle", "honest"),
              "noise_mode": block.get("noise_mode", "zero")}
     _checked("bad game", check_game_kinds, **kinds, max_tuple=limits["max_tuple"])
@@ -290,8 +296,7 @@ def _train_common(block, seed):
     loss = _loss_from_spec(block.get("loss", "squared"))
     act = _checked("bad activation", make_activation, block.get("activation", "tanh"))
     rng = np.random.default_rng(seed)
-    c_bar = _number(block, "c_bar")
-    c_bar = float(rng.uniform(-0.4, 0.4)) if c_bar is None else float(c_bar)
+    c_bar = float(block["c_bar"]) if "c_bar" in block else float(rng.uniform(-0.4, 0.4))
     return loss, act, c_bar, rng
 
 
@@ -305,12 +310,8 @@ def cmd_sgd(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     from .dynamics import TrainConfig, init_ensemble, run_sgd
     from .losses import squared
 
-    d = _count(block, "d", 1)
-    steps = _count(block, "steps", 0)
-    trials = _count(block, "trials", 1, 1)
-    eval_every = _count(block, "eval_every", 1, max(1, steps // 20))
-    _count(block, "test_n", 2)  # the standard errors divide by test_n - 1
-    eta = block["eta"] if "eta" in block else _number(block, "eta_scale", 0.5) / d
+    d, steps = block["d"], block["steps"]
+    eta = block["eta"] if "eta" in block else block.get("eta_scale", 0.5) / d
     problem = _problem_from_config(cfg)
     m = block.get("M", 512)
     loss, act, c_bar, rng = _train_common(block, seed)
@@ -321,11 +322,12 @@ def cmd_sgd(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     bayes_mse = _bayes_mse(problem)
     summary = {"trials": [], "eta": eta, "steps": steps, "c_bar": c_bar, "loss": loss.name,
                "activation": act.name, "d": d, "M": m, "batch": tc.batch, "bayes_mse": bayes_mse}
-    for trial in range(trials):
+    for trial in range(block.get("trials", 1)):
         instance = _checked("bad planted instance", _planted, problem, d, None, rng, seed + trial)
         ens = _checked("bad initialization", init_ensemble, d, m, act, seed=seed * 1000 + trial,
                        c_bar=c_bar, **_given(block, "mu_b", "mu_w"))
-        run = run_sgd(instance, ens, tc, steps, data_seed=seed * 7919 + trial, eval_every=eval_every,
+        run = run_sgd(instance, ens, tc, steps, data_seed=seed * 7919 + trial,
+                      eval_every=block.get("eval_every", max(1, steps // 20)),
                       eval_losses=eval_losses, **_given(block, "test_n"))
         _write_csv(run.history, out_dir, f"sgd_trial{trial}.csv")
         first, last = run.history[0], run.history[-1]
@@ -348,18 +350,14 @@ def cmd_df(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     from .dynamics import TrainConfig, init_df_state, run_df, support_alignment
     from .losses import squared
 
-    steps = _count(block, "steps", 0)
-    risk_every = _count(block, "risk_every", 1, max(1, steps // 50))
-    for key in ("gh_order", "a_order", "b_order"):
-        _count(block, key, 1)
-    _number(block, "threshold")
+    steps = block["steps"]
     problem = _problem_from_config(cfg)
     loss, act, c_bar, rng = _train_common(block, seed)
     tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta"], **_given(block, "kappa"))
     _checked("bad training parameters", tc.kappa_for, problem.p)  # one kappa per support coordinate
     state = _checked("bad initialization", init_df_state, problem.p, act, c_bar=c_bar,
                      **_given(block, "a_order", "b_order", "mu_b", "s0"))
-    run = run_df(problem, tc, steps, state, risk_every=risk_every,
+    run = run_df(problem, tc, steps, state, risk_every=block.get("risk_every", max(1, steps // 50)),
                  risk_losses=[("mse", squared()), ("train_risk", loss)], **_given(block, "gh_order"))
     _write_csv(run.history, out_dir, "df_curve.csv")
     dlq = detect(problem, "DLQ", loss)
@@ -386,32 +384,23 @@ def cmd_layerwise(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
     # imported at call time, so that a caller may replace dynamics.layerwise_train
-    from .dynamics import TrainConfig, layerwise_train, poly_activation
+    from .dynamics import TrainConfig, layerwise_train
 
-    k1 = _count(block, "k1", 0)
-    _count(block, "k2", 0)
-    _count(block, "a_order", 1)
-    c_bar = _number(block, "c_bar")
-    thresh = _number(block, "lambda_min_threshold", 1e-6)
-    L = block.get("L", 16)
-    _checked("bad activation", poly_activation, L)
     problem = _problem_from_config(cfg)
     loss = _loss_from_spec(block.get("loss", "squared"))
     rng = np.random.default_rng(seed)
-    kappa = rng.uniform(0.5, 1.5, problem.p).tolist() if block.get("kappa") is None else block["kappa"]
-    if c_bar is None:
-        c_bar = float(rng.uniform(-0.5, 0.5))
+    kappa = block["kappa"] if "kappa" in block else rng.uniform(0.5, 1.5, problem.p).tolist()
+    c_bar = block["c_bar"] if "c_bar" in block else float(rng.uniform(-0.5, 0.5))
     tc = _checked("bad training parameters", TrainConfig, loss=loss, eta=block.get("eta", 0.002), kappa=kappa)
     _checked("bad training parameters", tc.kappa_for, problem.p)  # one kappa per support coordinate
-    if block.get("eta2") not in (None, "auto"):  # the phase-2 step size
-        _checked("bad training parameters", TrainConfig, loss=loss, eta=block["eta2"])
-    result = layerwise_train(problem, tc, L=L, k1=k1, c_bar=c_bar, **_given(block, "k2", "a_order", "eta2"))
+    result = layerwise_train(problem, tc, L=block.get("L", 16), c_bar=c_bar,
+                             **_given(block, "k1", "k2", "a_order", "eta2"))
     _write_csv(result.history, out_dir, "layerwise_curve.csv")
     report = result.kernel_report
     summary = {
         "lambda_min": report.lambda_min,
         "lambda_min_margin": report.margin,
-        "lambda_min_ok": bool(report.lambda_min - report.margin > thresh),
+        "lambda_min_ok": bool(report.lambda_min - report.margin > block.get("lambda_min_threshold", 1e-6)),
         "final_excess": result.history[-1]["excess"],
         "eta2": result.eta2,
         "kappa": list(kappa),
@@ -441,24 +430,29 @@ def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     return 0
 
 
-# subcommand: (function, whether its config block is required, the block's
-# required keys, its optional keys); the block is named after the subcommand,
-# with "_" for "-"
+# subcommand: (function, whether its block is required, the block's required keys, the
+# kind of each key the block may set); the block is named after the subcommand, "_" for "-"
+_DETECTION = {"models": LIBRARY, "tol": NUMBER, "u_grid": NUMBERS}
 _COMMANDS = {
-    "exponents": (cmd_exponents, False, (), ("models", "tol", "u_grid")),
-    "detect": (cmd_detect, False, (), ("models", "tol", "u_grid", "dump_moments")),
-    "game": (cmd_game, True, ("d",),
-             ("s_star", "model", "loss", "learner", "oracle", "tau", "tau_factor", "noise_mode", "budget",
-              "max_tuple", "tol")),
-    "sgd": (cmd_sgd, True, ("d", "steps"),
-            ("M", "eta", "eta_scale", "batch", "loss", "activation", "c_bar", "mu_b", "mu_w", "trials",
-             "eval_every", "test_n", "lam_w", "lam_a")),
-    "df": (cmd_df, True, ("eta", "steps"),
-           ("loss", "activation", "c_bar", "mu_b", "a_order", "b_order", "s0", "gh_order", "threshold",
-            "risk_every", "kappa")),
-    "layerwise": (cmd_layerwise, True, (),
-                  ("L", "k1", "k2", "eta", "eta2", "loss", "c_bar", "kappa", "a_order", "lambda_min_threshold")),
-    "hard-instance": (cmd_hard_instance, True, ("marginal_y", "T", "A", "lambda", "marginal_x"), ("losses",)),
+    "exponents": (cmd_exponents, False, (), _DETECTION),
+    "detect": (cmd_detect, False, (), {**_DETECTION, "dump_moments": FLAG}),
+    "game": (cmd_game, True, ("d",), {"d": 1, "s_star": LIBRARY, "model": LIBRARY, "loss": LIBRARY,
+                                      "learner": LIBRARY, "oracle": LIBRARY, "tau": NUMBER, "tau_factor": NUMBER,
+                                      "noise_mode": LIBRARY, "budget": 0, "max_tuple": 1, "tol": NUMBER}),
+    "sgd": (cmd_sgd, True, ("d", "steps"), {"d": 1, "steps": 0, "M": 1, "eta": NUMBER, "eta_scale": NUMBER,
+                                            "batch": 1, "loss": LIBRARY, "activation": LIBRARY, "c_bar": NUMBER,
+                                            "mu_b": LIBRARY, "mu_w": LIBRARY, "trials": 1, "eval_every": 1,
+                                            "test_n": 2, "lam_w": NUMBER, "lam_a": NUMBER}),
+    "df": (cmd_df, True, ("eta", "steps"), {"eta": NUMBER, "steps": 0, "loss": LIBRARY, "activation": LIBRARY,
+                                            "c_bar": NUMBER, "mu_b": LIBRARY, "a_order": 1, "b_order": 1,
+                                            "s0": NUMBER, "gh_order": 1, "threshold": NUMBER, "risk_every": 1,
+                                            "kappa": NUMBERS}),
+    "layerwise": (cmd_layerwise, True, (), {"L": 1, "k1": 0, "k2": 0, "eta": NUMBER, "eta2": AUTO_OR_NUMBER,
+                                            "loss": LIBRARY, "c_bar": NUMBER, "kappa": NUMBERS, "a_order": 1,
+                                            "lambda_min_threshold": NUMBER}),
+    "hard-instance": (cmd_hard_instance, True, ("marginal_y", "T", "A", "lambda", "marginal_x"),
+                      {"marginal_y": LIBRARY, "T": NUMBERS, "A": NUMBERS, "lambda": NUMBER,
+                       "marginal_x": LIBRARY, "losses": LIBRARY}),
 }
 
 
@@ -491,20 +485,24 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    command, block_required, required, optional = _COMMANDS[args.command]
+    command, block_required, required, kinds = _COMMANDS[args.command]
     name = args.command.replace("-", "_")
+    overrides = {k: getattr(args, k, None) for k in ("budget", "tau", "noise_mode")}  # game's flags
     try:
         cfg = _load_config(args.config)
         top = {name, "seed"} if name == "hard_instance" else {"problem", name, "seed"}
         _check_keys(cfg, top, "config")
         block = _require(cfg, name, "config") if block_required else cfg.get(name, {})
-        _check_keys(block, {*required, *optional}, name)
-        if name == "game":
-            overrides = {"budget": args.budget, "tau": args.tau, "noise_mode": args.noise_mode}
-            block = dict(block, **{k: v for k, v in overrides.items() if v is not None})
+        _check_keys(block, set(kinds), name)
+        # a null value is a key left out, and a flag given overrides the block
+        block = {k: v for k, v in block.items() if v is not None}
+        block.update((k, v) for k, v in overrides.items() if v is not None)
         for key in required:
             _require(block, key, name)
-        seed = _count({"seed": args.seed if args.seed is not None else cfg.get("seed")}, "seed", 0, 0)
+        seed = next((s for s in (args.seed, cfg.get("seed")) if s is not None), 0)
+        _check_kind("seed", seed, 0)
+        for key, value in block.items():
+            _check_kind(key, value, kinds[key])
         return command(cfg, block, Path(args.out), seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -167,6 +167,8 @@ class TrainConfig:
             raise ValueError("the decay rates lam_a and lam_w must be finite")
         if self.kappa is not None:
             self.kappa = np.asarray(self.kappa, dtype=float)
+            if self.kappa.ndim != 1:
+                raise ValueError(f"kappa must be one-dimensional, got shape {self.kappa.shape}")
             if not np.all((self.kappa >= 0.5 - 1e-12) & (self.kappa <= 1.5 + 1e-12)):
                 raise ValueError("kappa entries must lie in [1/2, 3/2]")
 

@@ -117,7 +117,8 @@ class Transcript:
     Records logged one at a time (`log`) are dicts; a block of single-term
     witness queries (`log_block`) is stored column-wise, one array per field,
     and written to JSONL column-wise. `records` lists every record as a dict,
-    in order, built as it is read; the dicts of block rows are copies.
+    in order, built on each read: a logged dict is the stored record, and the
+    dicts of block rows are copies.
     """
 
     def __init__(self, tau: float, budget: int | None = None):
@@ -125,18 +126,16 @@ class Transcript:
         self.budget = budget
         self._parts: list = []  # dicts and _Blocks, in order
         self.n_queries = 0
-        self._view: list = []
-        self._viewed = 0  # parts already in _view
 
     @property
     def records(self) -> list:
-        for part in self._parts[self._viewed:]:
+        records = []
+        for part in self._parts:
             if isinstance(part, dict):
-                self._view.append(part)
+                records.append(part)
             else:
-                self._view.extend(part.records(0, len(part.exact)))
-        self._viewed = len(self._parts)
-        return self._view
+                records.extend(part.records(0, len(part.exact)))
+        return records
 
     def log(self, description: dict, response, exact=None, norm=None, accepted=None):
         """One record of the query whose `Query.describe()` is `description`."""

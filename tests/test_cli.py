@@ -165,13 +165,17 @@ class TestGame:
         assert (outs[0] / "game_transcript.jsonl").read_bytes() == (outs[1] / "game_transcript.jsonl").read_bytes()
 
     @pytest.mark.parametrize("oracle", ["honest", "adversarial"])
-    @pytest.mark.parametrize("bad", [{"tau": -0.1}, {"tau": float("nan")}, {"tau_factor": float("inf")},
-                                     {"tau_factor": -1.0}, {"tau": "0.1"}])
+    @pytest.mark.parametrize("bad", [  # (block entry, the error it gives)
+        ({"tau": -0.1}, "bad tau"), ({"tau": float("nan")}, "tau must be a finite number"),
+        ({"tau_factor": float("inf")}, "tau_factor must be a finite number"), ({"tau_factor": -1.0}, "bad tau_factor"),
+        ({"tau": "0.1"}, "tau must be a finite number"),
+    ])
     def test_bad_tau_exits_2(self, tmp_path, capsys, oracle, bad):
-        game = {"d": 8, "model": "CSQ", "oracle": oracle, **bad}
+        entry, message = bad
+        game = {"d": 8, "model": "CSQ", "oracle": oracle, **entry}
         cfg = write_config(tmp_path, "gtau.json", {"problem": Y2_SPEC, "game": game, "seed": 1})
         assert run_cli(["game", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "bad tau" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "game_verdict.json").exists()
 
     @pytest.mark.parametrize("tau", ["nan", "-0.5"])
@@ -205,20 +209,22 @@ class TestProblemNamedByString:
 
 
 class TestDynamicsCommands:
-    @pytest.mark.parametrize("command,block", [
-        ("df", {"eta": 0.002, "steps": 2, "kappa": [2.0, 1.0]}),
-        ("df", {"eta": float("nan"), "steps": 2}),
-        ("df", {"eta": 0.002, "steps": 2, "kappa": [float("nan"), 1.0]}),
-        ("layerwise", {"L": 4, "k1": 1, "k2": 1, "eta": float("inf")}),
-        ("layerwise", {"L": 4, "k1": 1, "k2": 1, "kappa": [1.0, float("nan")]}),
-        ("sgd", {"d": 4, "M": 4, "steps": 1, "batch": 0}),
-        ("sgd", {"d": 4, "M": 4, "steps": 1, "eta": float("nan")}),
+    @pytest.mark.parametrize("command,block", [  # block: (the block, the error it gives)
+        ("df", ({"eta": 0.002, "steps": 2, "kappa": [2.0, 1.0]}, "bad training parameters")),
+        ("df", ({"eta": float("nan"), "steps": 2}, "eta must be a finite number")),
+        ("df", ({"eta": 0.002, "steps": 2, "kappa": [float("nan"), 1.0]}, "kappa must be a list of finite numbers")),
+        ("layerwise", ({"L": 4, "k1": 1, "k2": 1, "eta": float("inf")}, "eta must be a finite number")),
+        ("layerwise", ({"L": 4, "k1": 1, "k2": 1, "kappa": [1.0, float("nan")]},
+                       "kappa must be a list of finite numbers")),
+        ("sgd", ({"d": 4, "M": 4, "steps": 1, "batch": 0}, "batch must be an integer >= 1")),
+        ("sgd", ({"d": 4, "M": 4, "steps": 1, "eta": float("nan")}, "eta must be a finite number")),
     ])
     def test_bad_training_parameters_exit_2(self, tmp_path, capsys, command, block):
+        block, message = block
         spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
         cfg = write_config(tmp_path, "t.json", {"problem": spec, command: dict(block, c_bar=0.1), "seed": 0})
         assert run_cli([command, "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "bad training parameters" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_df_freeze_summary(self, tmp_path):
         cfg = write_config(
@@ -338,7 +344,26 @@ class TestDynamicsCommands:
             assert run_cli(["layerwise", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+def kind_slips():
+    """(command, key, value) for each key of each `_COMMANDS` block whose kind is
+    an integer, a number or a list of numbers, with a value of the wrong kind
+    that Python reads as a number: true, 2.5 for an integer, [true] for a list."""
+    from juntaleap.cli import _COMMANDS, AUTO_OR_NUMBER, NUMBER, NUMBERS
+
+    for command, (_, _, _, kinds) in _COMMANDS.items():
+        for key, kind in kinds.items():
+            if isinstance(kind, int):
+                yield from ((command, key, True), (command, key, 2.5))
+            elif kind in (NUMBER, AUTO_OR_NUMBER):
+                yield command, key, True
+            elif kind == NUMBERS:
+                yield command, key, [True]
+
+
 class TestConfigValuesRejectedUpFront:
+    # mu_x(A) = 2/3: lambda = 1, the value Python reads `true` as, builds this
+    # instance, so that only the kind check rejects "lambda": true
+    HARD = dict(HARD_INSTANCE, A=[1.0, 0.0], marginal_x={"values": [1.0, 0.0, -1.0], "probs": [1 / 3] * 3})
     BASE = {
         "layerwise": {"L": 4, "k1": 1, "k2": 1, "c_bar": 0.1},
         "sgd": {"d": 4, "M": 4, "steps": 1, "test_n": 20, "c_bar": 0.1},
@@ -377,6 +402,7 @@ class TestConfigValuesRejectedUpFront:
         ("sgd", {"lam_w": float("nan")}),
         ("sgd", {"lam_a": float("nan")}),
         ("sgd", {"c_bar": float("nan")}),
+        ("sgd", {"c_bar": 10**400}),
         ("sgd", {"loss": {"name": "custom_polynomial", "coeffs": [0.0, 0.0, 1.0], "convex": True}}),
         ("df", {"steps": -3}),
         ("df", {"risk_every": 0}),
@@ -418,6 +444,8 @@ class TestConfigValuesRejectedUpFront:
         ("game", {"learner": "nonadaptive", "max_tuple": 2}),
         ("game", {"learner": "grouped", "max_tuple": 1}),
         ("game", {"oracle": "adversarial", "noise_mode": "uniform"}),
+        ("df", {"kappa": [True, 1.0]}),
+        ("layerwise", {"kappa": [True, 1.0]}),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, command, bad):
         spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
@@ -426,6 +454,50 @@ class TestConfigValuesRejectedUpFront:
         assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,bad", list(kind_slips()))
+    def test_every_key_rejects_a_value_of_the_wrong_kind(self, tmp_path, capsys, command, key, bad):
+        if command == "hard-instance":
+            config = {"hard_instance": dict(self.HARD, **{key: bad})}
+        else:
+            spec = {"hypercube": {"P": 2, "fourier": {"1": 1.0, "1,2": 1.0}}}
+            config = {"problem": spec, command: dict(self.BASE[command], **{key: bad}), "seed": 0}
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {key} must be " in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["df", "layerwise"])
+    def test_scalar_kappa_exits_2_before_training(self, tmp_path, capsys, command):
+        spec = {"hypercube": {"P": 1, "fourier": {"1": 1.0}}}
+        cfg = write_config(tmp_path, "c.json", {"problem": spec, command: dict(self.BASE[command], kappa=1.0)})
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: kappa must be a list of finite numbers" in captured.err and captured.out == ""
+        assert not out.exists()  # no layerwise_curve.csv
+
+    def test_dump_moments_string_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"problem": Y1_SPEC, "detect": {"dump_moments": "false"}})
+        out = tmp_path / "out"
+        assert run_cli(["detect", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: dump_moments must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,block", [
+        ("exponents", {"models": None, "tol": None, "u_grid": None}),
+        ("game", {"d": 8, "model": None, "learner": None, "tau_factor": None, "budget": None}),
+        ("layerwise", {"L": None, "k1": 1, "k2": 1, "eta": None, "eta2": None, "kappa": None, "c_bar": 0.1}),
+    ])
+    def test_a_null_value_is_the_key_left_out(self, tmp_path, command, block):
+        outputs = []
+        for name, blk in (("null", block), ("left_out", {k: v for k, v in block.items() if v is not None})):
+            cfg = write_config(tmp_path, f"{name}.json", {"problem": Y1_SPEC, command: blk, "seed": 2})
+            assert run_cli([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())})
+        assert outputs[0] == outputs[1] and outputs[0]
 
     def test_adversary_size_found_before_detection(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("juntaleap.cli._detect", lambda *args, **kwargs: pytest.fail("detection ran"))

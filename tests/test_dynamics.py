@@ -118,6 +118,12 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             TrainConfig(loss=get_loss("squared"), eta=0.1, kappa=np.array([0.1]))
 
+    @pytest.mark.parametrize("kappa", [1.0, np.ones((2, 2))])
+    def test_rejects_kappa_that_is_not_one_dimensional(self, kappa):
+        # a scalar would pass kappa_for(1) as a size-1 array, then fail where a list is read
+        with pytest.raises(ValueError, match="kappa must be one-dimensional"):
+            TrainConfig(loss=get_loss("squared"), eta=0.1, kappa=kappa)
+
     @pytest.mark.parametrize("bad", [{"eta": np.nan}, {"eta": np.inf}, {"kappa": [np.nan, 1.0]}, {"batch": 0}])
     def test_rejects_non_finite_eta_or_kappa_and_empty_batch(self, bad):
         with pytest.raises(ValueError):

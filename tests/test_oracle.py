@@ -477,9 +477,9 @@ def scalar_adaptive(oracle, d, report, budget=None):
                     slot_map = dict(zip(old_pos, inj))
                     slot_map.update(zip(new_pos, fresh))
                     _charge(transcript)
-                    v = oracle.answer(witness_query(witness, [slot_map[p] for p in witness.coords]), transcript)
+                    v = oracle.answer(witness_query(witness, [slot_map[p] for p in witness.coords]), transcript,
+                                      threshold)
                     hit = bool(abs(v) > threshold)
-                    transcript.records[-1]["accepted"] = hit
                     if hit:
                         assigned.update(slot_map)
                         s_hat.extend(fresh)
@@ -504,9 +504,8 @@ def scalar_nonadaptive(oracle, d, report, budget=None):
     for mask in sorted(families, key=lambda m: (m.bit_count(), m)):
         for tup in itertools.permutations(range(1, d + 1), mask.bit_count()):
             _charge(transcript)
-            v = oracle.answer(witness_query(report.witnesses[mask], tup), transcript)
+            v = oracle.answer(witness_query(report.witnesses[mask], tup), transcript, threshold)
             hit = bool(abs(v) > threshold)
-            transcript.records[-1]["accepted"] = hit
             if hit:
                 recovered.update(tup)
     return frozenset(recovered), transcript
@@ -601,10 +600,9 @@ class TestBlockAnswers:
         hits, conceded = block_adv.answer_block(w, tuples, transcript, rep.beta / 2)
         ref = Transcript(ref_adv.tau)
         for tup in tuples.tolist():
-            v = ref_adv.answer(witness_query(w, tup), ref)
+            v = ref_adv.answer(witness_query(w, tup), ref, rep.beta / 2)
             if v is FAIL:
                 break
-            ref.records[-1]["accepted"] = bool(abs(v) > rep.beta / 2)
         assert conceded and v is FAIL
         assert transcript.records == ref.records
         assert block_adv.survivors == ref_adv.survivors
@@ -620,10 +618,9 @@ class TestBlockAnswers:
             try:
                 for tup in tuples.tolist():
                     _charge(ref)
-                    v = adv.answer(witness_query(w, tup), ref)
+                    v = adv.answer(witness_query(w, tup), ref, rep.beta / 2)
                     if v is FAIL:
                         break
-                    ref.records[-1]["accepted"] = bool(abs(v) > rep.beta / 2)
             except BudgetExceededError:
                 return adv, ref, True
             return adv, ref, False
@@ -754,9 +751,7 @@ class TestColumnTranscript:
         with_nan = np.concatenate([finite, [np.nan, np.inf, -np.inf]])
         block(2500, 2, with_nan, 1.0)
         block(40, 4, finite, np.inf)
-        log(-0.0, exact=0.0, norm=1.0)
-        transcript.records[-1]["accepted"] = False  # as a query-by-query learner marks its last record
-        expected[-1]["accepted"] = False
+        log(-0.0, exact=0.0, norm=1.0, accepted=False)
 
         assert transcript.n_queries == len(expected) == 7546
         assert [r["t"] for r in transcript.records] == list(range(1, len(expected) + 1))
@@ -792,12 +787,11 @@ class TestColumnTranscript:
 
     def test_records_view_grows_with_the_log(self):
         transcript = Transcript(0.1)
-        view = transcript.records
-        assert view == []
+        assert transcript.records == []
         transcript.log_block(np.array([[1, 2], [3, 1]]), np.array([0.5, 0.0]), np.array([0.5, 0.0]), 1.0,
                              np.array([True, False]))
         transcript.log(self.QUERY.describe(), 0.0, exact=0.0, norm=1.0)
-        assert transcript.records is view
+        view = transcript.records
         assert [r["t"] for r in view] == [1, 2, 3]
         assert view[1]["terms"] == [[3, 1]] and view[2]["scale"] == 0.5
 

@@ -38,3 +38,24 @@ def test_readme_module_table_names_resolve():
         classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
         for name in re.findall(r"`([A-Za-z_]\w*)`", row[2]):
             assert hasattr(module, name) or any(hasattr(c, name) for c in classes), f"{row[1]}.{name}"
+
+
+def test_readme_config_table_matches_the_cli():
+    """The README's config table gives each key of each CLI block, whether
+    the block requires it, and its kind, as `cli._COMMANDS` declares them."""
+    from juntaleap.cli import _COMMANDS, AUTO_OR_NUMBER, FLAG, LIBRARY, NUMBER, NUMBERS
+
+    words = {NUMBER: "finite number", NUMBERS: "list of finite numbers", AUTO_OR_NUMBER: '`"auto"` or a finite number',
+             FLAG: "`true` or `false`", LIBRARY: "checked by the library"}
+    declared = {(command, key): (key in required, f"integer >= {kind}" if isinstance(kind, int) else words[kind])
+                for command, (_, _, required, kinds) in _COMMANDS.items() for key, kind in kinds.items()}
+    table = README.read_text().split("\n| key | blocks (* required) | kind |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines()[1:]:
+        keys, blocks, kind = line.strip("| ").split(" | ")
+        for key in re.findall(r"`(\w+)`", keys):
+            for command, star in re.findall(r"`([\w-]+)`(\*?)", blocks):
+                documented[(command, key)] = (star == "*", kind)
+    assert documented.keys() == declared.keys()
+    for entry, (required, kind) in declared.items():
+        assert documented[entry][0] == required and documented[entry][1].startswith(kind), entry
