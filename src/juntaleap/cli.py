@@ -68,13 +68,15 @@ def _finite(value) -> bool:
 
 # a config value's kind: an int n for an integer >= n, or one of these, named by what
 # its values must be (LIBRARY: the library call that reads the value checks it)
-NUMBER, NUMBERS, AUTO_OR_NUMBER, FLAG, LIBRARY = (
-    "a finite number", "a list of finite numbers", '"auto" or a finite number', "true or false", "library-checked")
+NUMBER, NUMBERS, AUTO_OR_NUMBER, FLAG, SPECS, LIBRARY = (
+    "a finite number", "a list of finite numbers", '"auto" or a finite number', "true or false",
+    "a non-empty list", "library-checked")
 _KIND_TESTS = {
     NUMBER: _finite,
     NUMBERS: lambda v: isinstance(v, list) and all(map(_finite, v)),
     AUTO_OR_NUMBER: lambda v: v == "auto" or _finite(v),
     FLAG: lambda v: isinstance(v, bool),
+    SPECS: lambda v: isinstance(v, list) and len(v) > 0,
     LIBRARY: lambda v: True,
 }
 
@@ -204,7 +206,7 @@ def _detect_reports(cfg, block):
     return problem, reports, table
 
 
-def _planted(problem, d, s_star, rng, seed):
+def _planted(problem, d, s_star, rng):
     """The PlantedInstance at s_star, or at P distinct coordinates of [d] drawn
     from rng when s_star is None."""
     import numpy as np
@@ -214,7 +216,7 @@ def _planted(problem, d, s_star, rng, seed):
     if s_star is None:
         # a d below P draws from [P] instead, so that PlantedInstance rejects the d
         s_star = rng.choice(np.arange(1, max(d, problem.p) + 1), size=problem.p, replace=False)
-    return PlantedInstance(problem, d, tuple(s_star), seed=seed)
+    return PlantedInstance(problem, d, tuple(s_star))
 
 
 def cmd_exponents(cfg: dict, block: dict, out_dir: Path, seed) -> int:
@@ -266,7 +268,7 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     if kinds["oracle_kind"] == "adversarial":
         _checked("bad game", check_adversary_size, problem.p, d)
     rng = np.random.default_rng(seed)
-    instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng, seed)
+    instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng)
     report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), **_given(block, "tol"))
     if kinds["learner"] == "grouped":
         _checked("bad game", singleton_witness, report)
@@ -323,7 +325,7 @@ def cmd_sgd(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     summary = {"trials": [], "eta": eta, "steps": steps, "c_bar": c_bar, "loss": loss.name,
                "activation": act.name, "d": d, "M": m, "batch": tc.batch, "bayes_mse": bayes_mse}
     for trial in range(block.get("trials", 1)):
-        instance = _checked("bad planted instance", _planted, problem, d, None, rng, seed + trial)
+        instance = _checked("bad planted instance", _planted, problem, d, None, rng)
         ens = _checked("bad initialization", init_ensemble, d, m, act, seed=seed * 1000 + trial,
                        c_bar=c_bar, **_given(block, "mu_b", "mu_w"))
         run = run_sgd(instance, ens, tc, steps, data_seed=seed * 7919 + trial,
@@ -432,7 +434,7 @@ def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
 
 # subcommand: (function, whether its block is required, the block's required keys, the
 # kind of each key the block may set); the block is named after the subcommand, "_" for "-"
-_DETECTION = {"models": LIBRARY, "tol": NUMBER, "u_grid": NUMBERS}
+_DETECTION = {"models": SPECS, "tol": NUMBER, "u_grid": NUMBERS}
 _COMMANDS = {
     "exponents": (cmd_exponents, False, (), _DETECTION),
     "detect": (cmd_detect, False, (), {**_DETECTION, "dump_moments": FLAG}),
@@ -452,7 +454,7 @@ _COMMANDS = {
                                             "lambda_min_threshold": NUMBER}),
     "hard-instance": (cmd_hard_instance, True, ("marginal_y", "T", "A", "lambda", "marginal_x"),
                       {"marginal_y": LIBRARY, "T": NUMBERS, "A": NUMBERS, "lambda": NUMBER,
-                       "marginal_x": LIBRARY, "losses": LIBRARY}),
+                       "marginal_x": LIBRARY, "losses": SPECS}),
 }
 
 

@@ -2,8 +2,9 @@
 
 Parity (Walsh) transforms index tables and coefficient vectors the same way:
 bit k-1 of the index is coordinate k, with bit value 1 meaning symbol -1 on
-the uniform hypercube. That matches the row order of JuntaProblem tables
-built from HypercubeJunta (marginal values (+1, -1)).
+the uniform hypercube. That matches the row order of the JuntaProblem
+tables that junta.expand_hypercube builds (marginal values (+1, -1)), whose
+clean labels it tabulates with inverse_wht.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ class OrthonormalBasis:
     @property
     def size(self) -> int:
         return self.psi.shape[0]
-
-    def gram(self) -> np.ndarray:
-        return (self.psi * self.marginal.probs) @ self.psi.T
 
 
 def gram_schmidt(marginal: FiniteMarginal, seed: int | None = None) -> OrthonormalBasis:

@@ -12,6 +12,7 @@ as in marginal.values.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
@@ -60,11 +61,6 @@ class FiniteMarginal:
         if table.shape != (self.nx,):
             raise ValueError(f"table must have length {self.nx}")
         return float(self.probs @ table)
-
-    def norm(self, table) -> float:
-        """L2(mu_x) norm of a tabulated function."""
-        table = np.asarray(table, dtype=float)
-        return float(np.sqrt(self.probs @ table**2))
 
     def to_dict(self) -> dict:
         return {"values": self.values.tolist(), "probs": self.probs.tolist()}
@@ -181,10 +177,6 @@ class JuntaProblem:
         t_label = np.asarray(t_label, dtype=float)
         return float(self.mu_y @ t_label)
 
-    def label_norm(self, t_label) -> float:
-        t_label = np.asarray(t_label, dtype=float)
-        return float(np.sqrt(self.mu_y @ t_label**2))
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -225,85 +217,59 @@ class LabelNoise:
         elif self.kind == "additive":
             if self.values is None or self.probs is None:
                 raise ValueError("additive noise needs values and probs")
+            if np.ndim(self.values) != 1 or np.shape(self.values) != np.shape(self.probs):
+                raise ValueError("additive noise values and probs must be 1-D of equal length")
             pr = np.asarray(self.probs, dtype=float)
             if np.any(pr < 0) or abs(pr.sum() - 1.0) > _PROB_TOL:
                 raise ValueError("additive noise probs must be a distribution")
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
-    def outcomes(self, h: float) -> list[tuple[float, float]]:
+    def outcomes(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The noisy label of every clean value in h as (values, probs): row r
+        lists the outcomes of h[r] and their probabilities, in outcome order.
+        A flip of h = 0 gives h itself with all of the mass."""
         if self.kind == "flip":
-            if h == -h:
-                return [(h, 1.0)]
-            return [(h, 1.0 - self.rate), (-h, self.rate)]
-        return [(h + v, q) for v, q in zip(self.values, self.probs)]
+            zero = (h == 0)[:, None]
+            values = np.where(zero, h[:, None], np.stack([h, -h], axis=1))
+            return values, np.where(zero, [1.0, 0.0], [1.0 - self.rate, self.rate])
+        probs = np.asarray(self.probs, dtype=float)
+        return h[:, None] + np.asarray(self.values, dtype=float), np.broadcast_to(probs, (h.size, probs.size))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LabelNoise":
-        return cls(
-            d["kind"],
-            rate=d.get("rate"),
-            values=tuple(d["values"]) if "values" in d else None,
-            probs=tuple(d["probs"]) if "probs" in d else None,
-        )
+        return cls(d["kind"], rate=d.get("rate"), **{k: tuple(d[k]) for k in ("values", "probs") if k in d})
 
 
-@dataclass(frozen=True)
-class HypercubeJunta:
-    """A junta on the uniform hypercube given by its coefficients over parity
-    products chi_U(z) = prod_{i in U} z_i, plus an optional label noise kernel."""
-
-    p: int
-    fourier: Mapping
-    noise: LabelNoise | None = None
-
-    def coefficient_vector(self) -> np.ndarray:
-        from .setsystem import mask_from_coords
-
-        coef = np.zeros(2**self.p)
-        for key, val in self.fourier.items():
-            coef[mask_from_coords(key, self.p)] += float(val)
-        return coef
-
-    def clean_table(self) -> np.ndarray:
-        """h(z) for every row, via the inverse parity transform."""
-        from .fourier import inverse_wht
-
-        return inverse_wht(self.coefficient_vector())
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "HypercubeJunta":
-        four = {}
-        for key, val in d["fourier"].items():
-            coords = tuple(int(c) for c in key.split(",")) if key not in ("", "const") else ()
-            four[coords] = float(val)
-        noise = LabelNoise.from_dict(d["noise"]) if d.get("noise") else None
-        return cls(d["P"], four, noise)
+# expand_hypercube's arguments as one value, which it also takes; perfbench/test_checks.py is the one caller
+HypercubeJunta = namedtuple("HypercubeJunta", "p fourier noise", defaults=(None,))
 
 
-def expand_hypercube(h: HypercubeJunta) -> JuntaProblem:
-    """Tabulate a HypercubeJunta as a JuntaProblem (X = {+1,-1} uniform)."""
-    if h.p > 16:
+def expand_hypercube(p: int, fourier: Mapping | None = None, noise: LabelNoise | None = None) -> JuntaProblem:
+    """Tabulate h(z) = sum_U fourier[U] prod_{i in U} z_i on the uniform hypercube
+    {+1, -1}^P, for `fourier` a map from coordinate tuples to coefficients,
+    under the label noise kernel `noise` (none by default).
+
+    The labels are the distinct outcome values in ascending order; the
+    outcomes of one row that share a label add up in outcome order."""
+    from .fourier import inverse_wht
+    from .setsystem import mask_from_coords
+
+    if isinstance(p, HypercubeJunta):
+        p, fourier, noise = p
+    if p > 16:
         raise ValueError("hypercube expansion capped at P <= 16")
-    clean = h.clean_table()
-    outcome_maps = []
-    all_values = set()
-    for hv in clean:
-        if h.noise is None:
-            outs = {float(hv): 1.0}
-        else:
-            outs = {}
-            for v, q in h.noise.outcomes(float(hv)):
-                outs[v] = outs.get(v, 0.0) + q
-        outcome_maps.append(outs)
-        all_values.update(outs)
-    labels = sorted(all_values)
-    col = {v: j for j, v in enumerate(labels)}
-    cond = np.zeros((clean.size, len(labels)))
-    for r, outs in enumerate(outcome_maps):
-        for v, q in outs.items():
-            cond[r, col[v]] += q
-    return JuntaProblem(h.p, uniform_hypercube_marginal(), labels, cond)
+    coef = np.zeros(2**p)
+    for coords, val in fourier.items():
+        coef[mask_from_coords(coords, p)] += float(val)
+    clean = inverse_wht(coef)
+    values, probs = (clean[:, None], np.ones((clean.size, 1))) if noise is None else noise.outcomes(clean)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("hypercube labels must be finite")
+    labels, col = np.unique(values.ravel(), return_inverse=True)
+    rows = np.repeat(np.arange(clean.size), values.shape[1])
+    cond = np.bincount(rows * labels.size + col, weights=probs.ravel(), minlength=clean.size * labels.size)
+    return JuntaProblem(p, uniform_hypercube_marginal(), labels.tolist(), cond.reshape(clean.size, labels.size))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +284,6 @@ class PlantedInstance:
     problem: JuntaProblem
     d: int
     s_star: tuple[int, ...]
-    seed: int = 0
 
     def __post_init__(self):
         if any(isinstance(c, bool) or not isinstance(c, Integral) for c in self.s_star):
@@ -332,8 +297,8 @@ class PlantedInstance:
         if len(set(s)) != len(s) or any(not 1 <= c <= self.d for c in s):
             raise ValueError("s_star entries must be distinct coordinates in [1, d]")
 
-    def sampler(self, seed: int | None = None) -> "Sampler":
-        return Sampler(self, self.seed if seed is None else seed)
+    def sampler(self, seed: int) -> "Sampler":
+        return Sampler(self, seed)
 
 
 class Sampler:
@@ -460,6 +425,15 @@ def hard_instance(
 
 
 def problem_from_dict(d: Mapping) -> JuntaProblem:
-    if "hypercube" in d:
-        return expand_hypercube(HypercubeJunta.from_dict(d["hypercube"]))
-    return JuntaProblem.from_dict(d)
+    """A problem from its JSON spec: JuntaProblem.to_dict()'s form, or a
+    "hypercube" block {"P", "fourier", "noise"} whose fourier keys list
+    coordinates as "1,2,3" ("" or "const" for the constant)."""
+    if "hypercube" not in d:
+        return JuntaProblem.from_dict(d)
+    h = d["hypercube"]
+    fourier = {
+        () if key in ("", "const") else tuple(int(c) for c in key.split(",")): float(val)
+        for key, val in h["fourier"].items()
+    }
+    noise = LabelNoise.from_dict(h["noise"]) if h.get("noise") else None
+    return expand_hypercube(h["P"], fourier, noise)

@@ -80,10 +80,6 @@ class SetSystem:
                 raise ValueError(f"mask {mask:#x} uses bits outside the low {self.p}")
         object.__setattr__(self, "sets", sets)
 
-    @classmethod
-    def from_coords(cls, p: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
-        return cls(p, tuple(mask_from_coords(s, p) for s in sets))
-
     @property
     def support(self) -> int:
         supp = 0

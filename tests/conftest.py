@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from juntaleap import HypercubeJunta, JuntaProblem, FiniteMarginal, expand_hypercube
+from juntaleap import JuntaProblem, FiniteMarginal, expand_hypercube
 from juntaleap.setsystem import SetSystem, coords_from_mask
 
 
@@ -15,12 +15,12 @@ Y2_FOURIER = {(1, 2, 3): 1.0, (1, 2, 4): 1.0, (1, 3, 4): 1.0, (2, 3, 4): 1.0}
 
 @pytest.fixture(scope="session")
 def y1_problem():
-    return expand_hypercube(HypercubeJunta(4, Y1_FOURIER))
+    return expand_hypercube(4, Y1_FOURIER)
 
 
 @pytest.fixture(scope="session")
 def y2_problem():
-    return expand_hypercube(HypercubeJunta(4, Y2_FOURIER))
+    return expand_hypercube(4, Y2_FOURIER)
 
 
 FIG1_SETS = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
@@ -30,14 +30,14 @@ def fig1_problem():
     """The Fig. 1 instance: the four 3-sets of [4] with coefficients U(-2, 2)."""
     rng = np.random.default_rng(5404)
     coef = dict(zip(FIG1_SETS, rng.uniform(-2, 2, 4)))
-    return expand_hypercube(HypercubeJunta(4, coef))
+    return expand_hypercube(4, coef)
 
 
 @pytest.fixture(scope="session")
 def prop62c_problem():
     """P = 6 instance y = z_1...z_6 (z_1 + ... + z_6): six 5-set coefficients."""
     sets = {tuple(sorted(set(range(1, 7)) - {i})): 1.0 for i in range(1, 7)}
-    return expand_hypercube(HypercubeJunta(6, sets))
+    return expand_hypercube(6, sets)
 
 
 # ---------------------------------------------------------------------------

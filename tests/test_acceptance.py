@@ -128,14 +128,14 @@ def test_criterion_5_oracle_game_upper_bounds(y1_problem, y2_problem, capsys):
     y1_ok = 0
     for trial in range(200):
         s = tuple(int(c) for c in rng.choice(np.arange(1, 31), 4, replace=False))
-        inst = jl.PlantedInstance(y1_problem, 30, s, seed=trial)
+        inst = jl.PlantedInstance(y1_problem, 30, s)
         res = jl.play_game(inst, rep1, tau_factor=0.25, noise_mode="adversarial_sign", seed=trial)
         y1_ok += res.success and res.transcript.n_queries <= 50 * 30
 
     y2_ok = 0
     for trial in range(200):
         s = tuple(int(c) for c in rng.choice(np.arange(1, 13), 4, replace=False))
-        inst = jl.PlantedInstance(y2_problem, 12, s, seed=trial)
+        inst = jl.PlantedInstance(y2_problem, 12, s)
         res = jl.play_game(inst, rep2, tau_factor=0.25, noise_mode="adversarial_sign", seed=trial)
         y2_ok += res.success and res.transcript.n_queries <= 10 * 12**3
 
@@ -143,20 +143,20 @@ def test_criterion_5_oracle_game_upper_bounds(y1_problem, y2_problem, capsys):
     size4_block = False
     for trial in range(3):
         s = tuple(int(c) for c in rng.choice(np.arange(1, 9), 4, replace=False))
-        inst = jl.PlantedInstance(y1_problem, 8, s, seed=trial)
+        inst = jl.PlantedInstance(y1_problem, 8, s)
         res = jl.play_game(inst, rep1, learner="nonadaptive", tau_factor=0.25,
                            noise_mode="adversarial_sign", seed=trial)
         na_ok &= res.success
         size4_block |= any(len(r["terms"][0]) == 4 for r in res.transcript.records)
 
-    p1 = jl.expand_hypercube(jl.HypercubeJunta(1, {(1,): 1.0}))
+    p1 = jl.expand_hypercube(1, {(1,): 1.0})
     repg = jl.detect_csq(p1)
     beta = abs(repg.witnesses[1].beta)
     grouped_ok = 0
     budget = int(10 * np.log2(256))
     for trial in range(20):
         coord = int(rng.integers(1, 257))
-        inst = jl.PlantedInstance(p1, 256, (coord,), seed=trial)
+        inst = jl.PlantedInstance(p1, 256, (coord,))
         res = jl.play_game(inst, repg, learner="grouped", tau=beta / (4 * np.sqrt(256)),
                            noise_mode="adversarial_sign", seed=trial)
         grouped_ok += res.success and res.transcript.n_queries <= budget
@@ -181,7 +181,7 @@ def _fig1_trials(problem, loss_name, eta, steps, trials, seed0=100):
     for trial in range(trials):
         rng_t = np.random.default_rng(seed0 + trial)
         s = tuple(int(c) for c in rng_t.choice(np.arange(1, d + 1), size=4, replace=False))
-        inst = jl.PlantedInstance(problem, d, s, seed=trial)
+        inst = jl.PlantedInstance(problem, d, s)
         ens = init_ensemble(d, m, act, seed=1000 + trial, c_bar=0.1, mu_b="zero")
         cfg = TrainConfig(loss=loss, eta=eta, batch=1)
         run = run_sgd(inst, ens, cfg, steps=steps, data_seed=2000 + trial,
@@ -302,7 +302,7 @@ def test_criterion_8_sgd_df_coupling(capsys):
     for trial in range(10):
         rng_t = np.random.default_rng(trial)
         s = tuple(int(c) for c in rng_t.choice(np.arange(1, d + 1), size=4, replace=False))
-        inst = jl.PlantedInstance(problem, d, s, seed=trial)
+        inst = jl.PlantedInstance(problem, d, s)
         ens = init_ensemble(d, m, act, seed=100 + trial, c_bar=0.15, mu_b="zero")
         cfg = TrainConfig(loss=loss, eta=eta, batch=d)
         run = run_sgd(inst, ens, cfg, steps=steps, data_seed=200 + trial,
@@ -319,7 +319,7 @@ def test_criterion_8_sgd_df_coupling(capsys):
 
 def test_criterion_9_layerwise_pipeline(capsys):
     t0 = time.time()
-    prob = jl.expand_hypercube(jl.HypercubeJunta(2, {(1,): 1.0, (1, 2): 1.0}))
+    prob = jl.expand_hypercube(2, {(1,): 1.0, (1, 2): 1.0})
     good = 0
     lam_mins = []
     for run_i in range(10):

@@ -294,6 +294,21 @@ class TestDynamicsCommands:
         assert run_cli(["sgd", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "sgd_summary.json").read_text())["bayes_mse"] == 0.0
 
+    @pytest.mark.parametrize("fourier,noise,why", [
+        ({"1": 1.0}, {"kind": "additive", "values": [0.0, 0.5], "probs": [1.0]}, "equal length"),
+        ({"1": 1.0}, {"kind": "additive", "values": [0.0], "probs": [0.5, 0.5]}, "equal length"),
+        ({"1": 1.0, "2": float("nan")}, None, "finite"),
+        ({"1": float("inf")}, {"kind": "flip", "rate": 0.1}, "finite"),
+    ])
+    def test_bad_hypercube_spec_exits_2_without_outputs(self, tmp_path, capsys, fourier, noise, why):
+        spec = {"hypercube": {"P": 2, "fourier": fourier, "noise": noise}}
+        cfg = write_config(tmp_path, "c.json", {"problem": spec})
+        out = tmp_path / "out"
+        assert run_cli(["exponents", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "bad problem spec" in captured.err and why in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_nan_in_cond_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"problem": {"P": 1, "marginal": {"values": [1.0, -1.0], "probs": [0.5, 0.5]}, '
@@ -347,8 +362,9 @@ class TestDynamicsCommands:
 def kind_slips():
     """(command, key, value) for each key of each `_COMMANDS` block whose kind is
     an integer, a number or a list of numbers, with a value of the wrong kind
-    that Python reads as a number: true, 2.5 for an integer, [true] for a list."""
-    from juntaleap.cli import _COMMANDS, AUTO_OR_NUMBER, NUMBER, NUMBERS
+    that Python reads as a number: true, 2.5 for an integer, [true] for a list;
+    and for a list of specs, one spec not in a list or an empty list."""
+    from juntaleap.cli import _COMMANDS, AUTO_OR_NUMBER, NUMBER, NUMBERS, SPECS
 
     for command, (_, _, _, kinds) in _COMMANDS.items():
         for key, kind in kinds.items():
@@ -358,6 +374,8 @@ def kind_slips():
                 yield command, key, True
             elif kind == NUMBERS:
                 yield command, key, [True]
+            elif kind == SPECS:
+                yield from ((command, key, {"models": "CSQ", "losses": "abs"}[key]), (command, key, []))
 
 
 class TestConfigValuesRejectedUpFront:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from juntaleap import (
-    HypercubeJunta,
     detect_csq,
     detect_dlq,
     detect_sq,
@@ -35,13 +34,10 @@ class TestCsq:
         assert exponents(rep) == (3, 3, 3, 3)
 
     def test_constant_label_empty(self):
-        prob = expand_hypercube(
-            HypercubeJunta(2, {(): 1.0}, noise=None)
-        )
         # constant h; make labels two atoms via flip noise on a nonzero value
         from juntaleap import LabelNoise
 
-        prob = expand_hypercube(HypercubeJunta(2, {(): 1.0}, noise=LabelNoise("flip", rate=0.3)))
+        prob = expand_hypercube(2, {(): 1.0}, noise=LabelNoise("flip", rate=0.3))
         rep = detect_csq(prob)
         assert rep.system.sets == ()
         lp, cv, rl, rc = exponents(rep)
@@ -169,9 +165,9 @@ class TestWitnesses:
     def test_normalization(self, y1_problem):
         rep = detect_csq(y1_problem)
         for w in rep.witnesses.values():
-            norm = y1_problem.label_norm(w.t_label)
+            norm = np.sqrt(y1_problem.mu_y @ np.asarray(w.t_label) ** 2)
             for tab in w.t_coords.values():
-                norm *= y1_problem.marginal.norm(tab)
+                norm *= np.sqrt(y1_problem.marginal.probs @ np.asarray(tab) ** 2)
             assert norm == pytest.approx(1.0, rel=1e-10)
 
     def test_beta_is_the_winning_score(self, monkeypatch):

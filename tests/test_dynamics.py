@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from juntaleap import (
-    HypercubeJunta,
     PlantedInstance,
     TrainConfig,
     bayes_risk,
@@ -206,7 +205,7 @@ class TestLeanSgdStep:
             n, eta, loss, spec = d, 0.5 / d, "squared_plus_cubic", "tanh:2:2"
         if act.startswith("poly"):
             spec, eta = act, eta / 10
-        inst = PlantedInstance(fig1_problem(), d, (3, 7, 11, 19), seed=0)
+        inst = PlantedInstance(fig1_problem(), d, (3, 7, 11, 19))
         ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.1, mu_w="normal")
         ref = copy.deepcopy(ens)
         same_deriv = copy.deepcopy(ens)
@@ -269,7 +268,7 @@ class TestLeanSgdStep:
     @pytest.mark.parametrize("spec,eta", [("poly:1", 0.5), ("poly:2", 0.5)])
     def test_run_sgd_reports_the_reference_divergence_step(self, spec, eta):
         d, m, batch = 12, 16, 4
-        inst = PlantedInstance(fig1_problem(), d, (3, 7, 9, 11), seed=0)
+        inst = PlantedInstance(fig1_problem(), d, (3, 7, 9, 11))
         cfg = TrainConfig(loss=get_loss("squared"), eta=eta, batch=batch)
 
         def fresh():
@@ -289,7 +288,7 @@ class TestLeanSgdStep:
 
     def test_run_sgd_keeps_the_subject_of_a_divergence(self):
         # the first step's network value overflows, and run_sgd numbers it step 1
-        inst = PlantedInstance(fig1_problem(), 6, (1, 2, 3, 4), seed=0)
+        inst = PlantedInstance(fig1_problem(), 6, (1, 2, 3, 4))
         ens = init_ensemble(6, 8, make_activation("poly:3"), seed=1, c_bar=0.1)
         ens.b[:] = 1e120
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.01)
@@ -331,7 +330,7 @@ class TestStreamedForward:
         """At the meanfield-batch test-risk shape (n = 8000, d = 300, M = 1024)
         forward once held a pre-activation block and two temporaries of the
         same size inside activation.f."""
-        x = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4), seed=0).sampler(7).draw_batch(8000)[1]
+        x = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4)).sampler(7).draw_batch(8000)[1]
         ens = init_ensemble(300, 1024, make_activation(spec), seed=1, c_bar=0.15, mu_w="normal")
         ens.forward(x[:1])
         tracemalloc.start()
@@ -353,7 +352,7 @@ class TestPermutationEquivariance:
         relabeled = tuple(perm[c] for c in base)
 
         def run(s_star):
-            inst = PlantedInstance(y2_problem, d, s_star, seed=0)
+            inst = PlantedInstance(y2_problem, d, s_star)
             ens = init_ensemble(d, 16, tanh_activation(), seed=5, c_bar=0.2)
             cfg = TrainConfig(loss=get_loss("abs"), eta=0.01, batch=2)
             out = run_sgd(inst, ens, cfg, steps=30, data_seed=7, eval_every=10, test_n=200)
@@ -515,7 +514,7 @@ class TestRunOwnedBuffers:
 
     def batch_d_step_peaks(self, monkeypatch, n=300, m=1024, d=300, spec="tanh:2:2"):
         """Step peaks of a 3-step run_sgd at the meanfield-batch shape, and its ensemble."""
-        inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4), seed=0)
+        inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4))
         ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.15, mu_w="normal")
         cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
         peaks = self.step_peaks(monkeypatch, "sgd_step")
@@ -724,7 +723,7 @@ class TestRisk:
         assert risk_of_minimizer - base == pytest.approx(0.0, abs=1e-12)
 
     def test_mc_risk_tracks_exact_for_df_free_model(self, y2_problem):
-        inst = PlantedInstance(y2_problem, 30, (3, 9, 21, 27), seed=0)
+        inst = PlantedInstance(y2_problem, 30, (3, 9, 21, 27))
         ens = init_ensemble(30, 8, tanh_activation(), seed=1, c_bar=0.5)
         ens.a[:] = 0.0
         # run_sgd's step-0 record: the label-averaged risk on its test sample
@@ -788,7 +787,7 @@ class TestLayerwiseMatchesReference:
 
     @pytest.mark.parametrize("L,eta2", [(16, "auto"), (16, 0.05), (8, "auto"), (8, 0.01)])
     def test_bit_for_bit(self, L, eta2, y1_problem):
-        problem = expand_hypercube(HypercubeJunta(2, C9)) if L == 16 else y1_problem
+        problem = expand_hypercube(2, C9) if L == 16 else y1_problem
         rng = np.random.default_rng(L)
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.002, kappa=rng.uniform(0.5, 1.5, problem.p))
         res = layerwise_train(problem, cfg, L=L, k1=problem.p, k2=60, c_bar=0.2, eta2=eta2)
@@ -807,7 +806,7 @@ class TestLayerwiseMatchesReference:
         """eta2 = 1e300 diverges at phase-2 step j = 2. With eta = 0.005 the
         phase-1 features are large enough that the network value overflows
         before a does; that fault was once numbered k1 + j - 1."""
-        problem = expand_hypercube(HypercubeJunta(2, C9))
+        problem = expand_hypercube(2, C9)
         cfg = TrainConfig(loss=get_loss("squared"), eta=eta, kappa=[0.8, 1.2])
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as err:
@@ -821,7 +820,7 @@ class TestLayerwiseMatchesReference:
 class TestLayerwise:
     def test_leap1_p2_certificate(self):
         # frozen derived example: P = 2, y = z1 + z1 z2, L = 16, k1 = P
-        prob = expand_hypercube(HypercubeJunta(2, {(1,): 1.0, (1, 2): 1.0}))
+        prob = expand_hypercube(2, {(1,): 1.0, (1, 2): 1.0})
         rng = np.random.default_rng(0)
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.002, kappa=rng.uniform(0.5, 1.5, 2))
         res = layerwise_train(prob, cfg, L=16, k1=2, k2=400, c_bar=0.31)
@@ -833,14 +832,14 @@ class TestLayerwise:
         assert res.history[-1]["excess"] <= 0.1
 
     def test_k1_zero_rank_one_kernel(self):
-        prob = expand_hypercube(HypercubeJunta(2, {(1,): 1.0, (1, 2): 1.0}))
+        prob = expand_hypercube(2, {(1,): 1.0, (1, 2): 1.0})
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.002)
         res = layerwise_train(prob, cfg, L=16, k1=0, k2=1, c_bar=0.3)
         np.testing.assert_allclose(res.kernel_report.matrix, 1.0, atol=1e-12)
         assert res.kernel_report.lambda_min == pytest.approx(0.0, abs=1e-8)
 
     def test_monotone_phase2_descent(self):
-        prob = expand_hypercube(HypercubeJunta(2, {(1,): 1.0, (1, 2): 1.0}))
+        prob = expand_hypercube(2, {(1,): 1.0, (1, 2): 1.0})
         rng = np.random.default_rng(5)
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.002, kappa=rng.uniform(0.5, 1.5, 2))
         res = layerwise_train(prob, cfg, L=16, k1=2, k2=50, c_bar=-0.2)
@@ -849,7 +848,7 @@ class TestLayerwise:
 
     def test_spec_step_size_example_diverges(self):
         # eta = 0.05 with L = 16 overflows: the documented infeasibility
-        prob = expand_hypercube(HypercubeJunta(2, {(1,): 1.0, (1, 2): 1.0}))
+        prob = expand_hypercube(2, {(1,): 1.0, (1, 2): 1.0})
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.05)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from juntaleap import (
     FiniteMarginal,
-    HypercubeJunta,
     JuntaProblem,
     LabelNoise,
     PlantedInstance,
@@ -17,7 +16,8 @@ from juntaleap import (
     uniform_hypercube_marginal,
 )
 from juntaleap import junta
-from juntaleap.fourier import wht
+from juntaleap.fourier import inverse_wht, wht
+from juntaleap.setsystem import mask_from_coords
 from conftest import fig1_problem, random_problem
 
 
@@ -37,7 +37,7 @@ class TestFiniteMarginal:
     def test_mean_and_norm(self):
         m = uniform_hypercube_marginal()
         assert m.mean([1.0, -1.0]) == 0.0
-        assert m.norm([1.0, -1.0]) == 1.0
+        assert np.sqrt(m.probs @ np.square([1.0, -1.0])) == 1.0
 
 
 class TestJuntaProblem:
@@ -87,7 +87,7 @@ class TestJointExpectation:
         assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_on_linear_junta(self):
-        prob = expand_hypercube(HypercubeJunta(1, {(1,): 1.0}))
+        prob = expand_hypercube(1, {(1,): 1.0})
         t_label = np.asarray(prob.labels, dtype=float)
         val = prob.joint_expectation(t_label, {1: [1.0, -1.0]}, [1])
         assert val == pytest.approx(1.0)
@@ -133,7 +133,7 @@ class TestJointExpectation:
 
 class TestExpandHypercube:
     def test_linear_is_one_hot(self):
-        prob = expand_hypercube(HypercubeJunta(1, {(1,): 1.0}))
+        prob = expand_hypercube(1, {(1,): 1.0})
         assert prob.labels == (-1.0, 1.0)
         assert set(np.unique(prob.cond)) == {0.0, 1.0}
 
@@ -148,45 +148,136 @@ class TestExpandHypercube:
     def test_seeded_uniform_coefficients_table(self):
         rng = np.random.default_rng(71)
         coefs = {u: float(rng.uniform(-2, 2)) for u in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]}
-        prob = expand_hypercube(HypercubeJunta(4, coefs))
+        prob = expand_hypercube(4, coefs)
         assert prob.cond.shape[0] == 16
 
     def test_fourier_round_trip(self):
         rng = np.random.default_rng(9)
         coefs = {(): 0.3, (1,): -0.7, (2, 3): 1.2, (1, 2, 3, 4): 0.1}
-        h = HypercubeJunta(4, coefs)
-        prob = expand_hypercube(h)
+        prob = expand_hypercube(4, coefs)
         labels = np.asarray(prob.labels)
         table = prob.cond @ labels  # E[y|z] per row
         got = wht(table)
-        np.testing.assert_allclose(got, h.coefficient_vector(), atol=1e-12)
+        want = np.zeros(16)
+        for coords, val in coefs.items():
+            want[mask_from_coords(coords, 4)] = val
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_flip_noise_symmetrizes(self):
-        h = HypercubeJunta(1, {(1,): 1.0}, noise=LabelNoise("flip", rate=0.25))
-        prob = expand_hypercube(h)
+        prob = expand_hypercube(1, {(1,): 1.0}, noise=LabelNoise("flip", rate=0.25))
         assert prob.labels == (-1.0, 1.0)
         np.testing.assert_allclose(prob.cond, [[0.75, 0.25], [0.25, 0.75]][::-1], atol=1e-15)
 
     def test_additive_noise_extends_labels(self):
-        h = HypercubeJunta(1, {(1,): 1.0}, noise=LabelNoise("additive", values=(0.0, 0.5), probs=(0.5, 0.5)))
-        prob = expand_hypercube(h)
+        prob = expand_hypercube(1, {(1,): 1.0}, noise=LabelNoise("additive", values=(0.0, 0.5), probs=(0.5, 0.5)))
         assert prob.labels == (-1.0, -0.5, 1.0, 1.5)
 
     def test_rejects_large_p(self):
         with pytest.raises(ValueError):
-            expand_hypercube(HypercubeJunta(17, {(1,): 1.0}))
+            expand_hypercube(17, {(1,): 1.0})
+
+    def test_rejects_non_finite_labels(self):
+        with pytest.raises(ValueError, match="finite"):
+            expand_hypercube(2, {(1,): 1.0, (2,): float("nan")})
+        with pytest.raises(ValueError, match="finite"):
+            expand_hypercube(1, {(1,): 1.0}, LabelNoise("additive", values=(0.0, float("inf")), probs=(0.5, 0.5)))
+
+    @pytest.mark.parametrize("values,probs", [((0.0, 0.5), (1.0,)), ((0.0,), (0.5, 0.5)), (0.5, 1.0)])
+    def test_additive_noise_needs_values_and_probs_of_equal_length(self, values, probs):
+        with pytest.raises(ValueError, match="1-D of equal length"):
+            LabelNoise("additive", values=values, probs=probs)
+
+
+def reference_expand(p, fourier, noise=None):
+    """The per-row tabulation that expand_hypercube replaced: a dict of the
+    outcomes of each clean value, the labels sorted from their set, and cond
+    filled row by row."""
+    coef = np.zeros(2**p)
+    for coords, val in fourier.items():
+        coef[mask_from_coords(coords, p)] += float(val)
+    outcome_maps, all_values = [], set()
+    for hv in inverse_wht(coef):
+        hv = float(hv)
+        if noise is None:
+            pairs = [(hv, 1.0)]
+        elif noise.kind == "flip":
+            pairs = [(hv, 1.0)] if hv == -hv else [(hv, 1.0 - noise.rate), (-hv, noise.rate)]
+        else:
+            pairs = [(hv + v, q) for v, q in zip(noise.values, noise.probs)]
+        outs = {}
+        for v, q in pairs:
+            outs[v] = outs.get(v, 0.0) + q
+        outcome_maps.append(outs)
+        all_values.update(outs)
+    labels = sorted(all_values)
+    col = {v: j for j, v in enumerate(labels)}
+    cond = np.zeros((len(outcome_maps), len(labels)))
+    for r, outs in enumerate(outcome_maps):
+        for v, q in outs.items():
+            cond[r, col[v]] += q
+    return JuntaProblem(p, uniform_hypercube_marginal(), labels, cond)
+
+
+def hypercube_corpus():
+    """Seeded (P, fourier, noise) specs for P = 1..12 and one P = 16: small
+    integer coefficients (zeros among them, so rows with h = 0 and labels
+    that collide) or uniform ones with some set to 0, a constant term or
+    none, under no noise, flip noise (rates 0, 1 or uniform) and additive
+    noise (repeated values and zero probabilities among them)."""
+    rng = np.random.default_rng(2020)
+    specs = []
+    for p in [*range(1, 13), 16]:
+        for style in ("integer", "uniform"):
+            for noise_kind in (None, "flip", "additive"):
+                if p == 16 and (style, noise_kind) != ("integer", "flip"):
+                    continue
+                n_terms = int(rng.integers(1, min(2**p, 8) + 1))
+                masks = rng.choice(2**p, size=n_terms, replace=False)
+                fourier = {tuple(i + 1 for i in range(p) if int(m) >> i & 1): 0.0 for m in masks}
+                for coords in fourier:
+                    if style == "integer":
+                        fourier[coords] = float(rng.integers(-2, 3))
+                    else:
+                        fourier[coords] = 0.0 if rng.random() < 0.2 else float(rng.uniform(-2, 2))
+                if noise_kind == "flip":
+                    noise = LabelNoise("flip", rate=float(rng.choice([0.0, 1.0, rng.uniform(0, 1)])))
+                elif noise_kind == "additive":
+                    k = int(rng.integers(1, 5))
+                    probs = rng.dirichlet(np.ones(k))
+                    if k > 1 and rng.random() < 0.3:
+                        probs[0] = 0.0
+                        probs /= probs.sum()
+                    noise = LabelNoise("additive", values=tuple(rng.choice([-0.5, 0.0, 0.25, 0.5, 1.5], k).tolist()),
+                                       probs=tuple(probs.tolist()))
+                else:
+                    noise = None
+                specs.append((p, fourier, noise))
+    return specs
+
+
+def test_expand_hypercube_matches_the_per_row_tabulation():
+    """Labels (as float bits) and cond (as bytes) equal the per-row dict
+    tabulation's on every spec of the corpus."""
+    zero_rows_under_flip = 0
+    for p, fourier, noise in hypercube_corpus():
+        got, want = expand_hypercube(p, fourier, noise), reference_expand(p, fourier, noise)
+        assert np.asarray(got.labels).view(np.uint64).tolist() == np.asarray(want.labels).view(np.uint64).tolist()
+        assert got.cond.tobytes() == want.cond.tobytes()
+        if noise is not None and noise.kind == "flip":
+            zero_rows_under_flip += int(np.count_nonzero(got.cond @ np.abs(got.labels) == 0))
+    assert zero_rows_under_flip > 0
 
 
 class TestSampling:
     def test_empty_draw(self, y1_problem):
-        inst = PlantedInstance(y1_problem, 10, (2, 4, 6, 8), seed=0)
-        y, x, rows = inst.sampler().draw_batch(0)
+        inst = PlantedInstance(y1_problem, 10, (2, 4, 6, 8))
+        y, x, rows = inst.sampler(0).draw_batch(0)
         assert y.shape == (0,) and x.shape == (0, 10) and rows.shape == (0,)
 
     def test_noiseless_consistency(self, y1_problem):
         # the support is columns [:P] of the internal layout, in s_star order
-        inst = PlantedInstance(y1_problem, 12, (3, 1, 7, 9), seed=5)
-        y, x, _ = inst.sampler().draw_batch(200)
+        inst = PlantedInstance(y1_problem, 12, (3, 1, 7, 9))
+        y, x, _ = inst.sampler(5).draw_batch(200)
         z = x[:, :4].T
         h = z[0] + z[0] * z[1] + z[0] * z[1] * z[2] + z[0] * z[1] * z[2] * z[3]
         assert y == pytest.approx(h)
@@ -194,29 +285,29 @@ class TestSampling:
     def test_empirical_mean_within_3_sigma(self):
         rng = np.random.default_rng(11)
         prob = random_problem(rng)
-        inst = PlantedInstance(prob, prob.p + 3, tuple(range(1, prob.p + 1)), seed=2)
+        inst = PlantedInstance(prob, prob.p + 3, tuple(range(1, prob.p + 1)))
         exact = prob.label_expectation(np.asarray(prob.labels, dtype=float))
         n = 100_000
-        y, _, _ = inst.sampler().draw_batch(n)
+        y, _, _ = inst.sampler(2).draw_batch(n)
         sd = float(np.std(np.asarray(prob.labels, float))) + 1e-9
         assert abs(float(np.mean(y)) - exact) <= 3 * sd / np.sqrt(n) + 1e-3
 
     def test_reproducible(self, y2_problem):
-        inst = PlantedInstance(y2_problem, 9, (1, 5, 7, 2), seed=42)
-        for a, b in zip(inst.sampler().draw_batch(25), inst.sampler().draw_batch(25)):
+        inst = PlantedInstance(y2_problem, 9, (1, 5, 7, 2))
+        for a, b in zip(inst.sampler(42).draw_batch(25), inst.sampler(42).draw_batch(25)):
             np.testing.assert_array_equal(a, b)
 
     def test_near_uniform_marginal_is_not_sampled_as_uniform(self):
         def draws(probs):
             prob = JuntaProblem(1, FiniteMarginal([1.0, -1.0], probs), [0.0], np.ones((2, 1)))
-            return PlantedInstance(prob, 3, (2,), seed=0).sampler().draw_batch(2000)[1]
+            return PlantedInstance(prob, 3, (2,)).sampler(0).draw_batch(2000)[1]
 
         assert not np.array_equal(draws([0.500004, 0.499996]), draws([0.5, 0.5]))
 
     def test_hypercube_draws_use_integer_symbols(self, y1_problem):
         # the uniform path: one integers() call for the support block, one for the rest
-        inst = PlantedInstance(y1_problem, 7, (3, 1, 7, 5), seed=4)
-        y, x, rows = inst.sampler().draw_batch(50)
+        inst = PlantedInstance(y1_problem, 7, (3, 1, 7, 5))
+        y, x, rows = inst.sampler(4).draw_batch(50)
         rng = np.random.default_rng(4)
         support = rng.integers(0, 2, size=(50, 4))
         rest = rng.integers(0, 2, size=(50, 3))
@@ -226,23 +317,23 @@ class TestSampling:
 
     def test_validates_planting(self, y1_problem):
         with pytest.raises(ValueError):
-            PlantedInstance(y1_problem, 3, (1, 2, 3, 4), seed=0)
+            PlantedInstance(y1_problem, 3, (1, 2, 3, 4))
         with pytest.raises(ValueError):
-            PlantedInstance(y1_problem, 10, (1, 1, 2, 3), seed=0)
+            PlantedInstance(y1_problem, 10, (1, 1, 2, 3))
 
     @pytest.mark.parametrize("s_star", [(1.7, 2, 3, 4), (True, 2, 3, 4), ("2", 3, 4, 5), (1.0, 2, 3, 4)])
     def test_rejects_s_star_entries_that_are_not_integers(self, y1_problem, s_star):
         with pytest.raises(ValueError, match="s_star entries must be integers"):
-            PlantedInstance(y1_problem, 10, s_star, seed=0)
+            PlantedInstance(y1_problem, 10, s_star)
 
     def test_accepts_numpy_integer_s_star(self, y1_problem):
-        inst = PlantedInstance(y1_problem, 10, tuple(np.array([4, 2, 9, 1])), seed=0)
+        inst = PlantedInstance(y1_problem, 10, tuple(np.array([4, 2, 9, 1])))
         assert inst.s_star == (4, 2, 9, 1) and all(type(c) is int for c in inst.s_star)
 
     def test_sampler_needs_numeric_labels(self):
         prob = JuntaProblem(1, uniform_hypercube_marginal(), ["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="not numeric"):
-            PlantedInstance(prob, 3, (2,), seed=0).sampler()
+            PlantedInstance(prob, 3, (2,)).sampler(0)
 
 
 def reference_draw(problem, d, n, rng):
@@ -282,7 +373,7 @@ class TestChunkedDraws:
         if chunk_rows is not None:
             monkeypatch.setattr(junta, "DRAW_CHUNK_ENTRIES", chunk_rows * (d - 2))
         prob = _two_coordinate_problem(*self.MARGINALS[marginal])
-        sampler = PlantedInstance(prob, d, (5, 2), seed=0).sampler(9)
+        sampler = PlantedInstance(prob, d, (5, 2)).sampler(9)
         rng = np.random.default_rng(9)
         for size in (n, 3):  # the batch after it reads the stream where the first left it
             got, want = draw(sampler, prob, size), reference_draw(prob, d, size, rng)
@@ -312,7 +403,7 @@ class TestChunkedDraws:
     def test_peak_memory_is_about_the_inputs(self):
         """At n = 8000, d = 300 the draw once held its int64 symbols, their
         float gather and x together, about 3 x.nbytes."""
-        sampler = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4), seed=0).sampler(7)
+        sampler = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4)).sampler(7)
         sampler.draw_batch(1)
         tracemalloc.start()
         try:

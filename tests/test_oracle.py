@@ -12,7 +12,6 @@ from juntaleap import (
     AdversarialOracle,
     FiniteMarginal,
     HonestOracle,
-    HypercubeJunta,
     JuntaProblem,
     PlantedInstance,
     Query,
@@ -31,7 +30,7 @@ from juntaleap.setsystem import SetSystem
 
 @pytest.fixture(scope="module")
 def p1_problem():
-    return expand_hypercube(HypercubeJunta(1, {(1,): 1.0}))
+    return expand_hypercube(1, {(1,): 1.0})
 
 
 def witness_query(witness, coords, scale=1.0):
@@ -134,7 +133,7 @@ class TestQuery:
 class TestHonestOracle:
     def test_off_support_zero_mean_gives_zero(self, y1_problem):
         rep = detect_csq(y1_problem)
-        inst = PlantedInstance(y1_problem, 10, (1, 2, 3, 4), seed=0)
+        inst = PlantedInstance(y1_problem, 10, (1, 2, 3, 4))
         oracle = HonestOracle(inst, tau=0.1, noise_mode="uniform", seed=1)
         q = witness_query(rep.witnesses[0b1], (9,))
         assert oracle.exact_expectation(q) == 0.0
@@ -143,7 +142,7 @@ class TestHonestOracle:
 
     def test_witness_image_returns_beta(self, y2_problem):
         rep = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 9, (4, 6, 8, 2), seed=0)
+        inst = PlantedInstance(y2_problem, 9, (4, 6, 8, 2))
         oracle = HonestOracle(inst, tau=0.0)
         w = rep.witnesses[0b0111]  # positions {1,2,3}
         q = witness_query(w, (4, 6, 8))
@@ -151,14 +150,14 @@ class TestHonestOracle:
 
     def test_tau_zero_is_exact(self, y1_problem):
         rep = detect_csq(y1_problem)
-        inst = PlantedInstance(y1_problem, 8, (5, 6, 7, 8), seed=0)
+        inst = PlantedInstance(y1_problem, 8, (5, 6, 7, 8))
         oracle = HonestOracle(inst, tau=0.0, noise_mode="adversarial_sign")
         q = witness_query(rep.witnesses[0b1], (5,))
         assert oracle.answer(q) == oracle.exact_expectation(q)
 
     def test_rejects_out_of_range_coordinate(self, y1_problem):
         rep = detect_csq(y1_problem)
-        inst = PlantedInstance(y1_problem, 8, (5, 6, 7, 8), seed=0)
+        inst = PlantedInstance(y1_problem, 8, (5, 6, 7, 8))
         oracle = HonestOracle(inst, tau=0.0)
         with pytest.raises(ValueError):
             oracle.answer(witness_query(rep.witnesses[0b1], (9,)))
@@ -167,7 +166,7 @@ class TestHonestOracle:
         """Rows on and off the support, on a marginal where every table has a
         nonzero mean: the exact value is the row-by-row sum of one-row values."""
         rep = detect_sq(three_atom_problem)
-        oracle = HonestOracle(PlantedInstance(three_atom_problem, 40, (7, 3, 30), seed=0), tau=0.1)
+        oracle = HonestOracle(PlantedInstance(three_atom_problem, 40, (7, 3, 30)), tau=0.1)
         for mask in rep.system.sets:
             w = rep.witnesses[mask]
             tables = tuple(w.t_coords[pos] + 0.25 for pos in w.coords)
@@ -180,7 +179,7 @@ class TestHonestOracle:
 
     def test_soundness_post_hoc(self, y2_problem):
         rep = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 12, (1, 5, 9, 11), seed=3)
+        inst = PlantedInstance(y2_problem, 12, (1, 5, 9, 11))
         result = play_game(inst, rep, tau=rep.beta / 4, noise_mode="uniform", seed=9)
         assert_sound(result.transcript)
         assert result.s_hat == frozenset({1, 5, 9, 11})
@@ -189,7 +188,7 @@ class TestHonestOracle:
 class TestAdaptiveLearner:
     def test_no_distractors(self, y1_problem):
         rep = detect_csq(y1_problem)
-        inst = PlantedInstance(y1_problem, 4, (2, 1, 4, 3), seed=0)
+        inst = PlantedInstance(y1_problem, 4, (2, 1, 4, 3))
         result = play_game(inst, rep, tau=rep.beta / 4)
         assert result.s_hat == frozenset({1, 2, 3, 4})
         assert result.transcript.n_queries <= 100
@@ -199,30 +198,30 @@ class TestAdaptiveLearner:
         rng = np.random.default_rng(0)
         for trial in range(10):
             s = tuple(int(c) for c in rng.choice(np.arange(1, 31), 4, replace=False))
-            inst = PlantedInstance(y1_problem, 30, s, seed=trial)
+            inst = PlantedInstance(y1_problem, 30, s)
             result = play_game(inst, rep, tau=rep.beta / 4, noise_mode="adversarial_sign", seed=trial)
             assert result.s_hat == frozenset(s)
             assert result.transcript.n_queries <= 50 * 30
 
     def test_budget_exhaustion(self, y2_problem):
         rep = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12), seed=0)
+        inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12))
         with pytest.raises(BudgetExceededError):
             run_adaptive(HonestOracle(inst, rep.beta / 4), inst.d, rep, budget=5)
 
     def test_relative_support_recovery(self):
         # the label ignores coordinate 2 of the support: the learner recovers
         # the image of supp(C_A) and stops without error
-        prob = expand_hypercube(HypercubeJunta(2, {(1,): 1.0}))
+        prob = expand_hypercube(2, {(1,): 1.0})
         rep = detect_csq(prob)
         assert rep.system.support == 0b01
-        inst = PlantedInstance(prob, 6, (4, 5), seed=0)
+        inst = PlantedInstance(prob, 6, (4, 5))
         assert play_game(inst, rep, tau=rep.beta / 4).s_hat == frozenset({4})
 
     def test_sq_count_no_worse_than_csq_on_y2(self, y2_problem):
         sq = detect_sq(y2_problem)
         csq = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 12, (2, 5, 7, 11), seed=1)
+        inst = PlantedInstance(y2_problem, 12, (2, 5, 7, 11))
         t_sq = play_game(inst, sq, tau=sq.beta / 4).transcript
         t_csq = play_game(inst, csq, tau=csq.beta / 4).transcript
         assert t_sq.n_queries <= t_csq.n_queries
@@ -231,7 +230,7 @@ class TestAdaptiveLearner:
 class TestNonadaptiveLearner:
     def test_y1_d8_block_structure(self, y1_problem):
         rep = detect_csq(y1_problem)
-        inst = PlantedInstance(y1_problem, 8, (3, 6, 1, 8), seed=0)
+        inst = PlantedInstance(y1_problem, 8, (3, 6, 1, 8))
         result = play_game(inst, rep, learner="nonadaptive", tau=rep.beta / 4, noise_mode="adversarial_sign")
         assert result.s_hat == frozenset({3, 6, 1, 8})
         sizes = sorted({len(r["terms"][0]) for r in result.transcript.records})
@@ -241,7 +240,7 @@ class TestNonadaptiveLearner:
 
     def test_all_singletons_needs_d_queries(self, p1_problem):
         rep = detect_csq(p1_problem)
-        inst = PlantedInstance(p1_problem, 15, (11,), seed=0)
+        inst = PlantedInstance(p1_problem, 15, (11,))
         result = play_game(inst, rep, learner="nonadaptive", tau=rep.beta / 4)
         assert result.s_hat == frozenset({11})
         assert result.transcript.n_queries == 15
@@ -251,14 +250,14 @@ class TestGroupedLearner:
     def test_bit_decoding_d16(self, p1_problem):
         rep = detect_csq(p1_problem)
         for coord in (1, 7, 16):
-            inst = PlantedInstance(p1_problem, 16, (coord,), seed=0)
+            inst = PlantedInstance(p1_problem, 16, (coord,))
             result = play_game(inst, rep, learner="grouped", tau=0.0)
             assert result.s_hat == frozenset({coord})
             assert result.transcript.n_queries == 4
 
     def test_d1_zero_queries(self, p1_problem):
         rep = detect_csq(p1_problem)
-        inst = PlantedInstance(p1_problem, 1, (1,), seed=0)
+        inst = PlantedInstance(p1_problem, 1, (1,))
         result = play_game(inst, rep, learner="grouped")
         assert result.s_hat == frozenset({1})
         assert result.transcript.n_queries == 0
@@ -267,7 +266,7 @@ class TestGroupedLearner:
         rep = detect_csq(p1_problem)
         beta = abs(rep.witnesses[0b1].beta)
         for coord in (37, 129, 256):
-            inst = PlantedInstance(p1_problem, 256, (coord,), seed=0)
+            inst = PlantedInstance(p1_problem, 256, (coord,))
             result = play_game(inst, rep, learner="grouped", tau=beta / (4 * np.sqrt(256)),
                                noise_mode="adversarial_sign")
             assert result.s_hat == frozenset({coord})
@@ -277,7 +276,7 @@ class TestGroupedLearner:
         # the grouped norm is linear in the number of terms, so d in the
         # thousands costs a fraction of a second
         rep = detect_csq(p1_problem)
-        inst = PlantedInstance(p1_problem, 4096, (2731,), seed=0)
+        inst = PlantedInstance(p1_problem, 4096, (2731,))
         result = play_game(inst, rep, learner="grouped", noise_mode="uniform", seed=3)
         assert result.success and result.s_hat == frozenset({2731})
         assert result.transcript.n_queries == 12
@@ -285,7 +284,7 @@ class TestGroupedLearner:
 
     def test_requires_singleton(self, y2_problem):
         rep = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 12, (1, 2, 3, 4), seed=0)
+        inst = PlantedInstance(y2_problem, 12, (1, 2, 3, 4))
         with pytest.raises(ValueError, match="singleton"):
             play_game(inst, rep, learner="grouped")
 
@@ -337,7 +336,7 @@ class TestAdversary:
 
     def test_pairs_only_game_fails(self, y2_problem):
         rep = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 10, (1, 2, 3, 4), seed=0)
+        inst = PlantedInstance(y2_problem, 10, (1, 2, 3, 4))
         result = play_game(inst, rep, learner="adaptive", oracle_kind="adversarial",
                            tau_factor=0.25, max_tuple=2)
         assert result.verdict == "FAIL"
@@ -347,7 +346,7 @@ class TestAdversary:
         # at most 2^20 rows of plantings, d!/(d - P)!: y2 up to d = 33
         assert math.perm(33, 4) <= AdversarialOracle.MAX_PLANTINGS < math.perm(34, 4)
         assert len(AdversarialOracle(y2_problem, d=20, tau=0.1).survivors) == math.perm(20, 4)
-        p5_problem = expand_hypercube(HypercubeJunta(5, {(1, 2, 3, 4, 5): 1.0}))
+        p5_problem = expand_hypercube(5, {(1, 2, 3, 4, 5): 1.0})
         # the bound is checked before the plantings are enumerated
         monkeypatch.setattr("juntaleap.oracle._ordered_tuples", lambda pool, k: pytest.fail("enumerated"))
         with pytest.raises(ValueError, match="plantings, got P = 4 at d = 34"):
@@ -386,7 +385,7 @@ class TestOrderedTuples:
 class TestTranscript:
     def test_jsonl_emission(self, y1_problem):
         rep = detect_csq(y1_problem)
-        inst = PlantedInstance(y1_problem, 6, (1, 2, 3, 4), seed=0)
+        inst = PlantedInstance(y1_problem, 6, (1, 2, 3, 4))
         transcript = play_game(inst, rep, tau=rep.beta / 4).transcript
         buf = io.StringIO()
         transcript.to_jsonl(buf)
@@ -402,45 +401,45 @@ class TestPlayGame:
     def test_grouped_default_tau_scales_with_d(self, p1_problem):
         # the default tolerance must shrink by 1/sqrt(d) for grouped queries
         rep = detect_csq(p1_problem)
-        inst = PlantedInstance(p1_problem, 256, (185,), seed=0)
+        inst = PlantedInstance(p1_problem, 256, (185,))
         result = play_game(inst, rep, learner="grouped", noise_mode="adversarial_sign")
         assert result.success
         assert result.detail["tau"] == pytest.approx(0.25 / np.sqrt(256))
 
     def test_honest_success_records_count(self, y1_problem):
         rep = detect_csq(y1_problem)
-        inst = PlantedInstance(y1_problem, 20, (19, 3, 11, 7), seed=0)
+        inst = PlantedInstance(y1_problem, 20, (19, 3, 11, 7))
         result = play_game(inst, rep, tau_factor=0.25, noise_mode="adversarial_sign")
         assert result.success
         assert result.s_hat == frozenset({19, 3, 11, 7})
 
     def test_budget_verdict(self, y2_problem):
         rep = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12), seed=0)
+        inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12))
         result = play_game(inst, rep, tau_factor=0.25, budget=3)
         assert result.verdict == "FAIL(budget)"
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_grouped_against_the_adversary_rejected_at_every_d(self, p1_problem, d):
-        inst = PlantedInstance(p1_problem, d, (d,), seed=0)
+        inst = PlantedInstance(p1_problem, d, (d,))
         with pytest.raises(ValueError, match="single-term"):
             play_game(inst, detect_csq(p1_problem), learner="grouped", oracle_kind="adversarial")
 
     @pytest.mark.parametrize("noise_mode", ["uniform", "adversarial_sign"])
     def test_noise_against_the_adversary_rejected(self, y2_problem, noise_mode):
-        inst = PlantedInstance(y2_problem, 8, (1, 2, 3, 4), seed=3)
+        inst = PlantedInstance(y2_problem, 8, (1, 2, 3, 4))
         with pytest.raises(ValueError, match="honest oracle only"):
             play_game(inst, detect_csq(y2_problem), oracle_kind="adversarial", noise_mode=noise_mode)
 
     def test_seed_against_the_adversary_rejected(self, y2_problem):
-        inst = PlantedInstance(y2_problem, 8, (1, 2, 3, 4), seed=3)
+        inst = PlantedInstance(y2_problem, 8, (1, 2, 3, 4))
         with pytest.raises(ValueError, match="takes no seed"):
             play_game(inst, detect_csq(y2_problem), oracle_kind="adversarial", seed=1)
         assert play_game(inst, detect_csq(y2_problem), oracle_kind="adversarial").transcript.n_queries == 197
 
     @pytest.mark.parametrize("learner", ["nonadaptive", "grouped"])
     def test_max_tuple_only_for_the_adaptive_learner(self, p1_problem, learner):
-        inst = PlantedInstance(p1_problem, 8, (3,), seed=0)
+        inst = PlantedInstance(p1_problem, 8, (3,))
         with pytest.raises(ValueError, match="max_tuple"):
             play_game(inst, detect_csq(p1_problem), learner=learner, max_tuple=1)
 
@@ -554,7 +553,7 @@ class TestBlockAnswers:
         rng = np.random.default_rng(len(name) + 10 * len(noise_mode))
         for seed, tau_factor in ((3, 0.25), (4, 0.7)):
             s = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), problem.p, replace=False))
-            inst = PlantedInstance(problem, d, s, seed=seed)
+            inst = PlantedInstance(problem, d, s)
             (s_block, t_block), (s_ref, t_ref) = run_both(learner, inst, rep, tau_factor * rep.beta, noise_mode, seed)
             assert s_block == s_ref
             assert_same_records(t_block.records, t_ref.records)
@@ -564,7 +563,7 @@ class TestBlockAnswers:
     @pytest.mark.parametrize("learner", ["adaptive", "nonadaptive"])
     def test_budget_truncation_matches_scalar_prefix(self, y2_problem, learner):
         rep = detect_csq(y2_problem)
-        inst = PlantedInstance(y2_problem, 8, (6, 2, 8, 3), seed=1)
+        inst = PlantedInstance(y2_problem, 8, (6, 2, 8, 3))
         (_, full), _ = run_both(learner, inst, rep, rep.beta / 4, "uniform", 5)
         for budget in (0, 1, full.n_queries // 3, full.n_queries - 1):
             (s_block, t_block), (s_ref, t_ref) = run_both(learner, inst, rep, rep.beta / 4, "uniform", 5, budget)

@@ -1,12 +1,15 @@
-"""The package surface: its exported names and the README's library tour."""
+"""The package surface: its exported names, the README's library tour and
+the names that perfbench's span tracer wraps."""
 
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import juntaleap
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -43,10 +46,10 @@ def test_readme_module_table_names_resolve():
 def test_readme_config_table_matches_the_cli():
     """The README's config table gives each key of each CLI block, whether
     the block requires it, and its kind, as `cli._COMMANDS` declares them."""
-    from juntaleap.cli import _COMMANDS, AUTO_OR_NUMBER, FLAG, LIBRARY, NUMBER, NUMBERS
+    from juntaleap.cli import _COMMANDS, AUTO_OR_NUMBER, FLAG, LIBRARY, NUMBER, NUMBERS, SPECS
 
     words = {NUMBER: "finite number", NUMBERS: "list of finite numbers", AUTO_OR_NUMBER: '`"auto"` or a finite number',
-             FLAG: "`true` or `false`", LIBRARY: "checked by the library"}
+             FLAG: "`true` or `false`", SPECS: "non-empty list", LIBRARY: "checked by the library"}
     declared = {(command, key): (key in required, f"integer >= {kind}" if isinstance(kind, int) else words[kind])
                 for command, (_, _, required, kinds) in _COMMANDS.items() for key, kind in kinds.items()}
     table = README.read_text().split("\n| key | blocks (* required) | kind |\n", 1)[1].split("\n\n", 1)[0]
@@ -59,3 +62,16 @@ def test_readme_config_table_matches_the_cli():
     assert documented.keys() == declared.keys()
     for entry, (required, kind) in declared.items():
         assert documented[entry][0] == required and documented[entry][1].startswith(kind), entry
+
+
+def test_every_trace_target_resolves():
+    """perfbench/spans.py patches owner.__dict__[attr] for each target, so a
+    renamed or moved function would fail every traced benchmark round. The
+    module is loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.juntaleap_targets(spans.Tracer())
+    assert targets
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in targets if attr not in owner.__dict__]
+    assert not missing, f"trace targets missing: {', '.join(missing)}"

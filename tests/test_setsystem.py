@@ -18,7 +18,7 @@ from conftest import brute_cover, brute_leap, brute_leap_sequences, random_syste
 
 
 def system(p, *sets):
-    return SetSystem.from_coords(p, sets)
+    return SetSystem(p, tuple(mask_from_coords(s, p) for s in sets))
 
 
 class TestInfinity:
