@@ -24,7 +24,7 @@ _EXPORTS = {
     "dynamics": (
         "Activation", "DFState", "KernelReport", "ParticleEnsemble", "TrainConfig", "bayes_risk", "df_risk",
         "df_step", "init_df_state", "init_ensemble", "kernel", "layerwise_train", "poly_activation", "run_df",
-        "run_sgd", "sgd_step", "smallest_eigenvalue", "support_alignment", "tanh_activation",
+        "run_sgd", "sgd_step", "smallest_eigenvalue", "support_alignment",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

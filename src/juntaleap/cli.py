@@ -123,22 +123,8 @@ def _loss_from_spec(spec):
         raise ConfigError(f"bad loss spec {spec!r}: {exc}") from exc
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, default=_json_default)
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def _write_text(text: str, out_dir: Path, name: str) -> Path:
@@ -417,12 +403,12 @@ def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     from .detect import detect
     from .junta import FiniteMarginal, hard_instance
 
-    my = block["marginal_y"]
-    try:
-        problem = hard_instance(my["values"], my["probs"], block["T"], block["A"], block["lambda"],
-                                FiniteMarginal.from_dict(block["marginal_x"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"hard instance construction failed: {exc}") from exc
+    def build():
+        my = block["marginal_y"]
+        return hard_instance(my["values"], my["probs"], block["T"], block["A"], block["lambda"],
+                             FiniteMarginal.from_dict(block["marginal_x"]))
+
+    problem = _checked("hard instance construction failed", build)
     report = {"problem": problem.to_dict()}
     report["sq_detects_singleton"] = bool(problem.p and detect(problem, "SQ").system.sets)
     report["dlq_detects_singleton"] = {lname: bool(detect(problem, "DLQ", _loss_from_spec(lname)).system.sets)

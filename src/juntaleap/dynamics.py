@@ -21,7 +21,7 @@ import numpy as np
 
 from .junta import JuntaProblem, PlantedInstance
 from .losses import LossSpec, squared
-from .setsystem import coords_from_mask, greedy_closure
+from .setsystem import greedy_closure
 
 
 class DivergenceError(RuntimeError):
@@ -97,17 +97,6 @@ class Activation:
         return self._outer(t), sp
 
 
-def scaled_tanh(amplitude: float = 1.0, gain: float = 1.0) -> Activation:
-    """sigma(x) = A tanh(g x); amplitude sets the output range, gain the slope."""
-    a, g = float(amplitude), float(gain)
-    return Activation(f"tanh[{a}x{g}]", a, g)
-
-
-def tanh_activation() -> Activation:
-    """sigma(x) = tanh(x): scaled_tanh at unit amplitude and gain, named "tanh"."""
-    return Activation("tanh")
-
-
 def poly_activation(degree: int) -> Activation:
     """sigma(x) = (1+x)^L."""
     if isinstance(degree, bool) or not isinstance(degree, numbers.Integral):
@@ -118,16 +107,17 @@ def poly_activation(degree: int) -> Activation:
 
 
 def make_activation(spec: str) -> Activation:
-    """The activation of a spec: "tanh", "tanh:A[:g]" for A tanh(g x), or
-    "poly:L" for (1 + x)^L."""
+    """The activation of a spec: "tanh", "tanh:A[:g]" for A tanh(g x) (amplitude
+    A sets the output range, gain g the slope), or "poly:L" for (1 + x)^L."""
     if spec == "tanh":
-        return tanh_activation()
+        return Activation("tanh")
     if isinstance(spec, str) and spec.startswith("poly:"):
         return poly_activation(int(spec.split(":", 1)[1]))
     if isinstance(spec, str) and spec.startswith("tanh:"):
         params = [float(v) for v in spec.split(":")[1:]]
         if len(params) <= 2 and np.isfinite(params).all():
-            return scaled_tanh(*params)
+            a, g = (*params, 1.0)[:2]
+            return Activation(f"tanh[{a}x{g}]", a, g)
     raise ValueError(f"unknown activation spec {spec!r}")
 
 
@@ -464,13 +454,14 @@ def df_step(
     _forward: _DFForward | None = None,
 ) -> DFState:
     """One step of the discrete dimension-free recursion (exact expectations).
+    A divergence is numbered state.k + 1, the step this call takes.
 
     run_df passes its tables, its s > 0 work arrays and, when it has already
     computed it for a risk record, the state's forward pass."""
     zmat, wz, cond, labels = hypercube_tables(problem) if _tables is None else _tables
     sig, sigp, sigp_g, f = _df_forward(state, zmat, gh_order, _work) if _forward is None else _forward
     if not np.all(np.isfinite(f)):
-        raise DivergenceError(state.k, "network value")
+        raise DivergenceError(state.k + 1, "network value")
     ellp = cfg.loss.deriv(f[:, None], labels[None, :])  # (R, ny)
     gz = wz * np.einsum("ry,ry->r", cond, ellp)  # weighted E_{y|z}[l'] per row
 
@@ -514,12 +505,10 @@ def run_df(
     """DF training for `steps` steps with the exact risk under each of
     `risk_losses` every `risk_every` steps and at the last. A recorded state's
     forward pass serves both its risks and the step that follows; at s > 0
-    the run owns the quadrature work arrays of all its steps. A divergence is
-    numbered by the state's own step count, `state.k`."""
+    the run owns the quadrature work arrays of all its steps."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
     tables = hypercube_tables(problem)
-    k0 = state.k
     u_max = np.empty((steps + 1, state.p))
     u_max[0] = np.abs(state.u).max(axis=0) if state.n else 0.0
     history = []
@@ -542,10 +531,7 @@ def run_df(
 
     forward = record(0)
     for step in range(1, steps + 1):
-        try:
-            df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _work=work, _forward=forward)
-        except DivergenceError as exc:
-            raise DivergenceError(k0 + step, exc.what) from exc
+        df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _work=work, _forward=forward)
         u_max[step] = np.abs(state.u).max(axis=0)
         forward = record(step)
     return DFRun(state, u_max, history)

@@ -31,25 +31,20 @@ class OrthonormalBasis:
         return self.psi.shape[0]
 
 
-def gram_schmidt(marginal: FiniteMarginal, seed: int | None = None) -> OrthonormalBasis:
+def gram_schmidt(marginal: FiniteMarginal) -> OrthonormalBasis:
     """Orthonormal basis of L2(mu_x) with psi_0 = 1.
 
-    Seeds with monomials 1, x, x^2, ... in ascending degree (or a random
-    full-rank family when `seed` is given) and orthogonalizes twice for
-    stability. Any valid choice yields the same detectability verdicts. It is
-    orthonormal on the atoms of positive probability and tabulated on every
-    atom, with psi_0 = 1 and psi_j = 0 (j >= 1) on an atom of probability 0.
+    Seeds with monomials 1, x, x^2, ... in ascending degree and
+    orthogonalizes twice for stability. Any orthonormal basis with psi_0 = 1
+    yields the same detectability verdicts. It is orthonormal on the atoms of
+    positive probability and tabulated on every atom, with psi_0 = 1 and
+    psi_j = 0 (j >= 1) on an atom of probability 0.
     """
     kept = marginal.probs > 0
     n = int(np.count_nonzero(kept))
     vals = marginal.values[kept]
     probs = marginal.probs[kept]
-    if seed is None:
-        seeds = np.vander(vals, n, increasing=True).T.astype(float)
-    else:
-        rng = np.random.default_rng(seed)
-        seeds = rng.standard_normal((n, n))
-        seeds[0] = 1.0
+    seeds = np.vander(vals, n, increasing=True).T.astype(float)
 
     def project(v, basis_rows):
         for b in basis_rows:
@@ -65,8 +60,7 @@ def gram_schmidt(marginal: FiniteMarginal, seed: int | None = None) -> Orthonorm
             raise ValueError("numerically degenerate marginal: seed functions not independent")
         rows.append(v / norm)
     psi = np.vstack(rows)
-    if seed is None:
-        psi[0] = 1.0  # exact constant
+    psi[0] = 1.0  # exact constant
 
     gram = (psi * probs) @ psi.T
     if np.max(np.abs(gram - np.eye(n))) > ORTHO_TOL:

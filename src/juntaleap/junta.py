@@ -410,12 +410,7 @@ def hard_instance(
         raise ValueError("lambda too small: conditional probabilities leave (0, 1)")
 
     # cond rows are mu_{y|z=v}: joint(y, v) / mu_x(v)
-    cond = np.empty((marginal_x.nx, labels.size))
-    for r in range(marginal_x.nx):
-        if in_a[r]:
-            cond[r] = p_a_given_y * mu_y / m_a
-        else:
-            cond[r] = (1.0 - p_a_given_y) * mu_y / (1.0 - m_a)
+    cond = np.where(in_a[:, None], p_a_given_y * mu_y / m_a, (1.0 - p_a_given_y) * mu_y / (1.0 - m_a))
     return JuntaProblem(1, marginal_x, labels.tolist(), cond)
 
 
@@ -431,6 +426,8 @@ def problem_from_dict(d: Mapping) -> JuntaProblem:
     if "hypercube" not in d:
         return JuntaProblem.from_dict(d)
     h = d["hypercube"]
+    if not isinstance(h["fourier"], Mapping):
+        raise ValueError(f"hypercube fourier must map coordinate lists to coefficients, got {h['fourier']!r}")
     fourier = {
         () if key in ("", "const") else tuple(int(c) for c in key.split(",")): float(val)
         for key, val in h["fourier"].items()

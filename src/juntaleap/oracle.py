@@ -201,21 +201,18 @@ class _Block:
 
     def jsonl(self, lo: int, hi: int) -> str:
         """The JSONL lines of rows lo:hi, the text of `_jsonl_line` on each
-        record, assembled column-wise when every float is finite."""
-        responses, exact = self.responses[lo:hi], self.exact[lo:hi]
-        if not (math.isfinite(self.norm) and np.isfinite(responses).all() and np.isfinite(exact).all()):
-            return "".join(map(_jsonl_line, self.records(lo, hi)))
+        record, assembled column-wise."""
         coords = self.coords[lo:hi]
         m, k = coords.shape
-        # the JSON text of a finite float is its repr, of an int its str; each
+        # the JSON text of a float is _float_text's, of an int its str; each
         # line is one row of Python strings, the constant fragments broadcast
         # into their columns, and the rows are joined in one pass
         cols = np.empty((m, 7 + 2 * k), dtype=object)
         heads = np.array(['{"accepted": false, "exact": ', '{"accepted": true, "exact": '], dtype=object)
         cols[:, 0] = heads[self.accepted[lo:hi].view(np.uint8)]
-        cols[:, 1] = _float_text(exact)
-        cols[:, 2] = f', "norm": {self.norm!r}, "response": '
-        cols[:, 3] = _float_text(responses)
+        cols[:, 1] = _float_text(self.exact[lo:hi])
+        cols[:, 2] = f', "norm": {_float_text(np.array([self.norm]))[0]}, "response": '
+        cols[:, 3] = _float_text(self.responses[lo:hi])
         cols[:, 4] = ', "scale": 1.0, "t": '
         cols[:, 5] = list(map(str, range(self.t0 + lo, self.t0 + lo + m)))
         cols[:, 6] = ', "terms": [['
@@ -226,11 +223,20 @@ class _Block:
         return "".join(cols.ravel().tolist())
 
 
+# json's spellings of the floats whose repr is not JSON
+_NON_FINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _float_text(values: np.ndarray) -> np.ndarray:
-    """repr of each float as an object array, computed once per distinct
-    value (by bit pattern, so that -0.0 and 0.0 stay apart)."""
+    """json.dumps's text of each float as an object array: its repr, or NaN,
+    Infinity or -Infinity. Computed once per distinct value (by bit pattern,
+    so that -0.0 and 0.0 stay apart)."""
     uniq, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)[inverse]
+    floats = uniq.view(np.float64)
+    text = np.array(list(map(repr, floats.tolist())), dtype=object)
+    bad = ~np.isfinite(floats)
+    text[bad] = [_NON_FINITE_TEXT[t] for t in text[bad]]
+    return text[inverse]
 
 
 _JSONL_CHUNK_LINES = 2048
@@ -577,19 +583,15 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
             is_old = np.array([bool(explored >> (p - 1) & 1) for p in witness.coords])
             old_pos = [p for p, old in zip(witness.coords, is_old) if old]
             fresh_pool = [c for c in range(1, d + 1) if c not in s_hat]
-            canonical = tuple(assigned[p] for p in old_pos)
-            injections = [canonical] + [
-                perm
-                for perm in itertools.permutations(sorted(s_hat), len(old_pos))
-                if perm != canonical
-            ]
+            # the assigned injection first, then every other one in permutation order
+            canonical = np.array([assigned[p] for p in old_pos], dtype=np.int64)
+            injections = _ordered_tuples(sorted(s_hat), len(old_pos))
+            injections = np.vstack((canonical, injections[(injections != canonical).any(axis=1)]))
             # one block: every fresh tuple (outer) with every injection (inner)
             fresh = _ordered_tuples(fresh_pool, new_count)
             block = np.empty((len(fresh) * len(injections), len(witness.coords)), dtype=np.int64)
             block[:, ~is_old] = np.repeat(fresh, len(injections), axis=0)
-            block[:, is_old] = np.tile(
-                np.array(injections, dtype=np.int64).reshape(len(injections), len(old_pos)), (len(fresh), 1)
-            )
+            block[:, is_old] = np.tile(injections, (len(fresh), 1))
             hits, conceded = oracle.answer_block(witness, block, transcript, threshold, first_hit=True)
             if conceded:
                 break

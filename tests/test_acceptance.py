@@ -358,7 +358,7 @@ def test_criterion_10_property_suites(tmp_path, y1_problem, capsys):
     # gradient vs central finite differences on 100 random configurations
     import copy
 
-    from juntaleap.dynamics import ParticleEnsemble, sgd_step, tanh_activation
+    from juntaleap.dynamics import ParticleEnsemble, make_activation, sgd_step
 
     grad_fail = 0
     losses = [get_loss(n) for n in ("squared", "exponential", "logistic",
@@ -369,7 +369,7 @@ def test_criterion_10_property_suites(tmp_path, y1_problem, capsys):
         d = int(grng.integers(2, 6))
         ens = ParticleEnsemble(
             grng.normal(size=2), grng.normal(size=(2, d)) * 0.4,
-            grng.normal(size=2), np.full(2, 0.1), tanh_activation(),
+            grng.normal(size=2), np.full(2, 0.1), make_activation("tanh"),
         )
         before = copy.deepcopy(ens)
         x = grng.choice([-1.0, 1.0], size=(3, d))

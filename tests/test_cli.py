@@ -497,6 +497,19 @@ class TestConfigValuesRejectedUpFront:
         assert "config error: kappa must be a list of finite numbers" in captured.err and captured.out == ""
         assert not out.exists()  # no layerwise_curve.csv
 
+    @pytest.mark.parametrize("command,config", [
+        ("hard-instance", {"hard_instance": dict(HARD_INSTANCE, marginal_x=[1.0, -1.0])}),
+        ("hard-instance", {"hard_instance": dict(HARD_INSTANCE, marginal_y="uniform")}),
+        ("exponents", {"problem": {"hypercube": {"P": 1, "fourier": [1]}}}),
+    ])
+    def test_library_value_of_the_wrong_json_type_exits_2(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_dump_moments_string_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"problem": Y1_SPEC, "detect": {"dump_moments": "false"}})
         out = tmp_path / "out"

@@ -74,11 +74,13 @@ class TestSq:
             assert detect_sq(prob).system.sets == detect_csq(prob).system.sets
 
     def test_basis_independence(self):
-        rng = np.random.default_rng(4)
+        rng, rot = np.random.default_rng(4), np.random.default_rng(123)
         for _ in range(10):
             prob = random_problem(rng)
             b1 = gram_schmidt(prob.marginal)
-            b2 = gram_schmidt(prob.marginal, seed=123)
+            # a second orthonormal basis: psi_1.. rotated by a random orthogonal matrix
+            q, _ = np.linalg.qr(rot.standard_normal((b1.size - 1,) * 2))
+            b2 = OrthonormalBasis(prob.marginal, np.vstack((b1.psi[:1], q @ b1.psi[1:])))
             assert detect_sq(prob, basis=b1).system.sets == detect_sq(prob, basis=b2).system.sets
 
 

@@ -22,7 +22,6 @@ from juntaleap import (
     sgd_step,
     smallest_eigenvalue,
     support_alignment,
-    tanh_activation,
 )
 from juntaleap import dynamics
 from juntaleap.dynamics import (
@@ -34,7 +33,6 @@ from juntaleap.dynamics import (
     gauss_hermite,
     hypercube_tables,
     make_activation,
-    scaled_tanh,
 )
 from juntaleap.losses import get_loss
 from conftest import fig1_problem
@@ -47,7 +45,7 @@ def small_ensemble(seed=3, d=5, m=4):
         w=rng.normal(size=(m, d)) * 0.3,
         b=rng.normal(size=m),
         c=np.full(m, 0.2),
-        activation=tanh_activation(),
+        activation=make_activation("tanh"),
     )
 
 
@@ -90,7 +88,7 @@ class TestSgdStep:
 
     def test_pure_weight_decay(self):
         # zero-signal data with a = c = 0: w decays by (1 - eta*lambda) per step
-        act = tanh_activation()
+        act = make_activation("tanh")
         rng = np.random.default_rng(2)
         w0 = rng.normal(size=(3, 4))
         ens = ParticleEnsemble(np.zeros(3), w0.copy(), np.zeros(3), np.zeros(3), act)
@@ -231,12 +229,12 @@ class TestLeanSgdStep:
 
     def test_fused_tanh_value_is_exact_and_derivative_close(self):
         x = np.linspace(-12.0, 12.0, 2001)
-        for act in (tanh_activation(), scaled_tanh(4, 2), scaled_tanh(2, 2)):
+        for act in (make_activation("tanh"), make_activation("tanh:4:2"), make_activation("tanh:2:2")):
             s, sp = act.value_and_deriv(x.copy())
             np.testing.assert_array_equal(s, act.f(x))
             np.testing.assert_allclose(sp, act.df(x), rtol=0, atol=1e-15 * max(2.0, act.amplitude * act.gain))
 
-    @pytest.mark.parametrize("act", [tanh_activation(), scaled_tanh(4, 2), scaled_tanh(2, 2),
+    @pytest.mark.parametrize("act", [make_activation("tanh"), make_activation("tanh:4:2"), make_activation("tanh:2:2"),
                                      poly_activation(1), poly_activation(2), poly_activation(3)])
     def test_inplace_value_is_f_bit_for_bit(self, act):
         x = np.linspace(-12.0, 12.0, 2001)
@@ -301,7 +299,7 @@ class TestLeanSgdStep:
 class TestStreamedForward:
     def test_blocks_match_one_shot(self):
         d, m = 10, 1024  # 1024 rows a block: 3 blocks, the last one partial
-        ens = init_ensemble(d, m, scaled_tanh(4, 2), seed=2, c_bar=0.3, mu_w="normal")
+        ens = init_ensemble(d, m, make_activation("tanh:4:2"), seed=2, c_bar=0.3, mu_w="normal")
         x = np.random.default_rng(3).choice([-1.0, 1.0], size=(2500, d))
         assert x.shape[0] * m > 2 * dynamics.FORWARD_BLOCK_ENTRIES
         one_shot = (ens.activation.f(x @ ens.w.T + ens.b) @ ens.a + ens.c.sum()) / ens.m
@@ -353,7 +351,7 @@ class TestPermutationEquivariance:
 
         def run(s_star):
             inst = PlantedInstance(y2_problem, d, s_star)
-            ens = init_ensemble(d, 16, tanh_activation(), seed=5, c_bar=0.2)
+            ens = init_ensemble(d, 16, make_activation("tanh"), seed=5, c_bar=0.2)
             cfg = TrainConfig(loss=get_loss("abs"), eta=0.01, batch=2)
             out = run_sgd(inst, ens, cfg, steps=30, data_seed=7, eval_every=10, test_n=200)
             return [row["mse"] for row in out.history]
@@ -363,7 +361,7 @@ class TestPermutationEquivariance:
 
 class TestDfStep:
     def test_zero_rates_identity(self, y2_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=6, b_order=4)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=6, b_order=4)
         before = copy.deepcopy(st)
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.0)
         df_step(st, y2_problem, cfg)
@@ -372,7 +370,7 @@ class TestDfStep:
 
     def test_non_finite_bias_raises_at_that_step(self, y2_problem):
         # only b overflows: u, a and the network value stay finite in this step
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=6, b_order=4)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=6, b_order=4)
         # eta * rate_b overflows to inf; the other blocks have rate 0
         cfg = TrainConfig(loss=get_loss("squared"), eta=1e300, rate_a=0.0, rate_w=0.0, rate_b=1e300, rate_c=0.0)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
@@ -393,14 +391,14 @@ class TestDfStep:
 
     def test_s_stays_zero_even_when_trained(self, y2_problem):
         # at s = 0 the Gaussian factor integrates to E[G] = 0 exactly
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=6, b_order=4)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=6, b_order=4)
         cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.01)
         for _ in range(10):
             df_step(st, y2_problem, cfg)
         np.testing.assert_array_equal(st.s, np.zeros(st.n))
 
     def test_duplicated_particles_match_merged_weights(self, y2_problem):
-        act = tanh_activation()
+        act = make_activation("tanh")
         rng = np.random.default_rng(0)
         n = 5
         a = rng.uniform(-1, 1, n)
@@ -423,7 +421,7 @@ class TestDfStep:
 
     def test_gaussian_residual_quadrature(self, y2_problem):
         # s != 0 engages the Gauss-Hermite path; compare against a dense grid
-        st = init_df_state(4, tanh_activation(), c_bar=0.1, a_order=4, b_order=2, s0=0.7)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.1, a_order=4, b_order=2, s0=0.7)
         zmat, _, _, _ = hypercube_tables(y2_problem)
         f20 = _df_forward(st, zmat, 20).sig
         f80 = _df_forward(st, zmat, 80).sig
@@ -446,7 +444,7 @@ class TestDfStep:
         prob = random_problem(rng)
         if prob.marginal.is_uniform_hypercube():
             return
-        st = init_df_state(prob.p, tanh_activation(), a_order=4, b_order=2)
+        st = init_df_state(prob.p, make_activation("tanh"), a_order=4, b_order=2)
         with pytest.raises(ValueError):
             df_step(st, prob, TrainConfig(loss=get_loss("squared"), eta=0.1))
 
@@ -459,7 +457,7 @@ class TestRunDf:
         state equal those of plain df_step calls and df_risk bit for bit."""
         cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.05)
         losses = [("mse", get_loss("squared")), ("train_risk", cfg.loss)]
-        st = init_df_state(4, scaled_tanh(2, 2), c_bar=0.15, a_order=8, b_order=4, s0=s0)
+        st = init_df_state(4, make_activation("tanh:2:2"), c_bar=0.15, a_order=8, b_order=4, s0=s0)
         ref = copy.deepcopy(st)
         run = run_df(y2_problem, cfg, 7, st, gh_order=10, risk_every=3, risk_losses=losses)
         want = []
@@ -473,7 +471,7 @@ class TestRunDf:
             np.testing.assert_array_equal(getattr(st, k), getattr(ref, k))
 
     def test_negative_step_count_rejected(self, y2_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=4, b_order=2)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=4, b_order=2)
         with pytest.raises(ValueError):
             run_df(y2_problem, TrainConfig(loss=get_loss("squared"), eta=0.01), -1, st)
 
@@ -559,7 +557,7 @@ class TestRunOwnedBuffers:
         assert max(peaks[1:]) < block, f"step peaks {peaks} B against one (N, R, K) block of {block} B"
 
     def test_df_step_at_s_pos(self, monkeypatch, y2_problem):
-        self.check_s_pos_step_peaks(monkeypatch, y2_problem, tanh_activation())
+        self.check_s_pos_step_peaks(monkeypatch, y2_problem, make_activation("tanh"))
 
     def test_poly_df_step_at_s_pos(self, monkeypatch, y2_problem):
         """(1 + x)^L once left the run's work arrays unused, allocating two
@@ -569,7 +567,7 @@ class TestRunOwnedBuffers:
 
 class TestSupportAlignment:
     def test_y2_squared_all_frozen(self, y2_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=8, b_order=4)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=8, b_order=4)
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.002)
         run = run_df(y2_problem, cfg, 200, st)
         rep = detect_dlq(y2_problem, get_loss("squared"))
@@ -580,7 +578,7 @@ class TestSupportAlignment:
         assert align.frozen_coords() == (1, 2, 3, 4)
 
     def test_y2_cubic_all_activate(self, y2_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=8, b_order=4)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=8, b_order=4)
         cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.002)
         run = run_df(y2_problem, cfg, 300, st)
         rep = detect_dlq(y2_problem, get_loss("squared_plus_cubic"))
@@ -588,7 +586,7 @@ class TestSupportAlignment:
         assert all(step is not None for step in align.first_activation)
 
     def test_y1_staircase_order(self, y1_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.3, a_order=16, b_order=8)
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=16, b_order=8)
         cfg = TrainConfig(loss=get_loss("squared"), eta=0.01)
         run = run_df(y1_problem, cfg, 400, st)
         rep = detect_dlq(y1_problem, get_loss("squared"))
@@ -621,7 +619,7 @@ class TestFig1DfLimit:
 
 class TestKernel:
     def test_zero_weights_rank_one(self, y2_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.0, a_order=6, b_order=1, mu_b="zero")
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.0, a_order=6, b_order=1, mu_b="zero")
         rep = kernel(st, y2_problem)
         sigma0 = float(np.tanh(0.0))
         np.testing.assert_allclose(rep.matrix, sigma0**2, atol=1e-12)
@@ -636,7 +634,7 @@ class TestKernel:
     def test_gram_psd_on_random_states(self, y2_problem):
         rng = np.random.default_rng(6)
         for _ in range(5):
-            st = init_df_state(4, tanh_activation(), c_bar=0.1, a_order=8, b_order=4)
+            st = init_df_state(4, make_activation("tanh"), c_bar=0.1, a_order=8, b_order=4)
             st.u = rng.normal(size=st.u.shape) * 0.5
             rep = kernel(st, y2_problem)
             np.testing.assert_allclose(rep.matrix, rep.matrix.T, atol=1e-12)
@@ -705,7 +703,7 @@ class TestRisk:
         assert abs(v1 - v2) <= 1e-8
 
     def test_constant_predictor_closed_form(self, y2_problem):
-        st = init_df_state(4, tanh_activation(), c_bar=0.7, a_order=6, b_order=1, mu_b="zero")
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.7, a_order=6, b_order=1, mu_b="zero")
         st.a[:] = 0.0  # pure constant c_bar
         loss = get_loss("squared")
         labels = y2_problem.labels_numeric()
@@ -724,7 +722,7 @@ class TestRisk:
 
     def test_mc_risk_tracks_exact_for_df_free_model(self, y2_problem):
         inst = PlantedInstance(y2_problem, 30, (3, 9, 21, 27))
-        ens = init_ensemble(30, 8, tanh_activation(), seed=1, c_bar=0.5)
+        ens = init_ensemble(30, 8, make_activation("tanh"), seed=1, c_bar=0.5)
         ens.a[:] = 0.0
         # run_sgd's step-0 record: the label-averaged risk on its test sample
         row = run_sgd(inst, ens, TrainConfig(loss=get_loss("squared"), eta=0.01), 0, test_n=4000).history[0]
@@ -814,7 +812,21 @@ class TestLayerwiseMatchesReference:
             with pytest.raises(DivergenceError) as want:
                 reference_layerwise(problem, cfg, 16, 2, 5, 0.3, 1e300)
         assert err.value.step == want.value.step == 2 + 2
-        assert str(err.value.__cause__).startswith(fault)
+        assert str(err.value).startswith(fault)
+
+    def test_phase1_divergence_is_numbered_as_run_df_numbers_it(self):
+        """eta = 10 overflows the network value in phase 1, which calls
+        df_step itself; run_df over the same steps gives the same number."""
+        problem = expand_hypercube(2, C9)
+        cfg = TrainConfig(loss=get_loss("squared"), eta=10.0, kappa=[0.8, 1.2])
+        phase1 = TrainConfig(loss=cfg.loss, eta=cfg.eta, rate_a=0.0, rate_b=0.0, rate_c=0.0, kappa=cfg.kappa)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                layerwise_train(problem, cfg, L=16, k1=4, k2=1, c_bar=0.3)
+            with pytest.raises(DivergenceError) as want:
+                state = init_df_state(2, poly_activation(16), c_bar=0.3, a_order=64, mu_b="zero")
+                run_df(problem, phase1, 4, state)
+        assert str(err.value) == str(want.value) == "non-finite network value at step 3"
 
 
 class TestLayerwise:
@@ -875,7 +887,7 @@ class TestActivationSpecs:
         act = make_activation("tanh:4:2")
         assert act.f(0.1) == pytest.approx(4 * np.tanh(0.2))
 
-    @pytest.mark.parametrize("spec", [{"kind": "poly", "L": 3}, tanh_activation(), "poly", "sigmoid", "tanh:4:2:9",
+    @pytest.mark.parametrize("spec", [{"kind": "poly", "L": 3}, make_activation("tanh"), "poly", "sigmoid", "tanh:4:2:9",
                                       "tanh:nan", "tanh:1:inf"])
     def test_only_the_string_specs(self, spec):
         with pytest.raises(ValueError, match="unknown activation spec"):
@@ -891,9 +903,9 @@ class TestInitialStatesAreFinite:
     @pytest.mark.parametrize("c_bar", [np.nan, np.inf])
     def test_init_ensemble_rejects_non_finite_c_bar(self, c_bar):
         with pytest.raises(ValueError, match="c_bar must be finite"):
-            init_ensemble(4, 8, tanh_activation(), seed=0, c_bar=c_bar)
+            init_ensemble(4, 8, make_activation("tanh"), seed=0, c_bar=c_bar)
 
     @pytest.mark.parametrize("bad", [{"c_bar": np.nan}, {"c_bar": -np.inf}, {"s0": np.nan}, {"s0": np.inf}])
     def test_init_df_state_rejects_non_finite_c_bar_or_s0(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
-            init_df_state(2, tanh_activation(), a_order=4, b_order=2, **bad)
+            init_df_state(2, make_activation("tanh"), a_order=4, b_order=2, **bad)

@@ -59,11 +59,6 @@ class TestGramSchmidt:
             np.testing.assert_allclose(gram(basis), np.eye(nx), atol=1e-10)
             np.testing.assert_allclose(basis.psi[1:] @ m.probs, 0.0, atol=1e-10)
 
-    def test_random_seeded_variant_valid(self):
-        m = FiniteMarginal([-1.0, 0.2, 1.4], [0.3, 0.3, 0.4])
-        basis = gram_schmidt(m, seed=7)
-        np.testing.assert_allclose(gram(basis), np.eye(3), atol=1e-10)
-
     def test_null_atom_tabulated_as_zero(self):
         # orthonormal on the atoms of positive probability; psi_0 = 1 and
         # psi_j = 0 (j >= 1) on the atom of probability 0

@@ -762,27 +762,29 @@ class TestColumnTranscript:
     # -0.0, subnormals, the extremes and floats whose repr needs 17 digits
     SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
                0.1 + 0.2, 1 / 3, -1.0, 1.0]
+    # NaN, a negative NaN and two NaNs with payloads: distinct bit patterns, each written NaN
+    NON_FINITE = [np.nan, np.inf, -np.inf, *np.array([-1 << 51, 0x7FF8000000000001, 0x7FF0000000000ABC],
+                                                     dtype=np.int64).view(np.float64).tolist()]
 
     @given(k=st.integers(1, 5), m=st.sampled_from([1, 2, 7, 2047, 2048, 2049, 4097]),
            t0=st.one_of(st.just(1), st.integers(1, 10**18)),
            pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
-           norm=st.one_of(st.sampled_from(SPECIAL), st.floats(min_value=0.0, allow_infinity=False)),
-           nonfinite=st.sampled_from([None, np.nan, np.inf, -np.inf]), seed=st.integers(0, 2**32 - 1))
+           norm=st.one_of(st.sampled_from(SPECIAL + NON_FINITE), st.floats(min_value=0.0, allow_infinity=False)),
+           nonfinite=st.lists(st.sampled_from(NON_FINITE), max_size=6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_block_chunks_write_json_dumps_lines(self, k, m, t0, pool, norm, nonfinite, seed):
-        # a non-finite value goes through json.dumps for its chunk only, next
-        # to chunks of finite values written column by column
+        # finite and non-finite floats alike are written column by column, in chunks
         rng = np.random.default_rng(seed)
         floats = np.array(self.SPECIAL + pool + rng.normal(size=64).tolist())
         coords = rng.integers(1, 3000, size=(m, k))
         responses, exact = rng.choice(floats, m), rng.choice(floats, m)
-        if nonfinite is not None:
-            (responses if rng.random() < 0.5 else exact)[rng.integers(m)] = nonfinite
+        for value in nonfinite:
+            (responses if rng.random() < 0.5 else exact)[rng.integers(m)] = value
         accepted = rng.random(m) < 0.3
         block = _Block(t0, coords, responses, exact, norm, accepted)
         text = "".join(block.jsonl(lo, lo + _JSONL_CHUNK_LINES) for lo in range(0, m, _JSONL_CHUNK_LINES))
         records = block_records(t0, coords, responses, exact, norm, accepted)
-        assert text == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert text.splitlines(keepends=True) == [json.dumps(r, sort_keys=True) + "\n" for r in records]
 
     def test_records_view_grows_with_the_log(self):
         transcript = Transcript(0.1)
