@@ -27,14 +27,11 @@ class ConfigError(Exception):
 def _load_config(path_str: str) -> dict:
     path = Path(path_str)
     if not path.exists():
-        try:
-            from importlib.resources import files
+        from importlib.resources import files
 
-            bundled = files("juntaleap").joinpath("configs", path_str)
-            if bundled.is_file():
-                return json.loads(bundled.read_text())
-        except (ModuleNotFoundError, FileNotFoundError):
-            pass
+        bundled = files("juntaleap").joinpath("configs", path_str)
+        if bundled.is_file():
+            return json.loads(bundled.read_text())
         raise ConfigError(f"config not found: {path_str}")
     try:
         return json.loads(path.read_text())

@@ -186,10 +186,12 @@ def _detect_linear(problem, basis, g, tol, t_rows, model, loss=None, u_values=No
 
     The (rows, columns) matrix of normalized expectations is reduced in column
     chunks of at most max(table size, 2^16) entries, keeping per column the
-    test row of largest magnitude and its signed value."""
+    test row of largest magnitude and its signed value. A row whose norm is
+    not finite and positive scores 0."""
     t_rows = np.asarray(t_rows, dtype=float)
-    norms = np.sqrt(t_rows**2 @ problem.mu_y)
-    usable = norms > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(t_rows**2 @ problem.mu_y)
+    usable = np.isfinite(norms) & (norms > 0)
     n_cols = g.shape[1]
     value = np.empty(n_cols)
     row = np.empty(n_cols, dtype=np.int64)
@@ -261,7 +263,10 @@ def detect_dlq(
     if u_grid is None:
         u_grid = default_u_grid(loss, labels)
     u_grid = np.asarray(u_grid, dtype=float)
-    t_rows = loss.deriv(u_grid[:, None], labels[None, :])
+    # l'(u, .) may overflow at a far grid point (the exponential loss); such
+    # a row is not used
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_rows = loss.deriv(u_grid[:, None], labels[None, :])
     return _detect_linear(
         problem, basis, g, tol, t_rows, f"DLQ[{loss.name}]", loss=loss, u_values=u_grid
     )

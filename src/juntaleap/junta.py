@@ -333,8 +333,6 @@ class Sampler:
         inst = self.instance
         prob = inst.problem
         symbols = np.empty((n, inst.d), dtype=np.min_scalar_type(prob.marginal.nx - 1))
-        if n == 0:
-            return self._labels[:0], symbols, np.empty(0, dtype=np.int64)
         sym_support = self._symbols((n, prob.p))
         symbols[:, : prob.p] = sym_support
         width = inst.d - prob.p

@@ -103,7 +103,9 @@ def logistic() -> LossSpec:
 
 
 def squared_plus_cubic() -> LossSpec:
-    """(u-y)^2 + |u-y|^3, the cubic-perturbed squared loss of the SGD experiments."""
+    """(u-y)^2 + |u-y|^3, the cubic-perturbed squared loss of the SGD
+    experiments. Its derivative 2r + 3r|r|, r = u - y, changes polynomial at
+    u = y, so the labels are its breakpoints."""
     def deriv(u, y):
         r = np.asarray(u, float) - np.asarray(y, float)
         return 2.0 * r + 3.0 * r * np.abs(r)
@@ -112,6 +114,7 @@ def squared_plus_cubic() -> LossSpec:
         "squared_plus_cubic",
         value=lambda u, y: (u - y) ** 2 + np.abs(u - y) ** 3,
         deriv=deriv,
+        breakpoints=lambda labels: labels,
     )
 
 

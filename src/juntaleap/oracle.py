@@ -161,21 +161,15 @@ class Transcript:
             self.n_queries += len(coords)
 
     def to_jsonl(self, fp) -> None:
-        """One `json.dumps(record, sort_keys=True)` line per record, written
-        in chunks: one joined string of a long transcript costs memory."""
-        lines = []
+        """One `json.dumps(record, sort_keys=True)` line per record. A block
+        is written in chunks: one joined string of a long transcript costs
+        memory."""
         for part in self._parts:
             if isinstance(part, dict):
-                lines.append(_jsonl_line(part))
-                if len(lines) == _JSONL_CHUNK_LINES:
-                    fp.write("".join(lines))
-                    lines.clear()
+                fp.write(json.dumps(part, sort_keys=True) + "\n")
                 continue
-            fp.write("".join(lines))
-            lines.clear()
             for lo in range(0, len(part.exact), _JSONL_CHUNK_LINES):
                 fp.write(part.jsonl(lo, lo + _JSONL_CHUNK_LINES))
-        fp.write("".join(lines))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +194,8 @@ class _Block:
         ]
 
     def jsonl(self, lo: int, hi: int) -> str:
-        """The JSONL lines of rows lo:hi, the text of `_jsonl_line` on each
-        record, assembled column-wise."""
+        """The JSONL lines of rows lo:hi, the text of `json.dumps(record,
+        sort_keys=True)` on each record, assembled column-wise."""
         coords = self.coords[lo:hi]
         m, k = coords.shape
         # the JSON text of a float is _float_text's, of an int its str; each
@@ -240,10 +234,6 @@ def _float_text(values: np.ndarray) -> np.ndarray:
 
 
 _JSONL_CHUNK_LINES = 2048
-
-
-def _jsonl_line(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +529,33 @@ def _room(transcript: Transcript, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_tuples(pool, k: int) -> np.ndarray:
+def _ordered_tuples(pool, k: int, limit: int | None = None) -> np.ndarray:
     """The ordered k-tuples of distinct entries of `pool`, one per row, in
     itertools.permutations order: each prefix of positions is extended by every
-    position it does not hold, ascending, and nonzero lists those row by row."""
+    position it does not hold, ascending, and nonzero lists those row by row.
+    With `limit`, the first `limit` rows only: each level keeps the prefixes
+    those rows start with."""
     pool = np.fromiter(pool, dtype=np.int64)
     idx = np.zeros((1, 0), dtype=np.intp)
-    for _ in range(k):
+    for level in range(1, k + 1):
         free = np.ones((idx.shape[0], pool.size), dtype=bool)
         free[np.arange(idx.shape[0])[:, None], idx] = False
         rows, cols = np.nonzero(free)
         idx = np.column_stack((idx[rows], cols))
-    return pool[idx]
+        if limit is not None:
+            # the rows that extend each prefix of this length
+            per_prefix = max(1, math.prod(range(pool.size - k + 1, pool.size - level + 1)))
+            idx = idx[: -(-limit // per_prefix)]
+    return pool[idx[:limit]]
+
+
+def _row_limit(transcript: Transcript, rows_each: int = 1) -> int | None:
+    """How many tuples, each giving `rows_each` block rows, decide a block
+    under the transcript's budget: enough for the rows it still allows and
+    one more, which overruns it. None without a budget."""
+    if transcript.budget is None:
+        return None
+    return -(-(transcript.budget - transcript.n_queries + 1) // rows_each)
 
 
 def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple=None):
@@ -588,7 +593,7 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
             injections = _ordered_tuples(sorted(s_hat), len(old_pos))
             injections = np.vstack((canonical, injections[(injections != canonical).any(axis=1)]))
             # one block: every fresh tuple (outer) with every injection (inner)
-            fresh = _ordered_tuples(fresh_pool, new_count)
+            fresh = _ordered_tuples(fresh_pool, new_count, _row_limit(transcript, len(injections)))
             block = np.empty((len(fresh) * len(injections), len(witness.coords)), dtype=np.int64)
             block[:, ~is_old] = np.repeat(fresh, len(injections), axis=0)
             block[:, is_old] = np.tile(injections, (len(fresh), 1))
@@ -619,7 +624,7 @@ def run_nonadaptive(oracle, d: int, report: DetectReport, *, budget=None):
     families = {next(m for m in by_size if m >> (i - 1) & 1) for i in coords_from_mask(report.system.support)}
     recovered: set[int] = set()
     for mask in sorted(families, key=lambda m: (m.bit_count(), m)):
-        tuples = _ordered_tuples(range(1, d + 1), mask.bit_count())
+        tuples = _ordered_tuples(range(1, d + 1), mask.bit_count(), _row_limit(transcript))
         hits, conceded = oracle.answer_block(report.witnesses[mask], tuples, transcript, threshold)
         recovered.update(tuples[hits].ravel().tolist())
         if conceded:

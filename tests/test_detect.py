@@ -134,6 +134,14 @@ class TestDlq:
         with pytest.raises(ValueError, match="u_grid must be non-empty and finite"):
             detect_dlq(y1_problem, get_loss("abs"), u_grid=grid)
 
+    def test_exponential_overflow_at_a_grid_point(self):
+        # labels +-5, +-15: the grid reaches |u| = 60, where e^(-u y) overflows;
+        # those label tests are skipped, and the others detect what SQ does
+        prob = expand_hypercube(2, {(1,): 10.0, (1, 2): 5.0})
+        rep = detect_dlq(prob, get_loss("exponential"))
+        assert rep.system.sets == detect_sq(prob).system.sets == (1, 2, 3)
+        assert rep.grid_negatives == ()
+
 
 class TestDetectionParameters:
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
@@ -242,6 +250,27 @@ class TestHardInstanceDetect:
         assert detect_csq(prob).system.sets == ()
         # a generic loss still sees it
         assert detect_dlq(prob, get_loss("abs")).system.sets == (1,)
+
+    def test_squared_plus_cubic_grid_has_its_breakpoints(self):
+        # T orthogonal (and zero-mean) to the numerical span of l'(u, .) over
+        # the breakpoint-free grid, which the squared loss's grid is: only
+        # points between the labels, where l' changes polynomial, reach T
+        labels = np.linspace(-2, 2, 32)
+        mu_y = np.full(32, 1 / 32)
+        loss = get_loss("squared_plus_cubic")
+        rows = loss.deriv(default_u_grid(get_loss("squared"), labels)[:, None], labels[None, :])
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        _, sv, vt = np.linalg.svd(rows)
+        rank = int((sv > 1e-9 * sv[0]).sum())
+        q, _ = np.linalg.qr(np.vstack((vt[:rank], np.ones(32))).T)
+        t = np.random.default_rng(0).standard_normal(32)
+        t -= q @ (q.T @ t)
+        t /= np.abs(t).max()
+        prob = hard_instance(labels, mu_y, t, a_set=[1.0], lam=2.0, marginal_x=uniform_hypercube_marginal())
+        assert rank == 22
+        assert detect_sq(prob).system.sets == (1,)
+        rep = detect_dlq(prob, loss)
+        assert rep.system.sets == (1,) and rep.grid_negatives == ()
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,19 @@ class TestSampling:
         y, x, rows = inst.sampler(0).draw_batch(0)
         assert y.shape == (0,) and x.shape == (0, 10) and rows.shape == (0,)
 
+    def test_empty_draw_leaves_the_stream(self):
+        # an empty draw consumes nothing, for a uniform and a non-uniform marginal
+        for probs in ([0.5, 0.5], [0.3, 0.7]):
+            mx = FiniteMarginal([-1.0, 1.0], probs)
+            prob = JuntaProblem(1, mx, [0.0, 1.0], [[0.4, 0.6], [0.9, 0.1]])
+            inst = PlantedInstance(prob, 5, (2,))
+            sampler = inst.sampler(3)
+            y, symbols, rows = sampler.draw_symbols(0)
+            assert y.shape == (0,) and symbols.shape == (0, 5) and rows.shape == (0,)
+            assert symbols.dtype == np.uint8 and rows.dtype == np.int64
+            for got, want in zip(sampler.draw_symbols(6), inst.sampler(3).draw_symbols(6)):
+                np.testing.assert_array_equal(got, want)
+
     def test_noiseless_consistency(self, y1_problem):
         # the support is columns [:P] of the internal layout, in s_star order
         inst = PlantedInstance(y1_problem, 12, (3, 1, 7, 9))

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,15 @@ class TestOrderedTuples:
         assert _ordered_tuples([4, 1, 3], 0).shape == (1, 0)
         assert _ordered_tuples([4, 1, 3], 3).tolist() == [list(t) for t in itertools.permutations([4, 1, 3])]
 
+    @given(n=st.integers(0, 8), k=st.integers(0, 5), limit=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_limit_is_a_prefix(self, n, k, limit, seed):
+        pool = np.random.default_rng(seed).permutation(np.arange(1, 3 * n + 1))[:n].tolist()
+        got = _ordered_tuples(pool, k, limit)
+        want = _ordered_tuples(pool, k)[:limit]
+        assert got.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
 
 class TestTranscript:
     def test_jsonl_emission(self, y1_problem):
@@ -418,6 +428,21 @@ class TestPlayGame:
         inst = PlantedInstance(y2_problem, 12, (9, 10, 11, 12))
         result = play_game(inst, rep, tau_factor=0.25, budget=3)
         assert result.verdict == "FAIL(budget)"
+
+    @pytest.mark.parametrize("learner", ["adaptive", "nonadaptive"])
+    def test_budgeted_game_memory_does_not_grow_with_d(self, y2_problem, learner):
+        # a learner builds only the rows its budget allows plus one, not the
+        # d!/(d - 4)! tuples of y2's 4-set (about 100 MiB at d = 120)
+        rep = detect_csq(y2_problem)
+        inst = PlantedInstance(y2_problem, 120, (3, 17, 41, 58))
+        tracemalloc.start()
+        try:
+            result = play_game(inst, rep, learner=learner, tau_factor=0.25, budget=100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "FAIL(budget)" and result.transcript.n_queries == 100
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_grouped_against_the_adversary_rejected_at_every_d(self, p1_problem, d):
