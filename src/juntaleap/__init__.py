@@ -8,8 +8,6 @@ numpy starts its BLAS.
 """
 
 import importlib
-import sys
-import types
 
 _EXPORTS = {
     "setsystem": ("INFINITY", "SetSystem", "cover", "greedy_closure", "leap", "rel_cover", "rel_leap"),
@@ -19,7 +17,7 @@ _EXPORTS = {
         "hard_instance", "problem_from_dict", "uniform_hypercube_marginal",
     ),
     "fourier": ("OrthonormalBasis", "conditional_moment_tensor", "gram_schmidt", "inverse_wht", "wht"),
-    "detect": ("DetectReport", "Witness", "detect", "detect_csq", "detect_dlq", "detect_sq", "exponents"),
+    "detect": ("DetectReport", "Witness", "detect_csq", "detect_dlq", "detect_sq", "exponents"),
     "oracle": ("FAIL", "AdversarialOracle", "GameResult", "HonestOracle", "Query", "Transcript", "play_game"),
     "dynamics": (
         "Activation", "DFState", "KernelReport", "ParticleEnsemble", "TrainConfig", "bayes_risk", "df_risk",
@@ -45,18 +43,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_MODULE_OF))
 
-
-class _Package(types.ModuleType):
-    """`juntaleap.detect` stays the function: loading the submodule of that
-    name binds the package attribute to the module, through this setter."""
-
-    @property
-    def detect(self):
-        return importlib.import_module(".detect", __name__).detect
-
-    @detect.setter
-    def detect(self, module):
-        pass
-
-
-sys.modules[__name__].__class__ = _Package

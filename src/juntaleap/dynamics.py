@@ -371,7 +371,7 @@ def hypercube_tables(problem: JuntaProblem) -> tuple[np.ndarray, np.ndarray, np.
     if not problem.marginal.is_uniform_hypercube():
         raise ValueError("dimension-free dynamics needs X = {+1,-1} uniform")
     zmat = np.column_stack([problem.coord_values(i) for i in range(1, problem.p + 1)])
-    return zmat, problem.row_weights.copy(), np.asarray(problem.cond), problem.labels_numeric()
+    return zmat, problem.row_weights, problem.cond, problem.labels_numeric()
 
 
 def init_df_state(
@@ -551,7 +551,6 @@ class AlignmentReport:
     first_activation: tuple
     max_abs_u: tuple
     u_star_mask: int
-    threshold: float
 
     def frozen_coords(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, step in enumerate(self.first_activation) if step is None)
@@ -565,12 +564,7 @@ def support_alignment(u_history: np.ndarray, dlq_report, threshold: float = 0.01
     for i in range(p):
         hits = np.nonzero(u_history[:, i] > threshold)[0]
         first.append(int(hits[0]) if hits.size else None)
-    return AlignmentReport(
-        tuple(first),
-        tuple(float(v) for v in u_history.max(axis=0)),
-        u_star,
-        threshold,
-    )
+    return AlignmentReport(tuple(first), tuple(float(v) for v in u_history.max(axis=0)), u_star)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# |X|^P cap on a problem's table: cond alone then takes up to 8 * |Y| * 10^7 B
+# |X|^P cap on a problem's table: a problem at the cap holds cond and the row weights, 8 * (|Y| + 1) * 10^7 B
 MAX_TABLE_ROWS = 10**7
 _PROB_TOL = 1e-12
 # entries of one row chunk of int64 symbols in Sampler.draw_symbols and draw_batch (512 KB)
@@ -86,6 +86,8 @@ class JuntaProblem:
 
     cond has one row per support assignment z (see module docstring for the
     row order) and one column per label; every row is a probability vector.
+    Besides cond the problem keeps only the row weights under mu_x^P and mu_y:
+    coord_symbols derives a coordinate's symbols from the row index.
     """
 
     def __init__(self, p: int, marginal: FiniteMarginal, labels: Sequence, cond):
@@ -95,7 +97,7 @@ class JuntaProblem:
         nrows = nx**p
         if nrows > MAX_TABLE_ROWS:
             raise ValueError(f"|X|^P = {nrows} exceeds the cap {MAX_TABLE_ROWS}")
-        cond = np.asarray(cond, dtype=float)
+        cond = np.array(cond, dtype=float)
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
@@ -112,19 +114,15 @@ class JuntaProblem:
         self.p = p
         self.marginal = marginal
         self.labels = labels
-        self.cond = _readonly(np.clip(cond, 0.0, None))
+        self.cond = _readonly(np.clip(cond, 0.0, None, out=cond))
 
-        # per-row weight under mu_x^P and per-coordinate symbol indices
-        idx = np.arange(nrows)
-        coord_idx = np.empty((p, nrows), dtype=np.int64)
-        for k in range(p):
-            coord_idx[k] = (idx // nx**k) % nx
-        self._coord_idx = _readonly(coord_idx)
-        w = np.ones(nrows)
-        for k in range(p):
-            w *= marginal.probs[coord_idx[k]]
-        self.row_weights = _readonly(w)
-        self.mu_y = _readonly(w @ self.cond)
+        # weight of each row under mu_x^P: each further coordinate's factor takes the leading axis, so
+        # coordinate 1 varies fastest and every weight is multiplied from coordinate 1 up
+        w = marginal.probs
+        for _ in range(p - 1):
+            w = np.multiply.outer(marginal.probs, w)
+        self.row_weights = _readonly(w.reshape(nrows))
+        self.mu_y = _readonly(self.row_weights @ self.cond)
 
     # -- basic accessors -------------------------------------------------
 
@@ -145,7 +143,8 @@ class JuntaProblem:
         """Symbol index of support coordinate i (1-based) for every row."""
         if not 1 <= i <= self.p:
             raise ValueError(f"coordinate {i} outside [1, {self.p}]")
-        return self._coord_idx[i - 1]
+        nx = self.marginal.nx
+        return np.arange(self.n_rows) // nx ** (i - 1) % nx
 
     def coord_values(self, i: int) -> np.ndarray:
         return self.marginal.values[self.coord_symbols(i)]
@@ -159,19 +158,25 @@ class JuntaProblem:
     # -- exact expectations ----------------------------------------------
 
     def joint_expectation(self, t_label, t_coords: Mapping[int, Sequence[float]], u: Iterable[int]) -> float:
-        """Exact E[T(y) prod_{i in U} T_i(z_i)] by enumeration over X^P x Y."""
+        """Exact E[T(y) prod_{i in U} T_i(z_i)] by enumeration over X^P x Y.
+
+        Each T_i multiplies the row weights along coordinate i's axis of their
+        (|X|,)*P view, axis P - i in the row order."""
         t_label = np.asarray(t_label, dtype=float)
         if t_label.shape != (self.ny,):
             raise ValueError(f"label table must have length {self.ny}")
-        factor = self.row_weights.copy()
+        nx = self.marginal.nx
+        factor = self.row_weights.reshape((nx,) * self.p)
         for i in sorted(set(int(c) for c in u)):
+            if not 1 <= i <= self.p:
+                raise ValueError(f"coordinate {i} outside [1, {self.p}]")
             if i not in t_coords:
                 raise ValueError(f"no coordinate table supplied for {i}")
             table = np.asarray(t_coords[i], dtype=float)
-            if table.shape != (self.marginal.nx,):
-                raise ValueError(f"coordinate table for {i} must have length {self.marginal.nx}")
-            factor *= table[self._coord_idx[i - 1]]
-        return float(factor @ (self.cond @ t_label))
+            if table.shape != (nx,):
+                raise ValueError(f"coordinate table for {i} must have length {nx}")
+            factor = factor * table.reshape((nx,) + (1,) * (i - 1))
+        return float(factor.reshape(self.n_rows) @ (self.cond @ t_label))
 
     def label_expectation(self, t_label) -> float:
         t_label = np.asarray(t_label, dtype=float)

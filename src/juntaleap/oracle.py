@@ -134,7 +134,7 @@ class Transcript:
             if isinstance(part, dict):
                 records.append(part)
             else:
-                records.extend(part.records(0, len(part.exact)))
+                records.extend(part.records())
         return records
 
     def log(self, description: dict, response, exact=None, norm=None, accepted=None):
@@ -184,12 +184,12 @@ class _Block:
     norm: float
     accepted: np.ndarray
 
-    def records(self, lo: int, hi: int) -> list[dict]:
+    def records(self) -> list[dict]:
         return [
             {"t": t, "terms": [c], "scale": 1.0, "response": r, "exact": e, "norm": self.norm, "accepted": a}
             for t, c, r, e, a in zip(
-                itertools.count(self.t0 + lo), self.coords[lo:hi].tolist(), self.responses[lo:hi].tolist(),
-                self.exact[lo:hi].tolist(), self.accepted[lo:hi].tolist(),
+                itertools.count(self.t0), self.coords.tolist(), self.responses.tolist(), self.exact.tolist(),
+                self.accepted.tolist(),
             )
         ]
 

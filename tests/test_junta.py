@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from juntaleap import (
     uniform_hypercube_marginal,
 )
 from juntaleap import junta
-from juntaleap.fourier import inverse_wht, wht
+from juntaleap.dynamics import hypercube_tables
+from juntaleap.fourier import gram_schmidt, inverse_wht, moment_table, wht
 from juntaleap.setsystem import mask_from_coords
 from conftest import fig1_problem, random_problem
 
@@ -77,6 +79,112 @@ class TestJuntaProblem:
         np.testing.assert_allclose(again.cond, y1_problem.cond)
         assert again.labels == y1_problem.labels
 
+    def test_memory_is_its_tables(self):
+        """A three-atom P = 12 problem keeps cond, the row weights and mu_y, and
+        nothing that grows with P |X|^P."""
+        m = FiniteMarginal([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3])
+        cond = np.zeros((3**12, 2))
+        cond[::2, 0] = cond[1::2, 1] = 1.0
+        tracemalloc.start()
+        try:
+            prob = JuntaProblem(12, m, [0, 1], cond)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        bound = cond.nbytes + prob.row_weights.nbytes + 2**20
+        assert retained < bound, f"retained {retained} B, bound {bound} B"
+
+
+def _reference_symbols(nx: int, p: int) -> np.ndarray:
+    """The (P, |X|^P) symbol-index table of the documented row layout."""
+    rows = np.arange(nx**p)
+    return np.stack([(rows // nx**k) % nx for k in range(p)]).astype(np.int64)
+
+
+def _reference_weights(problem: JuntaProblem, symbols: np.ndarray) -> np.ndarray:
+    w = np.ones(problem.n_rows)
+    for k in range(problem.p):
+        w *= problem.marginal.probs[symbols[k]]
+    return w
+
+
+def layout_corpus():
+    """Seeded problems with 2-4 atoms of random probabilities (case 0 has a
+    zero-probability atom, every fifth case is the uniform hypercube), P from
+    1 to 6 and 1-4 labels."""
+    rng = np.random.default_rng(23)
+    problems = []
+    for case in range(40):
+        p, ny = 1 + case % 6, int(rng.integers(1, 5))
+        if case % 5 == 4:
+            marginal = uniform_hypercube_marginal()
+        else:
+            nx = int(rng.integers(2, 5)) if case else 3
+            probs = rng.random(nx) + 0.05
+            probs[0] = 0.0 if case == 0 else probs[0]
+            marginal = FiniteMarginal(np.sort(rng.normal(size=nx)), probs / probs.sum())
+        cond = rng.random((marginal.nx**p, ny))
+        problems.append(JuntaProblem(p, marginal, list(range(ny)), cond / cond.sum(axis=1, keepdims=True)))
+    return problems
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRowLayout:
+    """Each reader of the row layout, bit for bit, against a reference that
+    gathers through the (P, |X|^P) symbol-index table of the documented layout."""
+
+    def test_corpus_spans_the_shapes(self):
+        corpus = layout_corpus()
+        assert {prob.marginal.nx for prob in corpus} == {2, 3, 4}
+        assert {prob.p for prob in corpus} == set(range(1, 7))
+        assert {prob.ny for prob in corpus} == {1, 2, 3, 4}
+        assert any(np.any(prob.marginal.probs == 0.0) for prob in corpus)
+        assert sum(prob.marginal.is_uniform_hypercube() for prob in corpus) == 8
+
+    def test_weights_and_coordinates(self):
+        for prob in layout_corpus():
+            symbols = _reference_symbols(prob.marginal.nx, prob.p)
+            weights = _reference_weights(prob, symbols)
+            assert _same_bits(prob.row_weights, weights)
+            assert _same_bits(prob.mu_y, weights @ prob.cond)
+            for i in range(1, prob.p + 1):
+                got = prob.coord_symbols(i)
+                assert got.dtype == np.int64 and np.array_equal(got, symbols[i - 1])
+                assert _same_bits(prob.coord_values(i), prob.marginal.values[symbols[i - 1]])
+
+    def test_joint_expectation(self):
+        rng = np.random.default_rng(5)
+        for prob in layout_corpus():
+            symbols = _reference_symbols(prob.marginal.nx, prob.p)
+            weights = _reference_weights(prob, symbols)
+            for trial in range(6):
+                u = [] if trial == 0 else [int(c) + 1 for c in np.nonzero(rng.random(prob.p) < 0.5)[0]]
+                t_label = rng.normal(size=prob.ny)
+                tables = {i: rng.normal(size=prob.marginal.nx) for i in range(1, prob.p + 1)}
+                factor = weights.copy()
+                for i in u:
+                    factor *= tables[i][symbols[i - 1]]
+                expected = float(factor @ (prob.cond @ t_label))
+                assert _same_bits(prob.joint_expectation(t_label, tables, u), expected), (prob.p, u)
+
+    def test_moment_table_and_hypercube_tables(self):
+        for prob in layout_corpus():
+            symbols = _reference_symbols(prob.marginal.nx, prob.p)
+            weights = _reference_weights(prob, symbols)
+            basis = gram_schmidt(prob.marginal)
+            reference = SimpleNamespace(p=prob.p, ny=prob.ny, marginal=prob.marginal, cond=prob.cond,
+                                        row_weights=weights)
+            assert _same_bits(moment_table(prob, basis), moment_table(reference, basis))
+            if prob.marginal.is_uniform_hypercube():
+                zmat, wz, cond, labels = hypercube_tables(prob)
+                assert _same_bits(zmat, prob.marginal.values[symbols.T])
+                assert _same_bits(wz, weights) and cond is prob.cond
+                assert _same_bits(labels, prob.labels)
+
 
 class TestJointExpectation:
     def test_decoupled_zero_mean_coordinate(self):
@@ -129,6 +237,11 @@ class TestJointExpectation:
     def test_rejects_missing_table(self, y1_problem):
         with pytest.raises(ValueError):
             y1_problem.joint_expectation(np.zeros(y1_problem.ny), {}, [1])
+
+    @pytest.mark.parametrize("coord", [0, -1, 5])
+    def test_rejects_a_coordinate_outside_the_support(self, y1_problem, coord):
+        with pytest.raises(ValueError, match="outside"):
+            y1_problem.joint_expectation(np.ones(y1_problem.ny), {coord: [1.0, -1.0]}, [coord])
 
 
 class TestExpandHypercube:

@@ -21,6 +21,17 @@ def test_every_exported_name_resolves():
         getattr(juntaleap, name)  # AttributeError for a name its module lost
 
 
+def test_detect_is_the_submodule():
+    """Loading `juntaleap.detect` binds the package attribute to the module,
+    whose `detect` is the dispatcher on the model name."""
+    import juntaleap.detect
+    from juntaleap.detect import DetectReport, detect
+
+    assert juntaleap.detect is importlib.import_module("juntaleap.detect")
+    assert juntaleap.detect.detect is detect and juntaleap.detect.DetectReport is DetectReport
+    assert "detect" not in juntaleap.__all__
+
+
 def test_readme_library_tour_runs():
     readme = README.read_text()
     code = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
