@@ -18,7 +18,7 @@ _EXPORTS = {
     ),
     "fourier": ("OrthonormalBasis", "conditional_moment_tensor", "gram_schmidt", "inverse_wht", "wht"),
     "detect": ("DetectReport", "Witness", "detect_csq", "detect_dlq", "detect_sq", "exponents"),
-    "oracle": ("FAIL", "AdversarialOracle", "GameResult", "HonestOracle", "Query", "Transcript", "play_game"),
+    "oracle": ("AdversarialOracle", "GameResult", "HonestOracle", "Query", "Transcript", "play_game"),
     "dynamics": (
         "Activation", "DFState", "KernelReport", "ParticleEnsemble", "TrainConfig", "bayes_risk", "df_risk",
         "df_step", "init_df_state", "init_ensemble", "kernel", "layerwise_train", "poly_activation", "run_df",

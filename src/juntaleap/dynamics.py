@@ -177,7 +177,9 @@ class TrainConfig:
 
 
 # entries of one row block of hidden pre-activations in ParticleEnsemble.forward:
-# 2 MB, so that the block fits a 4 MB per-core L2 cache
+# 2 MB, which bounds forward's work memory at any number of rows. That is a
+# whole 2 MB per-core L2 cache, so the block is not sized to stay in cache; the
+# value is kept because another row split can move forward's last bits
 FORWARD_BLOCK_ENTRIES = 1 << 18
 
 

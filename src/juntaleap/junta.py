@@ -81,6 +81,22 @@ def uniform_hypercube_marginal() -> FiniteMarginal:
     return FiniteMarginal([1.0, -1.0], [0.5, 0.5])
 
 
+def _check_rows(cond: np.ndarray) -> None:
+    """Raise ValueError unless every row of cond is a probability vector, up
+    to _PROB_TOL. Takes no mask or copy of cond, and one row-sized array that
+    is freed on return: min and max propagate NaN and +-inf, and initial=0.0
+    lets a cond without labels through to the row sums."""
+    lo, hi = cond.min(initial=0.0), cond.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("cond entries must be finite")
+    if lo < -_PROB_TOL:
+        raise ValueError("cond entries must be nonnegative")
+    deviation = cond.sum(axis=1)
+    deviation -= 1.0
+    if np.abs(deviation, out=deviation).max() > _PROB_TOL:
+        raise ValueError("every cond row must sum to 1")
+
+
 class JuntaProblem:
     """Finite junta problem: support size P, marginal mu_x, table mu_{y|z}.
 
@@ -103,13 +119,7 @@ class JuntaProblem:
             raise ValueError("labels must be distinct")
         if cond.shape != (nrows, len(labels)):
             raise ValueError(f"cond must have shape ({nrows}, {len(labels)}), got {cond.shape}")
-        if not np.all(np.isfinite(cond)):
-            raise ValueError("cond entries must be finite")
-        if np.any(cond < -_PROB_TOL):
-            raise ValueError("cond entries must be nonnegative")
-        rowsums = cond.sum(axis=1)
-        if np.max(np.abs(rowsums - 1.0)) > _PROB_TOL:
-            raise ValueError("every cond row must sum to 1")
+        _check_rows(cond)
 
         self.p = p
         self.marginal = marginal

@@ -28,23 +28,6 @@ from .junta import JuntaProblem, PlantedInstance
 from .setsystem import coords_from_mask
 
 
-class _Fail:
-    """Adversary concession: no answer consistent with >= 2 surviving plantings."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "FAIL"
-
-
-FAIL = _Fail()
-
 # how the honest oracle draws its noise of at most tau
 NOISE_MODES = ("zero", "uniform", "adversarial_sign")
 
@@ -107,9 +90,6 @@ class Query:
         label_sq = problem.mu_y @ np.asarray(self.t_label, float) ** 2
         return abs(self.scale) * float(np.sqrt(max(label_sq * total, 0.0)))
 
-    def describe(self) -> dict:
-        return {"terms": self.coords.tolist(), "scale": self.scale}
-
 
 class Transcript:
     """Query/response log of one game session.
@@ -121,8 +101,7 @@ class Transcript:
     dicts of block rows are copies.
     """
 
-    def __init__(self, tau: float, budget: int | None = None):
-        self.tau = tau
+    def __init__(self, budget: int | None = None):
         self.budget = budget
         self._parts: list = []  # dicts and _Blocks, in order
         self.n_queries = 0
@@ -137,14 +116,14 @@ class Transcript:
                 records.extend(part.records())
         return records
 
-    def log(self, description: dict, response, exact=None, norm=None, accepted=None):
-        """One record of the query whose `Query.describe()` is `description`."""
-        rec = {"t": self.n_queries + 1, **description}
-        rec["response"] = None if response is FAIL else float(response)
+    def log(self, terms: list, scale: float, response, norm: float, exact=None, accepted=None):
+        """One record of the query on the rows `terms` at `scale`; a response
+        of None (a concession) is written as null."""
+        rec = {"t": self.n_queries + 1, "terms": terms, "scale": scale,
+               "response": None if response is None else float(response)}
         if exact is not None:
             rec["exact"] = float(exact)
-        if norm is not None:
-            rec["norm"] = float(norm)
+        rec["norm"] = float(norm)
         if accepted is not None:
             rec["accepted"] = bool(accepted)
         self._parts.append(rec)
@@ -329,7 +308,7 @@ class HonestOracle(_BlockOracle):
         v = exact + self._noise(exact, self.tau * norm)
         if transcript is not None:
             accepted = None if threshold is None else abs(v) > threshold
-            transcript.log(query.describe(), v, exact=exact, norm=norm, accepted=accepted)
+            transcript.log(query.coords.tolist(), query.scale, v, norm, exact=exact, accepted=accepted)
         return v
 
     def _answer_rows(self, query: Query, rows, transcript, threshold, first_hit):
@@ -354,7 +333,7 @@ class HonestOracle(_BlockOracle):
 class AdversarialOracle(_BlockOracle):
     """Answers with the fully decoupled null value whenever that is consistent
     with at least two surviving plantings, pruning only the plantings it
-    contradicts; concedes (FAIL) otherwise.
+    contradicts; concedes (answers None) otherwise.
 
     A valid (not necessarily optimal) adversary for single-term structured
     queries. The surviving plantings are the rows of an `(n, P)` array, in
@@ -393,14 +372,15 @@ class AdversarialOracle(_BlockOracle):
         return query.scale * total
 
     def answer(self, query: Query, transcript: Transcript | None = None, threshold: float | None = None):
-        """The null value, or FAIL; logged as `HonestOracle.answer` logs,
-        without `accepted` on a FAIL. One query is a one-row block."""
+        """The null value, or None on a concession; logged as
+        `HonestOracle.answer` logs, with a null response and without
+        `accepted` on a concession. One query is a one-row block."""
         if len(query.coords) != 1:
             raise ValueError("adversary handles single-term structured queries")
         rows = _check_block(query.coords, len(query.tables), self.d)
-        transcript = Transcript(self.tau) if transcript is None else transcript
+        transcript = Transcript() if transcript is None else transcript
         _, conceded = self._answer_rows(query, rows, transcript, threshold, first_hit=False)
-        return FAIL if conceded else self.null_value(query)
+        return None if conceded else self.null_value(query)
 
     def _answer_rows(self, query: Query, coords, transcript, threshold, first_hit):
         """Answer the single-term `query` moved onto each row c of `coords`,
@@ -425,7 +405,6 @@ class AdversarialOracle(_BlockOracle):
         slot_of = np.zeros(self.d + 1, dtype=np.int64)
         hits: list[int] = []
         for i, row in enumerate(coords.tolist()):
-            description = {"terms": [row], "scale": query.scale}
             slot_of[row] = np.arange(1, k + 1)
             codes = slot_of[self._plantings] @ weights
             slot_of[row] = 0
@@ -441,11 +420,11 @@ class AdversarialOracle(_BlockOracle):
             kept = len(prune) - np.count_nonzero(prune)
             if kept < 2:
                 self.conceded = True
-                transcript.log(description, FAIL, norm=norm)
+                transcript.log([row], query.scale, None, norm)
                 return hits, True
             if kept < len(prune):
                 self._plantings = self._plantings.compress(~prune, axis=0)
-            transcript.log(description, null, norm=norm, accepted=accepted)
+            transcript.log([row], query.scale, null, norm, accepted=accepted)
             if accepted:
                 hits.append(i)
                 if first_hit:
@@ -563,7 +542,7 @@ def run_adaptive(oracle, d: int, report: DetectReport, *, budget=None, max_tuple
     the fewest new coordinates, enumerating ordered fresh tuples (and all
     injections of recovered coordinates into old slots) until a response
     clears beta/2."""
-    transcript = Transcript(oracle.tau, budget)
+    transcript = Transcript(budget)
     if report.beta is None:
         return frozenset(), transcript
     threshold = report.beta / 2.0
@@ -616,7 +595,7 @@ def run_nonadaptive(oracle, d: int, report: DetectReport, *, budget=None):
     """All queries fixed in advance: for every coordinate's minimal covering
     set, every ordered ambient tuple of that size; the decision map returns
     the union of coordinates in accepted tuples."""
-    transcript = Transcript(oracle.tau, budget)
+    transcript = Transcript(budget)
     if report.beta is None:
         return frozenset(), transcript
     threshold = report.beta / 2.0
@@ -646,14 +625,14 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
     singleton query over the coordinates whose index has a given bit set.
 
     Assumes the witness correlation is carried by a single support coordinate
-    (e.g. P = 1 plantings); returns that coordinate and the support position
-    used.
+    (e.g. P = 1 plantings), the image of the witness's support position, and
+    returns that coordinate.
     """
     witness = singleton_witness(report)
     position = witness.coords[0]
     beta = abs(witness.beta)
     table = witness.t_coords[position]
-    transcript = Transcript(oracle.tau, budget)
+    transcript = Transcript(budget)
     n_bits = max(0, (d - 1).bit_length())
     scale = 1.0 / np.sqrt(d)
     threshold = beta / (2.0 * np.sqrt(d))
@@ -665,12 +644,11 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
         if not _room(transcript, 1):
             raise BudgetExceededError(transcript)
         v = oracle.answer(query, transcript, threshold)
-        if v is FAIL:
+        if v is None:
             break
         if abs(v) > threshold:
             index |= 1 << k
-    coord = index + 1
-    return frozenset([coord]), transcript, position
+    return frozenset([index + 1]), transcript
 
 
 # ---------------------------------------------------------------------------
@@ -708,31 +686,27 @@ def play_game(
     check_game_kinds(learner, oracle_kind, noise_mode, max_tuple)
     if oracle_kind == "adversarial" and seed is not None:
         raise ValueError("the adversary draws no noise and takes no seed")
+    if tau is None and report.beta is None:
+        raise ValueError("report has no detectable sets; tau must be explicit")
+    # the grouped learner queries one singleton witness and recovers the image of its position
+    witness = singleton_witness(report) if learner == "grouped" else None
     if tau is None:
-        if report.beta is None:
-            raise ValueError("report has no detectable sets; tau must be explicit")
-        if learner == "grouped":
-            # grouped queries carry a 1/sqrt(d) signal, so the tolerance must
-            # shrink with it (tau <= c/sqrt(d))
-            tau = tau_factor * abs(singleton_witness(report).beta) / np.sqrt(instance.d)
-        else:
-            tau = tau_factor * report.beta
+        # grouped queries carry a 1/sqrt(d) signal, so the tolerance must shrink with it (tau <= c/sqrt(d))
+        tau = tau_factor * report.beta if witness is None else tau_factor * abs(witness.beta) / np.sqrt(instance.d)
     if oracle_kind == "honest":
         oracle = HonestOracle(instance, tau, noise_mode, 0 if seed is None else seed)
     else:
         oracle = AdversarialOracle(instance.problem, instance.d, tau)
 
-    target = frozenset(instance.s_star[i - 1] for i in coords_from_mask(report.system.support))
+    positions = coords_from_mask(report.system.support) if witness is None else witness.coords
+    target = frozenset(instance.s_star[i - 1] for i in positions)
     detail = {"tau": tau, "target": sorted(target)}
     try:
         if learner == "adaptive":
             s_hat, transcript = run_adaptive(oracle, instance.d, report, budget=budget, max_tuple=max_tuple)
-        elif learner == "nonadaptive":
-            s_hat, transcript = run_nonadaptive(oracle, instance.d, report, budget=budget)
         else:
-            s_hat, transcript, position = run_grouped(oracle, instance.d, report, budget=budget)
-            target = frozenset([instance.s_star[position - 1]])
-            detail["target"] = sorted(target)
+            run = run_nonadaptive if learner == "nonadaptive" else run_grouped
+            s_hat, transcript = run(oracle, instance.d, report, budget=budget)
     except BudgetExceededError as exc:
         return GameResult("FAIL(budget)", frozenset(), exc.transcript, detail)
 

@@ -45,7 +45,7 @@ class TestFiniteMarginal:
 class TestJuntaProblem:
     def test_rejects_bad_rows(self):
         m = uniform_hypercube_marginal()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 1"):
             JuntaProblem(1, m, [0.0, 1.0], [[0.5, 0.4], [0.5, 0.5]])
 
     def test_rejects_non_finite_cond(self):
@@ -53,6 +53,37 @@ class TestJuntaProblem:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 JuntaProblem(1, m, [0.0, 1.0], [[bad, 1.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[np.nan, -5.0], [0.5, 0.5]], "finite"),
+        ([[-np.inf, 1.0], [0.5, 0.5]], "finite"),
+        ([[-0.25, 1.25], [0.5, 0.5]], "nonnegative"),
+        ([[], []], "sum to 1"),
+    ])
+    def test_cond_validation_messages(self, rows, message):
+        labels = [0.0, 1.0][: len(rows[0])]
+        with pytest.raises(ValueError, match=message):
+            JuntaProblem(1, uniform_hypercube_marginal(), labels, np.array(rows).reshape(2, len(labels)))
+
+    def test_cond_within_tolerance_is_clipped(self):
+        prob = JuntaProblem(1, uniform_hypercube_marginal(), [0.0, 1.0], [[-1e-13, 1.0 + 1e-13], [0.5, 0.5]])
+        assert prob.cond[0, 0] == 0.0
+
+    def test_validation_allocates_no_full_size_temporaries(self):
+        """Checking cond takes no mask or copy of it and at most one row-sized
+        float array: at three-atom P = 13 with two labels, the construction
+        peaks within one row-sized array of what the problem keeps."""
+        m = FiniteMarginal([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+        cond = np.zeros((3**13, 2))
+        cond[::2, 0] = cond[1::2, 1] = 1.0
+        tracemalloc.start()
+        try:
+            prob = JuntaProblem(13, m, [0, 1], cond)  # copies cond once and keeps it
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 3**13 * 8 + 2**20
+        assert peak - retained <= bound, f"peak {peak} B for {retained} B retained, bound {bound} B over"
 
     def test_rejects_oversized_table(self):
         m = FiniteMarginal([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])

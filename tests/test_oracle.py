@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from juntaleap import (
-    FAIL,
     AdversarialOracle,
     FiniteMarginal,
     HonestOracle,
@@ -39,10 +38,11 @@ def witness_query(witness, coords, scale=1.0):
     return Query([coords], tuple(witness.t_coords[pos] for pos in witness.coords), witness.t_label, scale)
 
 
-def assert_sound(transcript):
-    """Every logged response is within tau times its null norm of the exact value."""
-    for rec in transcript.records:
-        assert abs(rec["response"] - rec["exact"]) <= transcript.tau * rec["norm"] + 1e-12, rec
+def assert_sound(result):
+    """Every logged response of a game is within its oracle's tau times the
+    query's null norm of the exact value."""
+    for rec in result.transcript.records:
+        assert abs(rec["response"] - rec["exact"]) <= result.detail["tau"] * rec["norm"] + 1e-12, rec
 
 
 class TestQuery:
@@ -182,7 +182,7 @@ class TestHonestOracle:
         rep = detect_csq(y2_problem)
         inst = PlantedInstance(y2_problem, 12, (1, 5, 9, 11))
         result = play_game(inst, rep, tau=rep.beta / 4, noise_mode="uniform", seed=9)
-        assert_sound(result.transcript)
+        assert_sound(result)
         assert result.s_hat == frozenset({1, 5, 9, 11})
 
 
@@ -281,7 +281,20 @@ class TestGroupedLearner:
         result = play_game(inst, rep, learner="grouped", noise_mode="uniform", seed=3)
         assert result.success and result.s_hat == frozenset({2731})
         assert result.transcript.n_queries == 12
-        assert_sound(result.transcript)
+        assert_sound(result)
+
+    def test_target_is_the_image_of_the_witness_position(self, y1_problem):
+        # y1's one detectable singleton is position 1, so the grouped learner
+        # recovers s_star[0] and every grouped game, budgeted or not, is graded
+        # against it alone
+        rep = detect_csq(y1_problem)
+        inst = PlantedInstance(y1_problem, 16, (7, 2, 12, 5))
+        s_hat, transcript = run_grouped(HonestOracle(inst, 0.0), inst.d, rep)
+        assert s_hat == frozenset({7}) and transcript.n_queries == 4
+        result = play_game(inst, rep, learner="grouped", tau=0.0)
+        assert result.success and result.detail["target"] == [7]
+        budgeted = play_game(inst, rep, learner="grouped", tau=0.0, budget=2)
+        assert budgeted.verdict == "FAIL(budget)" and budgeted.detail["target"] == [7]
 
     def test_requires_singleton(self, y2_problem):
         rep = detect_csq(y2_problem)
@@ -328,12 +341,29 @@ class TestAdversary:
         seen_fail = False
         for tup in itertools.permutations(range(1, d + 1), 3):
             v = adv.answer(witness_query(w, tup))
-            if v is FAIL:
+            if v is None:
                 seen_fail = True
                 break
         # with d slightly above P the adversary cannot keep two plantings alive
         # against the full sweep of triples
         assert seen_fail or len(adv.survivors) < 7 * 6 * 5 * 4
+
+    def test_concession_is_none_and_logged_as_null(self, y2_problem):
+        rep = detect_csq(y2_problem)
+        w = rep.witnesses[0b0111]
+        adv = AdversarialOracle(y2_problem, d=7, tau=rep.beta / 4)
+        transcript = Transcript()
+        answers = []
+        for tup in itertools.permutations(range(1, 8), 3):
+            answers.append(adv.answer(witness_query(w, tup), transcript, rep.beta / 2))
+            if answers[-1] is None:
+                break
+        assert adv.conceded and answers[-1] is None and None not in answers[:-1]
+        assert transcript.records[-1] == {"t": len(answers), "terms": [list(tup)], "scale": 1.0, "response": None,
+                                          "norm": transcript.records[-1]["norm"]}
+        buf = io.StringIO()
+        transcript.to_jsonl(buf)
+        assert '"response": null' in buf.getvalue().splitlines()[-1]
 
     def test_pairs_only_game_fails(self, y2_problem):
         rep = detect_csq(y2_problem)
@@ -482,7 +512,7 @@ def _charge(transcript):
 def scalar_adaptive(oracle, d, report, budget=None):
     """The adaptive learner with one `oracle.answer` per query."""
     threshold = report.beta / 2.0
-    transcript = Transcript(oracle.tau, budget)
+    transcript = Transcript(budget)
     explored, assigned, s_hat = 0, {}, []
     while True:
         accepted = False
@@ -521,7 +551,7 @@ def scalar_adaptive(oracle, d, report, budget=None):
 def scalar_nonadaptive(oracle, d, report, budget=None):
     """The non-adaptive learner with one `oracle.answer` per query."""
     threshold = report.beta / 2.0
-    transcript = Transcript(oracle.tau, budget)
+    transcript = Transcript(budget)
     families = {min((m for m in report.system.sets if m >> (i - 1) & 1), key=lambda m: (m.bit_count(), m))
                 for i in range(1, report.p + 1) if report.system.support >> (i - 1) & 1}
     recovered = set()
@@ -613,21 +643,21 @@ class TestBlockAnswers:
         w = rep.witnesses[0b0111]
         for bad in ([[1, 2]], [[0, 1, 2]], [[1, 2, 7]], [[1, 2, 3], [4, 5, 4]]):
             with pytest.raises(ValueError):
-                oracle.answer_block(w, np.array(bad), Transcript(0.1), 0.1)
+                oracle.answer_block(w, np.array(bad), Transcript(), 0.1)
 
     def test_adversary_block_stops_at_concession(self, y2_problem):
         rep = detect_csq(y2_problem)
         w = rep.witnesses[0b0111]
         tuples = np.array(list(itertools.permutations(range(1, 8), 3)))
         block_adv, ref_adv = (AdversarialOracle(y2_problem, d=7, tau=rep.beta / 4) for _ in range(2))
-        transcript = Transcript(block_adv.tau)
+        transcript = Transcript()
         hits, conceded = block_adv.answer_block(w, tuples, transcript, rep.beta / 2)
-        ref = Transcript(ref_adv.tau)
+        ref = Transcript()
         for tup in tuples.tolist():
             v = ref_adv.answer(witness_query(w, tup), ref, rep.beta / 2)
-            if v is FAIL:
+            if v is None:
                 break
-        assert conceded and v is FAIL
+        assert conceded and v is None
         assert transcript.records == ref.records
         assert block_adv.survivors == ref_adv.survivors
 
@@ -638,12 +668,12 @@ class TestBlockAnswers:
 
         def charged_loop(budget):
             adv = AdversarialOracle(y2_problem, d=7, tau=rep.beta / 4)
-            ref = Transcript(adv.tau, budget)
+            ref = Transcript(budget)
             try:
                 for tup in tuples.tolist():
                     _charge(ref)
                     v = adv.answer(witness_query(w, tup), ref, rep.beta / 2)
-                    if v is FAIL:
+                    if v is None:
                         break
             except BudgetExceededError:
                 return adv, ref, True
@@ -654,7 +684,7 @@ class TestBlockAnswers:
         for budget in (0, 1, concession // 2, concession - 1, concession, concession + 5):
             ref_adv, ref, ref_raised = charged_loop(budget)
             block_adv = AdversarialOracle(y2_problem, d=7, tau=rep.beta / 4)
-            transcript = Transcript(block_adv.tau, budget)
+            transcript = Transcript(budget)
             try:
                 block_adv.answer_block(w, tuples, transcript, rep.beta / 2)
                 raised = False
@@ -719,12 +749,11 @@ class TestTranscriptLines:
             {"t": 6, "terms": [[1, 2]], "scale": 1.0, "response": None, "norm": 1.0},
             {"t": 7, "terms": [[True]], "scale": 1.0, "response": 0.5, "exact": 0.5, "norm": 1.0, "accepted": True},
         ]
-        transcript = Transcript(0.1)
+        transcript = Transcript()
         expected = []
         for rec in records * 700:  # more than one chunk of lines
-            response = FAIL if rec["response"] is None else rec["response"]
-            transcript.log({"terms": rec["terms"], "scale": rec["scale"]}, response,
-                           **{k: rec[k] for k in ("exact", "norm", "accepted") if k in rec})
+            transcript.log(rec["terms"], rec["scale"], rec["response"], rec["norm"],
+                           **{k: rec[k] for k in ("exact", "accepted") if k in rec})
             expected.append({**rec, "t": len(expected) + 1})
         buf = io.StringIO()
         transcript.to_jsonl(buf)
@@ -745,19 +774,16 @@ def block_records(t0, coords, responses, exact, norm, accepted):
 
 
 class TestColumnTranscript:
-    QUERY = Query([[4, 1]], (np.ones(2), np.ones(2)), np.ones(2), 0.5)
-
     def test_mixed_records_and_blocks_write_json_dumps_lines(self):
         rng = np.random.default_rng(1)
-        transcript = Transcript(0.1)
+        transcript = Transcript()
         expected = []
 
-        def log(response, **kw):
-            transcript.log(self.QUERY.describe(), response, **kw)
-            rec = {"t": len(expected) + 1, "terms": [[4, 1]], "scale": 0.5,
-                   "response": None if response is FAIL else response}
-            rec.update({k: v for k, v in kw.items()})
-            expected.append(rec)
+        def log(response, norm, exact=None, accepted=None):
+            transcript.log([[4, 1]], 0.5, response, norm, exact=exact, accepted=accepted)
+            optional = {"exact": exact, "norm": norm, "accepted": accepted}
+            expected.append({"t": len(expected) + 1, "terms": [[4, 1]], "scale": 0.5, "response": response,
+                             **{k: v for k, v in optional.items() if v is not None}})
 
         def block(n, k, floats, norm):
             coords = np.array([rng.choice(np.arange(1, 301), k, replace=False) for _ in range(n)])
@@ -767,15 +793,15 @@ class TestColumnTranscript:
             expected.extend(block_records(len(expected) + 1, coords, responses, exact, norm, accepted))
 
         finite = np.concatenate([[0.0, -0.0, 1e-300, 5e-324, -2.5e300, 1.0, 0.1 + 0.2], rng.normal(size=50)])
-        log(0.25, exact=0.25, norm=1.0, accepted=True)
+        log(0.25, 1.0, exact=0.25, accepted=True)
         block(5000, 3, finite, 1.0000000000000002)  # longer than one chunk of lines
-        log(FAIL, norm=2.0)
+        log(None, 2.0)
         block(0, 2, finite, 1.0)
         block(3, 1, finite, 0.5)
         with_nan = np.concatenate([finite, [np.nan, np.inf, -np.inf]])
         block(2500, 2, with_nan, 1.0)
         block(40, 4, finite, np.inf)
-        log(-0.0, exact=0.0, norm=1.0, accepted=False)
+        log(-0.0, 1.0, exact=0.0, accepted=False)
 
         assert transcript.n_queries == len(expected) == 7546
         assert [r["t"] for r in transcript.records] == list(range(1, len(expected) + 1))
@@ -812,11 +838,11 @@ class TestColumnTranscript:
         assert text.splitlines(keepends=True) == [json.dumps(r, sort_keys=True) + "\n" for r in records]
 
     def test_records_view_grows_with_the_log(self):
-        transcript = Transcript(0.1)
+        transcript = Transcript()
         assert transcript.records == []
         transcript.log_block(np.array([[1, 2], [3, 1]]), np.array([0.5, 0.0]), np.array([0.5, 0.0]), 1.0,
                              np.array([True, False]))
-        transcript.log(self.QUERY.describe(), 0.0, exact=0.0, norm=1.0)
+        transcript.log([[4, 1]], 0.5, 0.0, 1.0, exact=0.0)
         view = transcript.records
         assert [r["t"] for r in view] == [1, 2, 3]
         assert view[1]["terms"] == [[3, 1]] and view[2]["scale"] == 0.5
@@ -861,7 +887,7 @@ class ReferenceAdversary:
                         continue
                     to_prune |= self.matching(coords, assignment)
         if len(self.survivors - to_prune) < 2:
-            return FAIL
+            return None
         self.survivors -= to_prune
         return null
 
@@ -898,11 +924,11 @@ class TestAdversaryPruning:
                 tables = tuple(w.t_coords[p] + rng.choice([0.0, 0.0, 0.5]) for p in w.coords)
                 query = Query([coords], tables, w.t_label, float(rng.choice([1.0, -0.5, 3.0])))
                 got, want = adv.answer(query), ref.answer(query)
-                assert (got is FAIL) == (want is FAIL)
+                assert (got is None) == (want is None)
                 assert adv.survivors == ref.survivors
                 sizes.append(len(ref.survivors))
-                if got is FAIL:
+                if got is None:
                     break
                 assert got == want
-            assert got is FAIL, "the query sequence should end in a concession"
+            assert got is None, "the query sequence should end in a concession"
             assert sizes[-1] < math.perm(d, problem.p)
