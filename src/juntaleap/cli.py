@@ -120,27 +120,12 @@ def _loss_from_spec(spec):
         raise ConfigError(f"bad loss spec {spec!r}: {exc}") from exc
 
 
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
-
-
-def _write_text(text: str, out_dir: Path, name: str) -> Path:
+def _write_json(data, out_dir: Path, name: str) -> str:
+    """Write data as indented, key-sorted JSON to out_dir / name and return its text."""
+    text = json.dumps(data, indent=2, sort_keys=True)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text + "\n")
-    return path
-
-
-def _dump_json(data, out_dir: Path, name: str) -> Path:
-    return _write_text(_json_text(data), out_dir, name)
-
-
-def _emit(data, out_dir: Path, name: str) -> Path:
-    """Write a summary JSON under out_dir and print the same text."""
-    text = _json_text(data)
-    path = _write_text(text, out_dir, name)
-    print(text)
-    return path
+    (out_dir / name).write_text(text + "\n")
+    return text
 
 
 def _write_csv(rows: list[dict], out_dir: Path, name: str) -> Path:
@@ -205,7 +190,8 @@ def _planted(problem, d, s_star, rng):
 def cmd_exponents(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     problem, reports, _ = _detect_reports(cfg, block)
     report = {"P": problem.p, "models": {rep.model: rep.summary() for rep in reports}}
-    print(f"wrote {_emit(report, out_dir, 'exponents.json')}", file=sys.stderr)
+    print(_write_json(report, out_dir, "exponents.json"))
+    print(f"wrote {out_dir / 'exponents.json'}", file=sys.stderr)
     return 0
 
 
@@ -214,7 +200,8 @@ def cmd_detect(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     paths = []
     for rep in reports:
         name = rep.model.replace("[", "_").replace("]", "").replace("/", "_")
-        paths.append(_dump_json(rep.to_dict(), out_dir, f"detect_{name}.json"))
+        _write_json(rep.to_dict(), out_dir, f"detect_{name}.json")
+        paths.append(out_dir / f"detect_{name}.json")
     if block.get("dump_moments"):
         from .fourier import support_slice
         from .setsystem import coords_from_mask
@@ -266,10 +253,10 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
         "s_star": list(instance.s_star),
         "s_hat": sorted(result.s_hat),
         "queries": result.transcript.n_queries,
-        "tau": result.detail.get("tau"),
-        "detail": {k: v for k, v in result.detail.items() if k != "tau"},
+        "tau": result.tau,
+        "detail": result.detail,
     }
-    _emit(verdict, out_dir, "game_verdict.json")
+    print(_write_json(verdict, out_dir, "game_verdict.json"))
     return 0
 
 
@@ -326,7 +313,7 @@ def cmd_sgd(cfg: dict, block: dict, out_dir: Path, seed) -> int:
             "learned": bool(last["mse"] - bayes_mse < 0.5 * init_excess),
         })
     summary["stuck"] = bool(all(t["stuck"] for t in summary["trials"]))
-    _emit(summary, out_dir, "sgd_summary.json")
+    print(_write_json(summary, out_dir, "sgd_summary.json"))
     return 0
 
 
@@ -361,7 +348,7 @@ def cmd_df(cfg: dict, block: dict, out_dir: Path, seed) -> int:
         "bayes_mse": bayes_mse,
         "stuck": bool(last is not None and first - last < 0.05 * (first - bayes_mse)),
     }
-    _emit(summary, out_dir, "df_summary.json")
+    print(_write_json(summary, out_dir, "df_summary.json"))
     return 0
 
 
@@ -392,7 +379,7 @@ def cmd_layerwise(cfg: dict, block: dict, out_dir: Path, seed) -> int:
         "c_bar": c_bar,
         "trust_violation": result.trust_violation,
     }
-    _emit(summary, out_dir, "layerwise_summary.json")
+    print(_write_json(summary, out_dir, "layerwise_summary.json"))
     return 0
 
 
@@ -410,8 +397,8 @@ def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     report["sq_detects_singleton"] = bool(problem.p and detect(problem, "SQ").system.sets)
     report["dlq_detects_singleton"] = {lname: bool(detect(problem, "DLQ", _loss_from_spec(lname)).system.sets)
                                        for lname in block.get("losses", ["squared"])}
-    _dump_json(report, out_dir, "hard_instance.json")
-    print(_json_text({k: v for k, v in report.items() if k != "problem"}))
+    _write_json(report, out_dir, "hard_instance.json")
+    print(json.dumps({k: v for k, v in report.items() if k != "problem"}, indent=2, sort_keys=True))
     return 0
 
 
@@ -463,17 +450,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
-    if args.threads is not None:
-        # read by the BLAS when numpy first loads; a caller that imported
-        # numpy before `main` keeps the thread count it started with
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     command, block_required, required, kinds = _COMMANDS[args.command]
     name = args.command.replace("-", "_")
     overrides = {k: getattr(args, k, None) for k in ("budget", "tau", "noise_mode")}  # game's flags
     try:
+        if args.threads is not None:
+            _check_kind("--threads", args.threads, 1)
+            # read by the BLAS when numpy first loads; a caller that imported
+            # numpy before `main` keeps the thread count it started with
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
         cfg = _load_config(args.config)
         top = {name, "seed"} if name == "hard_instance" else {"problem", name, "seed"}
         _check_keys(cfg, top, "config")

@@ -40,14 +40,16 @@ _NEGLIGIBLE_MASS = 1e-300
 class Witness:
     """Normalized test functions certifying one detectable set.
 
-    t_label tabulates T on the labels, t_coords the zero-mean T_i on the
-    atoms of X; ||T||_{mu_y} * prod ||T_i||_{mu_x} = 1 and beta is the signed
-    score that chose them, the exact E[T(y) prod T_i(z_i)] of the moment table.
+    t_label tabulates T on the labels, and tables the zero-mean T_i on the
+    atoms of X, one per entry of coords and in that order (the slot order of
+    a Query): read-only rows of the basis's psi, not copies.
+    ||T||_{mu_y} * prod ||T_i||_{mu_x} = 1 and beta is the signed score that
+    chose them, the exact E[T(y) prod T_i(z_i)] of the moment table.
     """
 
     coords: tuple[int, ...]
     t_label: np.ndarray
-    t_coords: dict[int, np.ndarray]
+    tables: tuple[np.ndarray, ...]
     beta: float
     u_value: float | None = None
 
@@ -83,7 +85,7 @@ class DetectReport:
         for w in self.witnesses.values():
             wit[",".join(str(c) for c in w.coords)] = {
                 "t_label": w.t_label.tolist(),
-                "t_coords": {str(i): t.tolist() for i, t in w.t_coords.items()},
+                "t_coords": {str(i): t.tolist() for i, t in zip(w.coords, w.tables)},
                 "beta": w.beta,
                 "u": w.u_value,
             }
@@ -140,12 +142,16 @@ def _report(problem, basis, tol, model, value, row, t_label, loss=None, u_values
     hit = score[best[ranked]] > tol
     cols = best[ranked[hit]]
     digits = np.stack(np.unravel_index(cols, (basis.size,) * p), axis=1)
+    psi = basis.psi.view()
+    psi.flags.writeable = False
+    psi_rows = list(psi)  # the witnesses' slot tables: shared, read-only rows
     witnesses: dict[int, Witness] = {}
     for mask, col, dig in zip(ranked[hit].tolist(), cols.tolist(), digits.tolist()):
-        coords = coords_from_mask(mask)
-        t_coords = {i: basis.psi[dig[i - 1]].copy() for i in coords}
+        # digits >= 1 mark the coordinates of the mask
+        coords = tuple(i for i, j in enumerate(dig, 1) if j)
+        tables = tuple(psi_rows[j] for j in dig if j)
         u_val = None if u_values is None else float(u_values[row[col]])
-        witnesses[mask] = Witness(coords, t_label(row[col], col), t_coords, float(value[col]), u_val)
+        witnesses[mask] = Witness(coords, t_label(row[col], col), tables, float(value[col]), u_val)
     beta = float(score[cols].min()) if cols.size else None
     misses = tuple(ranked[~hit].tolist()) if loss is not None else ()
     return DetectReport(model, p, SetSystem(p, tuple(witnesses)), witnesses, beta, tol, loss, misses)

@@ -200,15 +200,16 @@ class StepBuffers:
 
 @dataclass
 class ParticleEnsemble:
-    """Finite-width parameters theta_j = (a_j, w_j, b_j, c_j); one training run
-    owns and mutates one ensemble, and lends it its step buffers for the run
-    (`run_sgd`)."""
+    """Finite-width parameters theta_j = (a_j, w_j, b_j, c_j) after k SGD
+    steps; one training run owns and mutates one ensemble, and lends it its
+    step buffers for the run (`run_sgd`)."""
 
     a: np.ndarray
     w: np.ndarray  # (M, d)
     b: np.ndarray
     c: np.ndarray
     activation: Activation
+    k: int = 0
     # on the ensemble, so that sgd_step keeps its (ens, x, y, cfg) signature
     step_buffers: StepBuffers | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -283,7 +284,8 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     """One batch-SGD update: theta_j <- theta_j - H [ (1/b) sum_i l'(f(x_i), y_i)
     grad_theta sigma_*(x_i; theta_j) + lambda theta_j ] (lambda = 0 for b and
     c), f evaluated at the pre-step parameters for the whole batch. w is
-    updated in place.
+    updated in place. A divergence is numbered ens.k + 1, the step this call
+    takes.
 
     The step's (n, M) and (M, d) arrays are written into `ens.step_buffers`
     when the ensemble holds them (for this batch size), and allocated
@@ -291,13 +293,13 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     n = x.shape[0]
-    buf = ens.step_buffers
-    z = np.matmul(x, ens.w.T, out=None if buf is None else buf.z)  # (n, M)
+    buf = StepBuffers.empty(n, ens.m, ens.d) if ens.step_buffers is None else ens.step_buffers
+    z = np.matmul(x, ens.w.T, out=buf.z)  # (n, M)
     z += ens.b
-    s, gsp = ens.activation.value_and_deriv(z, None if buf is None else buf.sp)
+    s, gsp = ens.activation.value_and_deriv(z, buf.sp)
     f = (s @ ens.a + ens.c.sum()) / ens.m
     if not np.all(np.isfinite(f)):
-        raise DivergenceError(-1, "network value")
+        raise DivergenceError(ens.k + 1, "network value")
     g = cfg.loss.deriv(f, np.asarray(y, dtype=float)) / n  # (n,)
 
     grad_a = g @ s
@@ -307,8 +309,7 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     # at n = 1 each entry is one product, exactly as the k = 1 matmul gives it;
     # at M = 512, d = 100 einsum takes 44-48 us, np.multiply.outer 65-78 us and
     # the matmul 103-110 us (best of 7 timeit repeats, 2-core VM, 2 BLAS threads)
-    out = None if buf is None else buf.grad_w
-    grad_w = np.einsum("i,j->ij", gsp[0], x[0], out=out) if n == 1 else np.matmul(gsp.T, x, out=out)  # (M, d)
+    grad_w = np.einsum("i,j->ij", gsp[0], x[0], out=buf.grad_w) if n == 1 else np.matmul(gsp.T, x, out=buf.grad_w)
     grad_c = g.sum()
 
     eta = cfg.eta
@@ -319,9 +320,10 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     ens.a -= eta * cfg.rate_a * (grad_a + cfg.lam_a * ens.a)
     ens.b -= eta * cfg.rate_b * grad_b
     ens.c -= eta * cfg.rate_c * grad_c
+    ens.k += 1
     # min and max propagate nan and hold any inf, and need no (M, d) temporary
     if not all(np.isfinite(v.min()) and np.isfinite(v.max()) for v in (ens.a, ens.w, ens.b, ens.c)):
-        raise DivergenceError(-1)
+        raise DivergenceError(ens.k)
     return ens
 
 
@@ -732,10 +734,7 @@ def run_sgd(
     try:
         for step in range(1, steps + 1):
             y, x, _ = sampler.draw_batch(cfg.batch)
-            try:
-                sgd_step(ens, x, y, cfg)
-            except DivergenceError as exc:
-                raise DivergenceError(step, exc.what) from exc
+            sgd_step(ens, x, y, cfg)
             if eval_every is not None and (step % eval_every == 0 or step == steps):
                 evaluate(step)
     finally:

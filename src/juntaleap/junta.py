@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -167,22 +167,21 @@ class JuntaProblem:
 
     # -- exact expectations ----------------------------------------------
 
-    def joint_expectation(self, t_label, t_coords: Mapping[int, Sequence[float]], u: Iterable[int]) -> float:
-        """Exact E[T(y) prod_{i in U} T_i(z_i)] by enumeration over X^P x Y.
+    def joint_expectation(self, t_label, tables: Mapping[int, Sequence[float]]) -> float:
+        """Exact E[T(y) prod_{i in U} T_i(z_i)] by enumeration over X^P x Y,
+        where U is the set of keys of `tables` and tables[i] tabulates T_i.
 
         Each T_i multiplies the row weights along coordinate i's axis of their
-        (|X|,)*P view, axis P - i in the row order."""
+        (|X|,)*P view, axis P - i in the row order, in ascending i."""
         t_label = np.asarray(t_label, dtype=float)
         if t_label.shape != (self.ny,):
             raise ValueError(f"label table must have length {self.ny}")
         nx = self.marginal.nx
         factor = self.row_weights.reshape((nx,) * self.p)
-        for i in sorted(set(int(c) for c in u)):
+        for i in sorted(tables):
             if not 1 <= i <= self.p:
                 raise ValueError(f"coordinate {i} outside [1, {self.p}]")
-            if i not in t_coords:
-                raise ValueError(f"no coordinate table supplied for {i}")
-            table = np.asarray(t_coords[i], dtype=float)
+            table = np.asarray(tables[i], dtype=float)
             if table.shape != (nx,):
                 raise ValueError(f"coordinate table for {i} must have length {nx}")
             factor = factor * table.reshape((nx,) + (1,) * (i - 1))

@@ -242,7 +242,7 @@ class _BlockOracle:
         hits, conceded = [], False
         if room:
             # the first row's query: its null value and null norm are every row's
-            query = Query(coords[:1], tuple(witness.t_coords[pos] for pos in witness.coords), witness.t_label)
+            query = Query(coords[:1], witness.tables, witness.t_label)
             hits, conceded = self._answer_rows(query, coords[:room], transcript, threshold, first_hit)
         if room < len(coords) and not (conceded or (first_hit and hits)):
             raise BudgetExceededError(transcript)
@@ -479,7 +479,7 @@ def _term_value(problem: JuntaProblem, t_label, tables, positions) -> float:
             off *= problem.marginal.mean(tab)
             if off == 0.0:
                 return 0.0
-    return off * (problem.joint_expectation(t_label, on, on.keys()) if on else problem.label_expectation(t_label))
+    return off * (problem.joint_expectation(t_label, on) if on else problem.label_expectation(t_label))
 
 
 def _check_block(coords, k: int, d: int) -> np.ndarray:
@@ -629,9 +629,8 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
     returns that coordinate.
     """
     witness = singleton_witness(report)
-    position = witness.coords[0]
     beta = abs(witness.beta)
-    table = witness.t_coords[position]
+    table = witness.tables[0]
     transcript = Transcript(budget)
     n_bits = max(0, (d - 1).bit_length())
     scale = 1.0 / np.sqrt(d)
@@ -661,6 +660,7 @@ class GameResult:
     verdict: str
     s_hat: frozenset
     transcript: Transcript
+    tau: float
     detail: dict = field(default_factory=dict)
 
     @property
@@ -700,7 +700,7 @@ def play_game(
 
     positions = coords_from_mask(report.system.support) if witness is None else witness.coords
     target = frozenset(instance.s_star[i - 1] for i in positions)
-    detail = {"tau": tau, "target": sorted(target)}
+    detail = {"target": sorted(target)}
     try:
         if learner == "adaptive":
             s_hat, transcript = run_adaptive(oracle, instance.d, report, budget=budget, max_tuple=max_tuple)
@@ -708,7 +708,7 @@ def play_game(
             run = run_nonadaptive if learner == "nonadaptive" else run_grouped
             s_hat, transcript = run(oracle, instance.d, report, budget=budget)
     except BudgetExceededError as exc:
-        return GameResult("FAIL(budget)", frozenset(), exc.transcript, detail)
+        return GameResult("FAIL(budget)", frozenset(), exc.transcript, tau, detail)
 
     if oracle_kind == "adversarial":
         # against the adversary there is no single planted truth; the learner
@@ -719,4 +719,4 @@ def play_game(
         verdict = "SUCCESS" if ok else "FAIL"
     else:
         verdict = "SUCCESS" if s_hat == target else "FAIL"
-    return GameResult(verdict, s_hat, transcript, detail)
+    return GameResult(verdict, s_hat, transcript, tau, detail)

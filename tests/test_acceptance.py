@@ -417,7 +417,7 @@ def test_criterion_10_property_suites(tmp_path, y1_problem, capsys):
         for rep in (jl.detect_sq(prob), jl.detect_csq(prob),
                     jl.detect_dlq(prob, get_loss("abs"))):
             for w in rep.witnesses.values():
-                again = prob.joint_expectation(w.t_label, w.t_coords, w.coords)
+                again = prob.joint_expectation(w.t_label, dict(zip(w.coords, w.tables)))
                 if abs(again - w.beta) > 1e-10:
                     rt_fail += 1
 

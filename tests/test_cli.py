@@ -793,3 +793,15 @@ class TestThreads:
         # OpenBLAS caps the variable at the cores it may use
         assert threads() == min(2, len(os.sched_getaffinity(0)))
         assert threads("--threads", "1") == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_config_error(self, tmp_path, monkeypatch, capsys, threads):
+        # such a value capped nothing; it is rejected before the environment is touched
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in variables:
+            monkeypatch.setenv(var, "2")
+        assert run_cli(["exponents", "--config", "y1.json", "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+        assert [os.environ[var] for var in variables] == ["2"] * 3
+        assert not (tmp_path / "out").exists()
+        out, err = capsys.readouterr()
+        assert out == "" and f"--threads must be an integer >= 1, got {threads}" in err

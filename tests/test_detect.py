@@ -168,7 +168,7 @@ class TestWitnesses:
             prob = random_problem(rng)
             for rep in (detect_sq(prob), detect_csq(prob), detect_dlq(prob, get_loss("abs"))):
                 for mask, w in rep.witnesses.items():
-                    again = prob.joint_expectation(w.t_label, w.t_coords, w.coords)
+                    again = prob.joint_expectation(w.t_label, dict(zip(w.coords, w.tables)))
                     assert again == pytest.approx(w.beta, abs=1e-10)
                     assert w.beta != 0.0
 
@@ -176,9 +176,24 @@ class TestWitnesses:
         rep = detect_csq(y1_problem)
         for w in rep.witnesses.values():
             norm = np.sqrt(y1_problem.mu_y @ np.asarray(w.t_label) ** 2)
-            for tab in w.t_coords.values():
+            for tab in w.tables:
                 norm *= np.sqrt(y1_problem.marginal.probs @ np.asarray(tab) ** 2)
             assert norm == pytest.approx(1.0, rel=1e-10)
+
+    def test_tables_are_read_only_rows_of_the_basis(self):
+        # a witness holds views of psi, in the order of its coordinates
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            prob = random_problem(rng)
+            basis = gram_schmidt(prob.marginal)
+            for rep in (detect_sq(prob, basis=basis), detect_csq(prob, basis=basis),
+                        detect_dlq(prob, get_loss("abs"), basis=basis)):
+                assert rep.witnesses, rep.model
+                for w in rep.witnesses.values():
+                    assert len(w.tables) == len(w.coords)
+                    for table in w.tables:
+                        assert not table.flags.writeable and np.shares_memory(table, basis.psi), rep.model
+                assert basis.psi.flags.writeable
 
     def test_beta_is_the_winning_score(self, monkeypatch):
         # beta comes from the scan that chose the witness, never from a second
@@ -231,8 +246,8 @@ class TestNullAtoms:
             assert exponents(got) == exponents(want)
             assert got.beta == pytest.approx(want.beta, rel=1e-15)
             for mask, w in got.witnesses.items():
-                for pos, table in w.t_coords.items():
-                    np.testing.assert_array_equal(table[:2], want.witnesses[mask].t_coords[pos])
+                for table, want_table in zip(w.tables, want.witnesses[mask].tables, strict=True):
+                    np.testing.assert_array_equal(table[:2], want_table)
                     assert table[2] == 0.0
 
 
@@ -308,9 +323,9 @@ def reference_scan(problem, t_rows=None, u_values=None):
         if scores[r, j] > DETECT_TOL:
             t_label = xi[:, j] / scores[0, j] if t_rows is None else t_rows[r] / norms[r]
             digits = np.unravel_index(j, (basis.size - 1,) * len(coords))
-            t_coords = {i: basis.psi[1 + d] for i, d in zip(coords, digits)}
-            out[mask].update(t_label=t_label, t_coords=t_coords, u=None if u_values is None else float(u_values[r]),
-                             beta=problem.joint_expectation(t_label, t_coords, coords))
+            tables = tuple(basis.psi[1 + d] for d in digits)
+            out[mask].update(t_label=t_label, tables=tables, u=None if u_values is None else float(u_values[r]),
+                             beta=problem.joint_expectation(t_label, dict(zip(coords, tables))))
     return out
 
 
@@ -325,13 +340,13 @@ def assert_matches_reference(problem, rep, ref):
     for mask in detected:
         w, want = rep.witnesses[mask], ref[mask]
         assert w.coords == coords_from_mask(mask)
-        again = problem.joint_expectation(w.t_label, w.t_coords, w.coords)
+        again = problem.joint_expectation(w.t_label, dict(zip(w.coords, w.tables)))
         assert w.beta == pytest.approx(again, rel=1e-12, abs=0), (rep.model, mask)
         assert abs(w.beta) == pytest.approx(abs(want["beta"]), rel=1e-12, abs=0)
         if want["score"] - want["runner_up"] > 1e-12 * want["score"]:
             assert w.u_value == want["u"], (rep.model, mask)
-            for i, table in want["t_coords"].items():
-                assert np.array_equal(w.t_coords[i], table), (rep.model, mask)
+            for table, want_table in zip(w.tables, want["tables"], strict=True):
+                assert np.array_equal(table, want_table), (rep.model, mask)
             np.testing.assert_allclose(w.t_label, want["t_label"], rtol=1e-12, atol=1e-15)
     if detected:
         assert abs(rep.beta) == pytest.approx(min(abs(ref[m]["beta"]) for m in detected), rel=1e-12)
@@ -379,7 +394,7 @@ class TestMomentTableDetection:
         cond = np.eye(len(labels))[[labels.index(v) for v in y]]
         prob = JuntaProblem(2, basis.marginal, labels, cond)
         w = detect_csq(prob, basis=basis).witnesses[0b11]
-        assert np.array_equal(w.t_coords[1], basis.psi[1]) and np.array_equal(w.t_coords[2], basis.psi[2])
+        assert np.array_equal(w.tables[0], basis.psi[1]) and np.array_equal(w.tables[1], basis.psi[2])
         # identical derivative rows of abs tie on the hypercube; the lowest grid point wins
         loss = get_loss("abs")
         labels = y1_problem.labels_numeric()

@@ -295,6 +295,20 @@ class TestLeanSgdStep:
         assert (err.value.step, err.value.what) == (1, "network value")
         assert str(err.value) == "non-finite network value at step 1"
 
+    def test_sgd_step_numbers_its_own_steps(self):
+        # an ensemble counts its steps, so a divergence in a direct call on a
+        # fresh one is step 1, as run_sgd numbers it
+        cfg = TrainConfig(loss=get_loss("squared"), eta=0.01)
+        x, y = np.ones((1, 6)), np.zeros(1)
+        ens = init_ensemble(6, 8, make_activation("poly:3"), seed=1, c_bar=0.1)
+        sgd_step(sgd_step(ens, x, y, cfg), x, y, cfg)
+        assert ens.k == 2
+        fresh = init_ensemble(6, 8, make_activation("poly:3"), seed=1, c_bar=0.1)
+        fresh.b[:] = 1e120
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            sgd_step(fresh, x, y, cfg)
+        assert (err.value.step, err.value.what, fresh.k) == (1, "network value", 0)
+
 
 class TestStreamedForward:
     def test_blocks_match_one_shot(self):

@@ -200,7 +200,7 @@ class TestRowLayout:
                 for i in u:
                     factor *= tables[i][symbols[i - 1]]
                 expected = float(factor @ (prob.cond @ t_label))
-                assert _same_bits(prob.joint_expectation(t_label, tables, u), expected), (prob.p, u)
+                assert _same_bits(prob.joint_expectation(t_label, {i: tables[i] for i in u}), expected), (prob.p, u)
 
     def test_moment_table_and_hypercube_tables(self):
         for prob in layout_corpus():
@@ -222,19 +222,19 @@ class TestJointExpectation:
         # y independent of z_1: zero-mean T_1 makes the expectation vanish
         m = uniform_hypercube_marginal()
         prob = JuntaProblem(1, m, [0.0, 1.0], [[0.3, 0.7], [0.3, 0.7]])
-        val = prob.joint_expectation([1.0, 1.0], {1: [1.0, -1.0]}, [1])
+        val = prob.joint_expectation([1.0, 1.0], {1: [1.0, -1.0]})
         assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_on_linear_junta(self):
         prob = expand_hypercube(1, {(1,): 1.0})
         t_label = np.asarray(prob.labels, dtype=float)
-        val = prob.joint_expectation(t_label, {1: [1.0, -1.0]}, [1])
+        val = prob.joint_expectation(t_label, {1: [1.0, -1.0]})
         assert val == pytest.approx(1.0)
 
     def test_y2_triple_coefficient(self, y2_problem):
         t_label = np.asarray(y2_problem.labels, dtype=float)
         tables = {i: [1.0, -1.0] for i in (1, 2, 3)}
-        val = y2_problem.joint_expectation(t_label, tables, [1, 2, 3])
+        val = y2_problem.joint_expectation(t_label, tables)
         # exhaustive sum over the 16 assignments gives the chi_{123} coefficient
         brute = 0.0
         for r in range(16):
@@ -250,10 +250,9 @@ class TestJointExpectation:
         t1 = rng.normal(size=prob.ny)
         t2 = rng.normal(size=prob.ny)
         tab = {i: rng.normal(size=prob.marginal.nx) for i in range(1, prob.p + 1)}
-        u = list(range(1, prob.p + 1))
         a, b = 0.7, -1.3
-        lhs = prob.joint_expectation(a * t1 + b * t2, tab, u)
-        rhs = a * prob.joint_expectation(t1, tab, u) + b * prob.joint_expectation(t2, tab, u)
+        lhs = prob.joint_expectation(a * t1 + b * t2, tab)
+        rhs = a * prob.joint_expectation(t1, tab) + b * prob.joint_expectation(t2, tab)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         # and in one coordinate table
         s1 = rng.normal(size=prob.marginal.nx)
@@ -261,18 +260,14 @@ class TestJointExpectation:
         tab1 = {**tab, 1: s1}
         tab2 = {**tab, 1: s2}
         tab12 = {**tab, 1: a * s1 + b * s2}
-        lhs = prob.joint_expectation(t1, tab12, u)
-        rhs = a * prob.joint_expectation(t1, tab1, u) + b * prob.joint_expectation(t1, tab2, u)
+        lhs = prob.joint_expectation(t1, tab12)
+        rhs = a * prob.joint_expectation(t1, tab1) + b * prob.joint_expectation(t1, tab2)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_rejects_missing_table(self, y1_problem):
-        with pytest.raises(ValueError):
-            y1_problem.joint_expectation(np.zeros(y1_problem.ny), {}, [1])
 
     @pytest.mark.parametrize("coord", [0, -1, 5])
     def test_rejects_a_coordinate_outside_the_support(self, y1_problem, coord):
         with pytest.raises(ValueError, match="outside"):
-            y1_problem.joint_expectation(np.ones(y1_problem.ny), {coord: [1.0, -1.0]}, [coord])
+            y1_problem.joint_expectation(np.ones(y1_problem.ny), {coord: [1.0, -1.0]})
 
 
 class TestExpandHypercube:

@@ -35,14 +35,14 @@ def p1_problem():
 
 def witness_query(witness, coords, scale=1.0):
     """The witness's query on one row of ambient coordinates."""
-    return Query([coords], tuple(witness.t_coords[pos] for pos in witness.coords), witness.t_label, scale)
+    return Query([coords], witness.tables, witness.t_label, scale)
 
 
 def assert_sound(result):
     """Every logged response of a game is within its oracle's tau times the
     query's null norm of the exact value."""
     for rec in result.transcript.records:
-        assert abs(rec["response"] - rec["exact"]) <= result.detail["tau"] * rec["norm"] + 1e-12, rec
+        assert abs(rec["response"] - rec["exact"]) <= result.tau * rec["norm"] + 1e-12, rec
 
 
 class TestQuery:
@@ -55,7 +55,7 @@ class TestQuery:
     def test_grouped_norm_exact_summation(self, p1_problem):
         rep = detect_csq(p1_problem)
         w = rep.witnesses[0b1]
-        table = w.t_coords[1]
+        table = w.tables[0]
         for n in (16, 2048):
             q = Query(np.arange(1, n + 1)[:, None], (table,), w.t_label, scale=1.0 / np.sqrt(n))
             # zero-mean tables on distinct coordinates: cross terms vanish,
@@ -116,11 +116,11 @@ class TestQuery:
         rep = detect_csq(p1_problem)
         w = rep.witnesses[0b1]
         with pytest.raises(ValueError):
-            Query([[2, 2]], (w.t_coords[1], w.t_coords[1]), w.t_label)
+            Query([[2, 2]], w.tables * 2, w.t_label)
 
     def test_rejects_terms_sharing_a_coordinate(self, p1_problem):
         w = detect_csq(p1_problem).witnesses[0b1]
-        t = w.t_coords[1]
+        t = w.tables[0]
         with pytest.raises(ValueError, match="across rows"):
             Query([[1, 2], [3, 1]], (t, t), w.t_label)
 
@@ -128,7 +128,7 @@ class TestQuery:
     def test_rejects_coords_that_are_not_rows_of_slots(self, p1_problem, coords):
         w = detect_csq(p1_problem).witnesses[0b1]
         with pytest.raises(ValueError):
-            Query(coords, (w.t_coords[1],), w.t_label)
+            Query(coords, w.tables, w.t_label)
 
 
 class TestHonestOracle:
@@ -170,7 +170,7 @@ class TestHonestOracle:
         oracle = HonestOracle(PlantedInstance(three_atom_problem, 40, (7, 3, 30)), tau=0.1)
         for mask in rep.system.sets:
             w = rep.witnesses[mask]
-            tables = tuple(w.t_coords[pos] + 0.25 for pos in w.coords)
+            tables = tuple(t + 0.25 for t in w.tables)
             rows = np.random.default_rng(mask).permutation(np.arange(1, 41))[: 9 * len(tables)]
             rows = rows.reshape(9, len(tables))
             total = 0.0
@@ -317,7 +317,7 @@ class TestAdversary:
         # adversary answers 0 forever and never prunes
         rep = detect_csq(y2_problem)
         w3 = rep.witnesses[0b0111]
-        table = w3.t_coords[1]
+        table = w3.tables[0]
         adv = AdversarialOracle(y2_problem, d=10, tau=rep.beta / 4)
         n0 = len(adv.survivors)
         rng = np.random.default_rng(0)
@@ -444,7 +444,7 @@ class TestPlayGame:
         inst = PlantedInstance(p1_problem, 256, (185,))
         result = play_game(inst, rep, learner="grouped", noise_mode="adversarial_sign")
         assert result.success
-        assert result.detail["tau"] == pytest.approx(0.25 / np.sqrt(256))
+        assert result.tau == pytest.approx(0.25 / np.sqrt(256))
 
     def test_honest_success_records_count(self, y1_problem):
         rep = detect_csq(y1_problem)
@@ -859,7 +859,7 @@ def pattern_value(problem, t_label, tables, assignment):
     expectation, which `JuntaProblem` computes by enumeration."""
     off = math.prod(problem.marginal.mean(tab) for slot, tab in enumerate(tables) if slot not in assignment)
     on = {pos: tables[slot] for slot, pos in assignment.items()}
-    return off * problem.joint_expectation(t_label, on, on.keys())
+    return off * problem.joint_expectation(t_label, on)
 
 
 class ReferenceAdversary:
@@ -921,7 +921,7 @@ class TestAdversaryPruning:
                 w = rep.witnesses[masks[rng.integers(len(masks))]]
                 coords = tuple(int(c) for c in rng.choice(np.arange(1, d + 1), len(w.coords), replace=False))
                 # witness tables, some shifted off zero mean so that slots differ
-                tables = tuple(w.t_coords[p] + rng.choice([0.0, 0.0, 0.5]) for p in w.coords)
+                tables = tuple(t + rng.choice([0.0, 0.0, 0.5]) for t in w.tables)
                 query = Query([coords], tables, w.t_label, float(rng.choice([1.0, -0.5, 3.0])))
                 got, want = adv.answer(query), ref.answer(query)
                 assert (got is None) == (want is None)

@@ -76,6 +76,33 @@ def test_readme_config_table_matches_the_cli():
         assert documented[entry][0] == required and documented[entry][1].startswith(kind), entry
 
 
+def test_readme_cli_lines_on_bundled_configs_pass_the_config_checks(monkeypatch, tmp_path):
+    """Each README CLI line whose --config is a bundled example passes every
+    key and kind check: `main` reaches its command, here a stub that does no
+    work, and exits 0."""
+    from importlib.resources import files
+
+    from juntaleap import cli
+
+    bundled = {path.name for path in files("juntaleap").joinpath("configs").iterdir()}
+    commands = README.read_text().split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in commands.splitlines()]
+    runs = [argv for argv in lines if argv[argv.index("--config") + 1] in bundled]
+    assert runs
+    reached = []
+
+    def stub(cfg, block, out_dir, seed):
+        reached.append(cfg)
+        return 0
+
+    for argv in runs:
+        _, *checks = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(cli._COMMANDS, argv[0], (stub, *checks))
+        argv[argv.index("--out") + 1] = str(tmp_path)
+        assert cli.main(argv) == 0, argv
+    assert len(reached) == len(runs)
+
+
 def test_every_trace_target_resolves():
     """perfbench/spans.py patches owner.__dict__[attr] for each target, so a
     renamed or moved function would fail every traced benchmark round. The
