@@ -181,28 +181,45 @@ class TrainConfig:
 # whole 2 MB per-core L2 cache, so the block is not sized to stay in cache; the
 # value is kept because another row split can move forward's last bits
 FORWARD_BLOCK_ENTRIES = 1 << 18
+# entries of one row chunk of a transient per-row array (64 KB): forward's
+# intp copy of symbol indices and label_averaged_risk's (rows, |Y|) arrays
+ROW_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass
 class StepBuffers:
-    """The (n, M) and (M, d) work arrays of one batch-SGD step at batch size n:
-    hidden pre-activations (then sigma of them), sigma' and the first-layer
-    gradient."""
+    """The work memory of one batch-SGD run at batch size n, as two flat
+    arrays. A step writes its (n, M) hidden pre-activations into `z`, then
+    sigma of them, then, once f and grad_a are taken, its (M, d) first-layer
+    gradient; it writes its (n, M) sigma' into `sp`. Between steps `forward`
+    takes its pre-activation block from `z` and its symbol-input block from
+    `sp`, so `rows` > 0 sizes them to hold a block of that many rows too."""
 
     z: np.ndarray
     sp: np.ndarray
-    grad_w: np.ndarray
 
     @classmethod
-    def empty(cls, n: int, m: int, d: int) -> "StepBuffers":
-        return cls(np.empty((n, m)), np.empty((n, m)), np.empty((m, d)))
+    def empty(cls, n: int, m: int, d: int, rows: int = 0) -> "StepBuffers":
+        return cls(np.empty(max(n, d, rows) * m), np.empty(max(n * m, rows * d)))
+
+
+def _lent(buf: StepBuffers | None, part: str, shape: tuple[int, int]) -> np.ndarray:
+    """A C-order array of `shape` over the start of the step buffer `part`
+    ("z" or "sp") when a run lends one large enough, and a fresh one
+    otherwise."""
+    flat = None if buf is None else getattr(buf, part)
+    size = shape[0] * shape[1]
+    if flat is None or flat.size < size:
+        return np.empty(shape)
+    return flat[:size].reshape(shape)
 
 
 @dataclass
 class ParticleEnsemble:
     """Finite-width parameters theta_j = (a_j, w_j, b_j, c_j) after k SGD
     steps; one training run owns and mutates one ensemble, and lends it its
-    step buffers for the run (`run_sgd`)."""
+    step buffers for the run (`run_sgd`), which its steps and its test
+    forward passes write into."""
 
     a: np.ndarray
     w: np.ndarray  # (M, d)
@@ -221,6 +238,11 @@ class ParticleEnsemble:
     def d(self) -> int:
         return self.w.shape[1]
 
+    @property
+    def block_rows(self) -> int:
+        """Rows of one forward block."""
+        return max(1, FORWARD_BLOCK_ENTRIES // self.m)
+
     def forward(self, x: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         """f(x) for a batch of inputs x of shape (n, d), evaluated in row blocks
         of at most FORWARD_BLOCK_ENTRIES hidden pre-activations; one block
@@ -228,19 +250,26 @@ class ParticleEnsemble:
 
         With `values`, x holds symbol indices into it (`Sampler.draw_symbols`),
         and each row block is expanded into one reused float block: the
-        blocks, and so the bits, are those of forward on the float inputs."""
+        blocks, and so the bits, are those of forward on the float inputs.
+        Both blocks come from the ensemble's step buffers when a run lends
+        them, and are allocated otherwise."""
         n = x.shape[0]
         out = np.empty(n)
-        rows = max(1, FORWARD_BLOCK_ENTRIES // self.m)
-        block = np.empty((min(rows, n), self.m))
-        inputs = None if values is None else np.empty((min(rows, n), self.d))
+        rows = self.block_rows
+        block = _lent(self.step_buffers, "z", (min(rows, n), self.m))
+        inputs = None if values is None else _lent(self.step_buffers, "sp", (min(rows, n), self.d))
+        # take converts each chunk of indices to intp first, a transient copy
+        chunk = max(1, ROW_CHUNK_ENTRIES // max(self.d, 1))
         c_sum = self.c.sum()
         for lo in range(0, n, rows):
             k = min(rows, n - lo)
             xb = x[lo : lo + k]
             if values is not None:
-                # mode="wrap" writes straight into out; "raise" would buffer
-                xb = np.take(values, xb, out=inputs[:k], mode="wrap")
+                for i in range(0, k, chunk):
+                    j = min(k, i + chunk)
+                    # mode="wrap" writes straight into out; "raise" would buffer
+                    np.take(values, xb[i:j], out=inputs[i:j], mode="wrap")
+                xb = inputs[:k]
             z = np.matmul(xb, self.w.T, out=block[:k])
             z += self.b
             out[lo : lo + k] = (self.activation.value(z) @ self.a + c_sum) / self.m
@@ -289,15 +318,15 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
 
     The step's (n, M) and (M, d) arrays are written into `ens.step_buffers`
     when the ensemble holds them (for this batch size), and allocated
-    otherwise."""
+    otherwise. In the buffers the first-layer gradient overwrites sigma(z),
+    which is dead once f and grad_a are taken."""
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    n = x.shape[0]
-    buf = StepBuffers.empty(n, ens.m, ens.d) if ens.step_buffers is None else ens.step_buffers
-    z = np.matmul(x, ens.w.T, out=buf.z)  # (n, M)
+    n, m, buf = x.shape[0], ens.m, ens.step_buffers
+    z = np.matmul(x, ens.w.T, out=_lent(buf, "z", (n, m)))
     z += ens.b
-    s, gsp = ens.activation.value_and_deriv(z, buf.sp)
-    f = (s @ ens.a + ens.c.sum()) / ens.m
+    s, gsp = ens.activation.value_and_deriv(z, _lent(buf, "sp", (n, m)))
+    f = (s @ ens.a + ens.c.sum()) / m
     if not np.all(np.isfinite(f)):
         raise DivergenceError(ens.k + 1, "network value")
     g = cfg.loss.deriv(f, np.asarray(y, dtype=float)) / n  # (n,)
@@ -306,10 +335,14 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     gsp *= ens.a
     gsp *= g[:, None]  # l'/n * a_j sigma'(z_ij), (n, M)
     grad_b = gsp.sum(axis=0)
+    grad_w = _lent(buf, "z", (m, ens.d))  # over s, read for the last time above
     # at n = 1 each entry is one product, exactly as the k = 1 matmul gives it;
     # at M = 512, d = 100 einsum takes 44-48 us, np.multiply.outer 65-78 us and
     # the matmul 103-110 us (best of 7 timeit repeats, 2-core VM, 2 BLAS threads)
-    grad_w = np.einsum("i,j->ij", gsp[0], x[0], out=buf.grad_w) if n == 1 else np.matmul(gsp.T, x, out=buf.grad_w)
+    if n == 1:
+        np.einsum("i,j->ij", gsp[0], x[0], out=grad_w)
+    else:
+        np.matmul(gsp.T, x, out=grad_w)
     grad_c = g.sum()
 
     eta = cfg.eta
@@ -630,10 +663,19 @@ def _table_risk(f: np.ndarray, tables, loss: LossSpec) -> float:
     return float(wz @ np.einsum("ry,ry->r", cond, lv))
 
 
-def label_averaged_risk(f: np.ndarray, cond: np.ndarray, labels: np.ndarray, loss: LossSpec) -> tuple[float, float]:
+def label_averaged_risk(
+    f: np.ndarray, rows: np.ndarray, cond: np.ndarray, labels: np.ndarray, loss: LossSpec
+) -> tuple[float, float]:
     """Mean over samples of E_{y|z}[loss(f, y)], with the label average taken
-    exactly from the samples' cond rows, and its standard error."""
-    per_sample = np.einsum("ny,ny->n", cond, loss.value(f[:, None], labels[None, :]))
+    exactly from row rows[i] of cond for sample i, and its standard error.
+    The per-sample risks are computed in row chunks, so no (n, |Y|) array is
+    held."""
+    per_sample = np.empty(f.size)
+    chunk = max(1, ROW_CHUNK_ENTRIES // labels.size)
+    for lo in range(0, f.size, chunk):
+        hi = min(f.size, lo + chunk)
+        lv = loss.value(f[lo:hi, None], labels[None, :])
+        np.einsum("ny,ny->n", cond[rows[lo:hi]], lv, out=per_sample[lo:hi])
     return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(per_sample.size))
 
 
@@ -710,28 +752,28 @@ def run_sgd(
     consumed in the sampler's internal support-first layout, making the whole
     trajectory invariant to ambient coordinate relabeling.
 
-    The test inputs are held as symbols (test_n * d bytes for |X| <= 256),
-    and the run lends the ensemble one set of step buffers for its batch
-    size, so a step maps no fresh pages."""
+    The test inputs are held as symbols (test_n * d bytes for |X| <= 256)
+    and the test labels as support-row indices. The run lends the ensemble
+    one set of step buffers for its batch size and one forward block, so a
+    step maps no fresh pages and an evaluation allocates no block."""
     sampler = instance.sampler(data_seed)
     test_sampler = instance.sampler(10**6)
     _, sym_test, rows_test = test_sampler.draw_symbols(test_n)
     problem = instance.problem
     values = problem.marginal.values
     labels = problem.labels_numeric()
-    cond_test = problem.cond[rows_test]
     history = []
 
     def evaluate(step):
         row = {"step": step, "t": step * cfg.eta}
         f = ens.forward(sym_test, values)
         for name, loss in eval_losses:
-            row[name], row[f"{name}_se"] = label_averaged_risk(f, cond_test, labels, loss)
+            row[name], row[f"{name}_se"] = label_averaged_risk(f, rows_test, problem.cond, labels, loss)
         history.append(row)
 
-    evaluate(0)
-    ens.step_buffers = StepBuffers.empty(cfg.batch, ens.m, ens.d)
+    ens.step_buffers = StepBuffers.empty(cfg.batch, ens.m, ens.d, min(ens.block_rows, test_n))
     try:
+        evaluate(0)
         for step in range(1, steps + 1):
             y, x, _ = sampler.draw_batch(cfg.batch)
             sgd_step(ens, x, y, cfg)

@@ -626,8 +626,10 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
 
     Assumes the witness correlation is carried by a single support coordinate
     (e.g. P = 1 plantings), the image of the witness's support position, and
-    returns that coordinate.
+    returns that coordinate. Only the honest oracle answers its sums.
     """
+    if not isinstance(oracle, HonestOracle):
+        raise ValueError("the grouped learner's sums need the honest oracle; the adversary answers single-term queries")
     witness = singleton_witness(report)
     beta = abs(witness.beta)
     table = witness.tables[0]
@@ -642,10 +644,7 @@ def run_grouped(oracle, d: int, report: DetectReport, *, budget=None):
         query = Query(coords[(np.arange(d) >> k) & 1 == 1], (table,), witness.t_label, scale)
         if not _room(transcript, 1):
             raise BudgetExceededError(transcript)
-        v = oracle.answer(query, transcript, threshold)
-        if v is None:
-            break
-        if abs(v) > threshold:
+        if abs(oracle.answer(query, transcript, threshold)) > threshold:
             index |= 1 << k
     return frozenset([index + 1]), transcript
 

@@ -310,6 +310,59 @@ class TestLeanSgdStep:
         assert (err.value.step, err.value.what, fresh.k) == (1, "network value", 0)
 
 
+def reference_run_sgd(inst, ens, cfg, steps, eval_every, test_n, losses, data_seed=0):
+    """run_sgd on the allocating path: sgd_step on an ensemble without lent
+    memory, forward on the float test inputs and the one-shot risk over the
+    test samples' cond rows."""
+    sampler = inst.sampler(data_seed)
+    _, symbols, rows = inst.sampler(10**6).draw_symbols(test_n)
+    x_test = inst.problem.marginal.values[symbols]
+    cond, labels = inst.problem.cond[rows], inst.problem.labels_numeric()
+    history = []
+
+    def evaluate(step):
+        row = {"step": step, "t": step * cfg.eta}
+        f = ens.forward(x_test)
+        for name, loss in losses:
+            per_sample = np.einsum("ny,ny->n", cond, loss.value(f[:, None], labels[None, :]))
+            row[name], row[f"{name}_se"] = float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(test_n))
+        history.append(row)
+
+    evaluate(0)
+    for step in range(1, steps + 1):
+        y, x, _ = sampler.draw_batch(cfg.batch)
+        sgd_step(ens, x, y, cfg)
+        if step % eval_every == 0 or step == steps:
+            evaluate(step)
+    return history
+
+
+class TestRunOwnedMemoryBits:
+    """run_sgd writes each step's first-layer gradient over sigma(z), and its
+    evaluations borrow the step buffers and take the risk in row chunks; its
+    history and final parameters are those of the allocating path, bit for
+    bit. test_n = 1100 is a multiple of neither the 256-row forward block
+    (M = 1024) nor the 512-row risk chunk (|Y| = 16), and at d = 100 each
+    block expands its symbols in four chunks."""
+
+    @pytest.mark.parametrize("spec", ["tanh:2:2", "poly:3"])
+    @pytest.mark.parametrize("batch", ["1", "d"])
+    def test_run_matches_the_allocating_path(self, spec, batch):
+        d, m, test_n, steps = 100, 1024, 1100, 6
+        n = 1 if batch == "1" else d
+        assert test_n % (dynamics.FORWARD_BLOCK_ENTRIES // m) and test_n % (dynamics.ROW_CHUNK_ENTRIES // 16)
+        inst = PlantedInstance(fig1_problem(), d, (3, 7, 11, 19))
+        ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.15, mu_w="normal")
+        ref = copy.deepcopy(ens)
+        cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=(0.05 if spec == "poly:3" else 0.5) / d, batch=n)
+        losses = [("mse", get_loss("squared")), ("train_risk", cfg.loss)]
+        run = run_sgd(inst, ens, cfg, steps, data_seed=2, eval_every=4, test_n=test_n, eval_losses=losses)
+        expected = reference_run_sgd(inst, ref, cfg, steps, 4, test_n, losses, data_seed=2)
+        assert run.history == expected and len(expected) == 3
+        for k in ("a", "w", "b", "c"):
+            np.testing.assert_array_equal(getattr(ens, k), getattr(ref, k))
+
+
 class TestStreamedForward:
     def test_blocks_match_one_shot(self):
         d, m = 10, 1024  # 1024 rows a block: 3 blocks, the last one partial
@@ -508,10 +561,10 @@ class TestRunOwnedBuffers:
     df_step at s > 0."""
 
     @staticmethod
-    def step_peaks(monkeypatch, name):
-        """Traced allocation peak of each call of dynamics.<name>, above what
+    def step_peaks(monkeypatch, name, owner=dynamics):
+        """Traced allocation peak of each call of owner.<name>, above what
         was allocated when it started."""
-        step = getattr(dynamics, name)
+        step = getattr(owner, name)
         peaks = []
 
         def measured(*args, **kwargs):
@@ -521,7 +574,7 @@ class TestRunOwnedBuffers:
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             return result
 
-        monkeypatch.setattr(dynamics, name, measured)
+        monkeypatch.setattr(owner, name, measured)
         return peaks
 
     def batch_d_step_peaks(self, monkeypatch, n=300, m=1024, d=300, spec="tanh:2:2"):
@@ -556,6 +609,28 @@ class TestRunOwnedBuffers:
         m, d = 1024, 300
         peaks, _ = self.batch_d_step_peaks(monkeypatch, m=m, d=d)
         assert max(peaks[1:]) < m * d, f"step peaks {peaks} B against one (M, d) boolean array of {m * d} B"
+
+    def test_evaluation_allocates_no_block_and_no_risk_table(self, monkeypatch):
+        """At the meanfield-batch shape forward once allocated its 2 MB
+        pre-activation block and its 614 KB input block at every evaluation,
+        and the risk held (test_n, |Y|) arrays, 1 MB each. Now forward borrows
+        the run's step buffers and the risk works in row chunks."""
+        d, m, n, test_n = 300, 1024, 300, 8000
+        inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4))
+        ens = init_ensemble(d, m, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
+        cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
+        forward_peaks = self.step_peaks(monkeypatch, "forward", ParticleEnsemble)
+        risk_peaks = self.step_peaks(monkeypatch, "label_averaged_risk")
+        losses = [("mse", get_loss("squared")), ("train_risk", cfg.loss)]
+        tracemalloc.start()
+        try:
+            run_sgd(inst, ens, cfg, steps=2, eval_every=1, test_n=test_n, eval_losses=losses)
+        finally:
+            tracemalloc.stop()
+        assert len(forward_peaks) == 3 and len(risk_peaks) == 6
+        assert max(forward_peaks) < 2**18, f"forward peaks {forward_peaks} B against an eighth of a block"
+        table = test_n * inst.problem.labels_numeric().size * 8
+        assert max(risk_peaks) < table, f"risk peaks {risk_peaks} B against one (test_n, |Y|) array of {table} B"
 
     def check_s_pos_step_peaks(self, monkeypatch, problem, act):
         """Each step of a 3-step run_df at s0 = 0.5 after the first peaks below one (N, R, K) block."""

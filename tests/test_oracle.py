@@ -480,6 +480,13 @@ class TestPlayGame:
         with pytest.raises(ValueError, match="single-term"):
             play_game(inst, detect_csq(p1_problem), learner="grouped", oracle_kind="adversarial")
 
+    def test_direct_grouped_call_against_the_adversary_raises(self, p1_problem):
+        # at d = 3 the grouped queries have one row each, so the adversary
+        # could answer them; the learner refuses before its first query
+        inst = PlantedInstance(p1_problem, 3, (3,))
+        with pytest.raises(ValueError, match="honest oracle"):
+            run_grouped(AdversarialOracle(p1_problem, inst.d, 0.1), inst.d, detect_csq(p1_problem))
+
     @pytest.mark.parametrize("noise_mode", ["uniform", "adversarial_sign"])
     def test_noise_against_the_adversary_rejected(self, y2_problem, noise_mode):
         inst = PlantedInstance(y2_problem, 8, (1, 2, 3, 4))
