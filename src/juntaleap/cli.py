@@ -395,8 +395,8 @@ def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     problem = _checked("hard instance construction failed", build)
     report = {"problem": problem.to_dict()}
     report["sq_detects_singleton"] = bool(problem.p and detect(problem, "SQ").system.sets)
-    report["dlq_detects_singleton"] = {lname: bool(detect(problem, "DLQ", _loss_from_spec(lname)).system.sets)
-                                       for lname in block.get("losses", ["squared"])}
+    losses = [_loss_from_spec(spec) for spec in block.get("losses", ["squared"])]
+    report["dlq_detects_singleton"] = {loss.name: bool(detect(problem, "DLQ", loss).system.sets) for loss in losses}
     _write_json(report, out_dir, "hard_instance.json")
     print(json.dumps({k: v for k, v in report.items() if k != "problem"}, indent=2, sort_keys=True))
     return 0

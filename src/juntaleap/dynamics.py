@@ -19,7 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .junta import JuntaProblem, PlantedInstance
+from . import junta
+from .junta import JuntaProblem, PlantedInstance, take_values
 from .losses import LossSpec, squared
 from .setsystem import greedy_closure
 
@@ -181,9 +182,6 @@ class TrainConfig:
 # whole 2 MB per-core L2 cache, so the block is not sized to stay in cache; the
 # value is kept because another row split can move forward's last bits
 FORWARD_BLOCK_ENTRIES = 1 << 18
-# entries of one row chunk of a transient per-row array (64 KB): forward's
-# intp copy of symbol indices and label_averaged_risk's (rows, |Y|) arrays
-ROW_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass
@@ -258,18 +256,12 @@ class ParticleEnsemble:
         rows = self.block_rows
         block = _lent(self.step_buffers, "z", (min(rows, n), self.m))
         inputs = None if values is None else _lent(self.step_buffers, "sp", (min(rows, n), self.d))
-        # take converts each chunk of indices to intp first, a transient copy
-        chunk = max(1, ROW_CHUNK_ENTRIES // max(self.d, 1))
         c_sum = self.c.sum()
         for lo in range(0, n, rows):
             k = min(rows, n - lo)
             xb = x[lo : lo + k]
             if values is not None:
-                for i in range(0, k, chunk):
-                    j = min(k, i + chunk)
-                    # mode="wrap" writes straight into out; "raise" would buffer
-                    np.take(values, xb[i:j], out=inputs[i:j], mode="wrap")
-                xb = inputs[:k]
+                xb = take_values(values, xb, inputs[:k])
             z = np.matmul(xb, self.w.T, out=block[:k])
             z += self.b
             out[lo : lo + k] = (self.activation.value(z) @ self.a + c_sum) / self.m
@@ -671,7 +663,7 @@ def label_averaged_risk(
     The per-sample risks are computed in row chunks, so no (n, |Y|) array is
     held."""
     per_sample = np.empty(f.size)
-    chunk = max(1, ROW_CHUNK_ENTRIES // labels.size)
+    chunk = max(1, junta.ROW_CHUNK_ENTRIES // labels.size)
     for lo in range(0, f.size, chunk):
         hi = min(f.size, lo + chunk)
         lv = loss.value(f[lo:hi, None], labels[None, :])
@@ -753,12 +745,12 @@ def run_sgd(
     trajectory invariant to ambient coordinate relabeling.
 
     The test inputs are held as symbols (test_n * d bytes for |X| <= 256)
-    and the test labels as support-row indices. The run lends the ensemble
+    and their support-row indices; no test label is drawn, since the risk
+    averages over y given z from the rows. The run lends the ensemble
     one set of step buffers for its batch size and one forward block, so a
     step maps no fresh pages and an evaluation allocates no block."""
     sampler = instance.sampler(data_seed)
-    test_sampler = instance.sampler(10**6)
-    _, sym_test, rows_test = test_sampler.draw_symbols(test_n)
+    sym_test, rows_test = instance.sampler(10**6).draw_symbols(test_n)
     problem = instance.problem
     values = problem.marginal.values
     labels = problem.labels_numeric()

@@ -22,8 +22,19 @@ import numpy as np
 # |X|^P cap on a problem's table: a problem at the cap holds cond and the row weights, 8 * (|Y| + 1) * 10^7 B
 MAX_TABLE_ROWS = 10**7
 _PROB_TOL = 1e-12
-# entries of one row chunk of int64 symbols in Sampler.draw_symbols and draw_batch (512 KB)
-DRAW_CHUNK_ENTRIES = 1 << 16
+# entries of one row chunk of a transient per-row array (64 KB at 8 B an entry): draw_symbols' int64 draws,
+# take_values' intp copy of the indices and dynamics.label_averaged_risk's (rows, |Y|) arrays all read this name
+ROW_CHUNK_ENTRIES = 1 << 13
+
+
+def take_values(values: np.ndarray, symbols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = values[symbols[i, j]] for an (n, w) array of symbol
+    indices, in row chunks, since take first converts its indices to intp."""
+    chunk = max(1, ROW_CHUNK_ENTRIES // max(symbols.shape[1], 1))
+    for lo in range(0, symbols.shape[0], chunk):
+        # mode="wrap" writes straight into out; "raise" would buffer
+        np.take(values, symbols[lo : lo + chunk], out=out[lo : lo + chunk], mode="wrap")
+    return out
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -335,41 +346,36 @@ class Sampler:
         probs = prob.marginal.probs
         self._uniform = bool(np.all(probs == probs[0]))
 
-    def draw_symbols(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n i.i.d. draws as (y, symbols, support row index): symbols[i, j] is
+    def draw_symbols(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n i.i.d. inputs as (symbols, support row index): symbols[i, j] is
         the index into marginal.values of x[i, j] in the internal layout, of
         the smallest unsigned dtype that holds nx - 1.
 
-        The stream is read in a fixed order: the support symbols, the
-        off-support symbols in row chunks, then the label uniforms. Both
-        generators fill a C-order array from the stream in sequence, so the
-        chunks are the same bits as one (n, d - P) draw."""
+        The stream is read in a fixed order: the support symbols, then the
+        off-support symbols in row chunks. Both generators fill a C-order
+        array from the stream in sequence, so the chunks are the same bits as
+        one (n, d - P) draw."""
         inst = self.instance
         prob = inst.problem
         symbols = np.empty((n, inst.d), dtype=np.min_scalar_type(prob.marginal.nx - 1))
         sym_support = self._symbols((n, prob.p))
         symbols[:, : prob.p] = sym_support
         width = inst.d - prob.p
-        chunk = max(1, DRAW_CHUNK_ENTRIES // max(width, 1))
+        chunk = max(1, ROW_CHUNK_ENTRIES // max(width, 1))
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             symbols[lo:hi, prob.p :] = self._symbols((hi - lo, width))
-        rows = prob.row_index(sym_support)
-        u = self.rng.random(n)
-        y_idx = (self._cdf[rows] < u[:, None]).sum(axis=1)
-        return self._labels[y_idx], symbols, rows
+        return symbols, prob.row_index(sym_support)
 
     def draw_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n i.i.d. draws as (y, x, support row index), x in the internal layout:
-        draw_symbols with each symbol replaced by its value. The values are
-        taken in row chunks, since take first converts its indices to intp."""
-        y, symbols, rows = self.draw_symbols(n)
-        values = self.instance.problem.marginal.values
-        x = np.empty(symbols.shape)
-        chunk = max(1, DRAW_CHUNK_ENTRIES // max(self.instance.d, 1))
-        for lo in range(0, n, chunk):
-            np.take(values, symbols[lo : lo + chunk], out=x[lo : lo + chunk], mode="wrap")
-        return y, x, rows
+        draw_symbols, then one label uniform per draw, with each symbol
+        replaced by its value."""
+        symbols, rows = self.draw_symbols(n)
+        u = self.rng.random(n)
+        y_idx = (self._cdf[rows] < u[:, None]).sum(axis=1)
+        x = take_values(self.instance.problem.marginal.values, symbols, np.empty(symbols.shape))
+        return self._labels[y_idx], x, rows
 
     def _symbols(self, shape: tuple[int, int]) -> np.ndarray:
         """Symbol indices of the marginal drawn i.i.d. into an array of shape."""

@@ -336,8 +336,9 @@ class AdversarialOracle(_BlockOracle):
     contradicts; concedes (answers None) otherwise.
 
     A valid (not necessarily optimal) adversary for single-term structured
-    queries. The surviving plantings are the rows of an `(n, P)` array, in
-    itertools.permutations order, so `check_adversary_size` bounds d and P.
+    queries. The surviving plantings are the rows of the `(n, P)` array
+    `plantings`, in itertools.permutations order, so `check_adversary_size`
+    bounds d and P.
     """
 
     MAX_PLANTINGS = 1 << 20  # rows of the plantings array, 32 MiB as int64 at P = 4
@@ -351,25 +352,19 @@ class AdversarialOracle(_BlockOracle):
         self.problem = problem
         self.d = d
         self.tau = tau
-        self._plantings = _ordered_tuples(range(1, d + 1), problem.p)
+        self.plantings = _ordered_tuples(range(1, d + 1), problem.p)
         self.conceded = False
 
-    @property
-    def survivors(self) -> set[tuple[int, ...]]:
-        return set(map(tuple, self._plantings.tolist()))
-
     def null_value(self, query: Query) -> float:
-        """E_{D0}[phi]: on each row, E[T(y)] times the slot means in slot
-        order (stopping at 0.0), summed over the rows in row order."""
+        """E_{D0}[phi] of a one-row query: E[T(y)] times the slot means in
+        slot order (stopping at 0.0)."""
         prod = self.problem.label_expectation(query.t_label)
         for tab in query.tables:
             prod *= self.problem.marginal.mean(tab)
             if prod == 0.0:
                 break
-        total = 0.0
-        for _ in range(len(query.coords)):
-            total += prod
-        return query.scale * total
+        # 0.0 + turns a -0.0 product into 0.0, which transcripts write as 0.0
+        return query.scale * (0.0 + prod)
 
     def answer(self, query: Query, transcript: Transcript | None = None, threshold: float | None = None):
         """The null value, or None on a concession; logged as
@@ -406,7 +401,7 @@ class AdversarialOracle(_BlockOracle):
         hits: list[int] = []
         for i, row in enumerate(coords.tolist()):
             slot_of[row] = np.arange(1, k + 1)
-            codes = slot_of[self._plantings] @ weights
+            codes = slot_of[self.plantings] @ weights
             slot_of[row] = 0
             present = np.flatnonzero(np.bincount(codes))
             for code in present[~known[present]].tolist():
@@ -423,7 +418,7 @@ class AdversarialOracle(_BlockOracle):
                 transcript.log([row], query.scale, None, norm)
                 return hits, True
             if kept < len(prune):
-                self._plantings = self._plantings.compress(~prune, axis=0)
+                self.plantings = self.plantings.compress(~prune, axis=0)
             transcript.log([row], query.scale, null, norm, accepted=accepted)
             if accepted:
                 hits.append(i)
@@ -710,11 +705,11 @@ def play_game(
         return GameResult("FAIL(budget)", frozenset(), exc.transcript, tau, detail)
 
     if oracle_kind == "adversarial":
-        # against the adversary there is no single planted truth; the learner
-        # wins only if every surviving planting has the support it output
-        survivors = oracle.survivors
-        detail["survivors"] = len(survivors)
-        ok = bool(survivors) and all(frozenset(s) == s_hat for s in survivors)
+        # no single planted truth: the learner wins only if every surviving planting has the support it
+        # output, that is, as its P coordinates are distinct, if s_hat has P coordinates and holds every entry
+        plantings = oracle.plantings
+        detail["survivors"] = len(plantings)
+        ok = len(plantings) > 0 and len(s_hat) == plantings.shape[1] and np.isin(plantings, list(s_hat)).all()
         verdict = "SUCCESS" if ok else "FAIL"
     else:
         verdict = "SUCCESS" if s_hat == target else "FAIL"

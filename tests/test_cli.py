@@ -631,6 +631,22 @@ class TestHardInstance:
         assert rep["dlq_detects_singleton"]["squared"] is False
         assert rep["dlq_detects_singleton"]["abs"] is True
 
+    def test_dict_loss_spec_is_keyed_by_its_name(self, tmp_path):
+        losses = ["abs", {"name": "custom_polynomial", "coeffs": [0, 0, 1]}]
+        cfg = write_config(tmp_path, "h.json", {"hard_instance": dict(HARD_INSTANCE, losses=losses)})
+        assert run_cli(["hard-instance", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "hard_instance.json").read_text())
+        # (u - y)^2 is the squared loss, which misses the singleton
+        assert rep["dlq_detects_singleton"] == {"abs": True, "custom_polynomial[diff]": False}
+
+    def test_dict_loss_spec_with_an_unknown_parameter_exits_2(self, tmp_path, capsys):
+        losses = ["abs", {"name": "custom_polynomial", "coeffs": [0, 0, 1], "degree": 2}]
+        cfg = write_config(tmp_path, "h.json", {"hard_instance": dict(HARD_INSTANCE, losses=losses)})
+        out = tmp_path / "out"
+        assert run_cli(["hard-instance", "--config", cfg, "--out", str(out)]) == 2
+        assert "bad loss spec" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):

@@ -23,7 +23,7 @@ from juntaleap import (
     smallest_eigenvalue,
     support_alignment,
 )
-from juntaleap import dynamics
+from juntaleap import dynamics, junta
 from juntaleap.dynamics import (
     DFState,
     DivergenceError,
@@ -315,7 +315,7 @@ def reference_run_sgd(inst, ens, cfg, steps, eval_every, test_n, losses, data_se
     memory, forward on the float test inputs and the one-shot risk over the
     test samples' cond rows."""
     sampler = inst.sampler(data_seed)
-    _, symbols, rows = inst.sampler(10**6).draw_symbols(test_n)
+    symbols, rows = inst.sampler(10**6).draw_symbols(test_n)
     x_test = inst.problem.marginal.values[symbols]
     cond, labels = inst.problem.cond[rows], inst.problem.labels_numeric()
     history = []
@@ -350,7 +350,7 @@ class TestRunOwnedMemoryBits:
     def test_run_matches_the_allocating_path(self, spec, batch):
         d, m, test_n, steps = 100, 1024, 1100, 6
         n = 1 if batch == "1" else d
-        assert test_n % (dynamics.FORWARD_BLOCK_ENTRIES // m) and test_n % (dynamics.ROW_CHUNK_ENTRIES // 16)
+        assert test_n % (dynamics.FORWARD_BLOCK_ENTRIES // m) and test_n % (junta.ROW_CHUNK_ENTRIES // 16)
         inst = PlantedInstance(fig1_problem(), d, (3, 7, 11, 19))
         ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.15, mu_w="normal")
         ref = copy.deepcopy(ens)

@@ -420,10 +420,11 @@ class TestSampling:
             prob = JuntaProblem(1, mx, [0.0, 1.0], [[0.4, 0.6], [0.9, 0.1]])
             inst = PlantedInstance(prob, 5, (2,))
             sampler = inst.sampler(3)
-            y, symbols, rows = sampler.draw_symbols(0)
+            symbols, rows = sampler.draw_symbols(0)
+            y, _, _ = sampler.draw_batch(0)
             assert y.shape == (0,) and symbols.shape == (0, 5) and rows.shape == (0,)
             assert symbols.dtype == np.uint8 and rows.dtype == np.int64
-            for got, want in zip(sampler.draw_symbols(6), inst.sampler(3).draw_symbols(6)):
+            for got, want in zip(sampler.draw_batch(6), inst.sampler(3).draw_batch(6)):
                 np.testing.assert_array_equal(got, want)
 
     def test_noiseless_consistency(self, y1_problem):
@@ -488,9 +489,9 @@ class TestSampling:
             PlantedInstance(prob, 3, (2,)).sampler(0)
 
 
-def reference_draw(problem, d, n, rng):
-    """draw_batch as one unchunked draw: support symbols, all off-support
-    symbols in one (n, d - P) array, then the label uniforms."""
+def reference_symbols(problem, d, n, rng):
+    """draw_symbols as one unchunked draw: the support symbols, then all
+    off-support symbols in one (n, d - P) array."""
     m = problem.marginal
     if np.all(m.probs == m.probs[0]):
         support = rng.integers(0, m.nx, size=(n, problem.p))
@@ -498,10 +499,16 @@ def reference_draw(problem, d, n, rng):
     else:
         support = rng.choice(m.nx, size=(n, problem.p), p=m.probs)
         rest = rng.choice(m.nx, size=(n, d - problem.p), p=m.probs)
-    rows = problem.row_index(support)
+    return np.hstack([support, rest]).astype(np.uint8), problem.row_index(support)
+
+
+def reference_draw(problem, d, n, rng):
+    """draw_batch as one unchunked draw: reference_symbols, then the label
+    uniforms."""
+    symbols, rows = reference_symbols(problem, d, n, rng)
     u = rng.random(n)
     y_idx = (np.cumsum(problem.cond, axis=1)[rows] < u[:, None]).sum(axis=1)
-    return np.asarray(problem.labels)[y_idx], np.hstack([m.values[support], m.values[rest]]), rows
+    return np.asarray(problem.labels)[y_idx], problem.marginal.values[symbols], rows
 
 
 def _two_coordinate_problem(values, probs, seed=0):
@@ -520,37 +527,51 @@ class TestChunkedDraws:
         "skewed3": ([-1.0, 0.5, 3.0], [0.2, 0.5, 0.3]),
     }
 
-    def check_draws(self, draw, marginal, chunk_rows, n, monkeypatch):
+    def check_draws(self, draw, reference, marginal, chunk_rows, n, monkeypatch):
         d = 40
         if chunk_rows is not None:
-            monkeypatch.setattr(junta, "DRAW_CHUNK_ENTRIES", chunk_rows * (d - 2))
+            monkeypatch.setattr(junta, "ROW_CHUNK_ENTRIES", chunk_rows * (d - 2))
         prob = _two_coordinate_problem(*self.MARGINALS[marginal])
         sampler = PlantedInstance(prob, d, (5, 2)).sampler(9)
         rng = np.random.default_rng(9)
-        for size in (n, 3):  # the batch after it reads the stream where the first left it
-            got, want = draw(sampler, prob, size), reference_draw(prob, d, size, rng)
+        for size in (n, 3):  # the draw after it reads the stream where the first left it
+            got, want = draw(sampler, size), reference(prob, d, size, rng)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
 
-    # the default chunk holds 1724 rows of 38 off-support symbols: n = 5 is
+    # the default chunk holds 215 rows of 38 off-support symbols: n = 5 is
     # below one chunk and n = 5000 above two, ending in a partial chunk
     @pytest.mark.parametrize("marginal", sorted(MARGINALS))
     @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
     @pytest.mark.parametrize("n", [5, 5000])
     def test_matches_one_unchunked_draw(self, marginal, chunk_rows, n, monkeypatch):
-        self.check_draws(lambda sampler, _, size: sampler.draw_batch(size), marginal, chunk_rows, n, monkeypatch)
+        self.check_draws(junta.Sampler.draw_batch, reference_draw, marginal, chunk_rows, n, monkeypatch)
 
     @pytest.mark.parametrize("marginal", sorted(MARGINALS))
     @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
     @pytest.mark.parametrize("n", [5, 5000])
     def test_symbols_match_one_unchunked_draw(self, marginal, chunk_rows, n, monkeypatch):
-        def expanded(sampler, prob, size):
-            y, symbols, rows = sampler.draw_symbols(size)
+        def symbols(sampler, size):
+            symbols, rows = sampler.draw_symbols(size)
             assert symbols.dtype == np.uint8 and symbols.shape == (size, 40)
-            return y, prob.marginal.values[symbols], rows
+            return symbols, rows
 
-        self.check_draws(expanded, marginal, chunk_rows, n, monkeypatch)
+        self.check_draws(symbols, reference_symbols, marginal, chunk_rows, n, monkeypatch)
+
+    def test_symbol_draw_holds_little_beyond_its_output(self):
+        """At n = 8000, d = 300 the draw once drew a label for every input too,
+        and held their (n, |Y|) cdf rows, 1.48 MB above what it returned."""
+        sampler = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4)).sampler(7)
+        sampler.draw_symbols(1)
+        tracemalloc.start()
+        try:
+            symbols, rows = sampler.draw_symbols(8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = symbols.nbytes + rows.nbytes
+        assert peak - held <= 0.5e6, f"traced peak {peak} B for {held} B returned"
 
     def test_peak_memory_is_about_the_inputs(self):
         """At n = 8000, d = 300 the draw once held its int64 symbols, their

@@ -38,6 +38,11 @@ def witness_query(witness, coords, scale=1.0):
     return Query([coords], witness.tables, witness.t_label, scale)
 
 
+def survivors(adv):
+    """The adversary's surviving plantings as a set of tuples."""
+    return set(map(tuple, adv.plantings.tolist()))
+
+
 def assert_sound(result):
     """Every logged response of a game is within its oracle's tau times the
     query's null norm of the exact value."""
@@ -307,10 +312,10 @@ class TestAdversary:
     def test_null_answer_no_pruning_under_large_tau(self, y2_problem):
         rep = detect_csq(y2_problem)
         adv = AdversarialOracle(y2_problem, d=8, tau=100.0)
-        n0 = len(adv.survivors)
+        n0 = len(adv.plantings)
         q = witness_query(rep.witnesses[0b0111], (1, 2, 3))
         assert adv.answer(q) == pytest.approx(0.0)
-        assert len(adv.survivors) == n0
+        assert len(adv.plantings) == n0
 
     def test_y2_singletons_and_pairs_carry_no_signal(self, y2_problem):
         # every singleton/pair CSQ expectation is exactly 0 for y2, so the
@@ -319,7 +324,7 @@ class TestAdversary:
         w3 = rep.witnesses[0b0111]
         table = w3.tables[0]
         adv = AdversarialOracle(y2_problem, d=10, tau=rep.beta / 4)
-        n0 = len(adv.survivors)
+        n0 = len(adv.plantings)
         rng = np.random.default_rng(0)
         for _ in range(60):
             k = int(rng.integers(1, 3))
@@ -327,7 +332,7 @@ class TestAdversary:
             q = Query([coords], (table,) * k, w3.t_label)
             v = adv.answer(q)
             assert v == pytest.approx(0.0)
-        assert len(adv.survivors) == n0
+        assert len(adv.plantings) == n0
 
     def test_exhaustive_triples_prune_to_truth(self, y2_problem):
         # size-3 CSQ witness queries over all ordered triples: the adversary
@@ -346,7 +351,7 @@ class TestAdversary:
                 break
         # with d slightly above P the adversary cannot keep two plantings alive
         # against the full sweep of triples
-        assert seen_fail or len(adv.survivors) < 7 * 6 * 5 * 4
+        assert seen_fail or len(adv.plantings) < 7 * 6 * 5 * 4
 
     def test_concession_is_none_and_logged_as_null(self, y2_problem):
         rep = detect_csq(y2_problem)
@@ -376,7 +381,7 @@ class TestAdversary:
     def test_scale_guard(self, y2_problem, monkeypatch):
         # at most 2^20 rows of plantings, d!/(d - P)!: y2 up to d = 33
         assert math.perm(33, 4) <= AdversarialOracle.MAX_PLANTINGS < math.perm(34, 4)
-        assert len(AdversarialOracle(y2_problem, d=20, tau=0.1).survivors) == math.perm(20, 4)
+        assert len(AdversarialOracle(y2_problem, d=20, tau=0.1).plantings) == math.perm(20, 4)
         p5_problem = expand_hypercube(5, {(1, 2, 3, 4, 5): 1.0})
         # the bound is checked before the plantings are enumerated
         monkeypatch.setattr("juntaleap.oracle._ordered_tuples", lambda pool, k: pytest.fail("enumerated"))
@@ -504,6 +509,46 @@ class TestPlayGame:
         inst = PlantedInstance(p1_problem, 8, (3,))
         with pytest.raises(ValueError, match="max_tuple"):
             play_game(inst, detect_csq(p1_problem), learner=learner, max_tuple=1)
+
+    def test_adversary_game_holds_little_beyond_its_plantings(self, y2_problem):
+        # y2 with max_tuple 2 asks no query, so the game is its plantings and
+        # their grading; a set of their tuples took 7.4 times the array
+        inst = PlantedInstance(y2_problem, 20, (1, 2, 3, 4))
+        rep = detect_csq(y2_problem)
+        tracemalloc.start()
+        try:
+            result = play_game(inst, rep, oracle_kind="adversarial", max_tuple=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plantings_bytes = math.perm(20, 4) * 4 * np.dtype(np.int64).itemsize
+        assert result.verdict == "FAIL" and result.detail["survivors"] == math.perm(20, 4)
+        assert peak < 4 * plantings_bytes, f"traced peak {peak} B for {plantings_bytes} B of plantings"
+
+    def test_adversary_verdict_is_graded_from_the_plantings(self, y2_problem, monkeypatch):
+        # no adversary game reaches SUCCESS, so the learner is replaced by one
+        # that leaves the given plantings on the oracle and outputs s_hat
+        inst = PlantedInstance(y2_problem, 10, (1, 2, 3, 4))
+        rep = detect_csq(y2_problem)
+        support = (2, 5, 7, 9)
+        perms = np.array(list(itertools.permutations(support)))
+
+        def verdict(plantings, s_hat):
+            def learner(oracle, d, report, budget=None, max_tuple=None):
+                oracle.plantings = np.asarray(plantings, dtype=np.int64).reshape(-1, 4)
+                return frozenset(s_hat), Transcript()
+
+            monkeypatch.setattr("juntaleap.oracle.run_adaptive", learner)
+            result = play_game(inst, rep, oracle_kind="adversarial")
+            assert result.detail["survivors"] == len(plantings)
+            return result.verdict
+
+        assert verdict(perms, support) == "SUCCESS"
+        assert verdict(perms[::7], support) == "SUCCESS"
+        assert verdict(np.vstack([perms, [[2, 5, 7, 10]]]), support) == "FAIL"
+        assert verdict(np.empty((0, 4)), support) == "FAIL"
+        assert verdict(perms, support + (10,)) == "FAIL"
+        assert verdict(perms, support[:3]) == "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +711,7 @@ class TestBlockAnswers:
                 break
         assert conceded and v is None
         assert transcript.records == ref.records
-        assert block_adv.survivors == ref_adv.survivors
+        assert survivors(block_adv) == survivors(ref_adv)
 
     def test_adversary_block_budget_matches_charged_loop(self, y2_problem):
         rep = detect_csq(y2_problem)
@@ -701,7 +746,7 @@ class TestBlockAnswers:
             assert raised == ref_raised == (budget < concession)
             assert transcript.n_queries == ref.n_queries == min(budget, concession)
             assert transcript.records == ref.records
-            assert block_adv.survivors == ref_adv.survivors
+            assert survivors(block_adv) == survivors(ref_adv)
             assert block_adv.conceded == ref_adv.conceded == (budget >= concession)
 
 
@@ -932,7 +977,7 @@ class TestAdversaryPruning:
                 query = Query([coords], tables, w.t_label, float(rng.choice([1.0, -0.5, 3.0])))
                 got, want = adv.answer(query), ref.answer(query)
                 assert (got is None) == (want is None)
-                assert adv.survivors == ref.survivors
+                assert survivors(adv) == ref.survivors
                 sizes.append(len(ref.survivors))
                 if got is None:
                     break
