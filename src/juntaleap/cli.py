@@ -139,18 +139,28 @@ def _write_csv(rows: list[dict], out_dir: Path, name: str) -> Path:
     return path
 
 
-def _detect(problem, model, loss=None, u_grid=None, **kw):
-    """detect.detect for a config's query model: "SQ", "CSQ", or "DLQ" with a
-    loss spec; `kw` may pass a tol and a prebuilt basis and table."""
-    from .detect import detect
-
+def _query_model(model, loss=None):
+    """A config's query model, "SQ", "CSQ", or "DLQ" with a loss spec, as
+    (model, LossSpec or None)."""
     if model not in ("SQ", "CSQ", "DLQ"):
         raise ConfigError(f"unknown query model {model!r}")
-    if model != "DLQ":
-        return detect(problem, model, **kw)
-    if loss is None:
+    if model == "DLQ" and loss is None:
         raise ConfigError("query model DLQ needs a loss")
-    return detect(problem, model, _loss_from_spec(loss), u_grid=u_grid, **kw)
+    return model, _loss_from_spec(loss) if model == "DLQ" else None
+
+
+def _detect(problem, model, loss=None, u_grid=None, **kw):
+    """detect.detect for a _query_model pair; `kw` may pass a tol, a basis and a table."""
+    from .detect import detect
+
+    return detect(problem, model, **kw) if loss is None else detect(problem, model, loss, u_grid=u_grid, **kw)
+
+
+def _distinct(names: list, what: str) -> None:
+    """Two requested reports under one name would leave only one of them."""
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"two {what} give the report name {repeated!r}")
 
 
 def _detect_reports(cfg, block):
@@ -162,15 +172,14 @@ def _detect_reports(cfg, block):
 
     params = _given(block, "tol", "u_grid")
     _checked("bad detection parameters", check_detect_params, **params)
+    models = [_query_model("DLQ", m["DLQ"]) if isinstance(m, dict) and "DLQ" in m else _query_model(m)
+              for m in block.get("models", ["CSQ", "SQ"])]
+    # the names detect gives its reports
+    _distinct([model if loss is None else f"DLQ[{loss.name}]" for model, loss in models], "models")
     problem = _problem_from_config(cfg)
     basis = gram_schmidt(problem.marginal)
     table = moment_table(problem, basis)
-    reports = []
-    for model in block.get("models", ["CSQ", "SQ"]):
-        loss = None
-        if isinstance(model, dict) and "DLQ" in model:
-            model, loss = "DLQ", model["DLQ"]
-        reports.append(_detect(problem, model, loss, basis=basis, table=table, **params))
+    reports = [_detect(problem, model, loss, basis=basis, table=table, **params) for model, loss in models]
     return problem, reports, table
 
 
@@ -239,7 +248,7 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
         _checked("bad game", check_adversary_size, problem.p, d)
     rng = np.random.default_rng(seed)
     instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng)
-    report = _detect(problem, block.get("model", "CSQ"), block.get("loss"), **_given(block, "tol"))
+    report = _detect(problem, *_query_model(block.get("model", "CSQ"), block.get("loss")), **_given(block, "tol"))
     if kinds["learner"] == "grouped":
         _checked("bad game", singleton_witness, report)
     # the seed draws s_star for every game, and the noise of an honest one
@@ -392,10 +401,11 @@ def cmd_hard_instance(cfg: dict, block: dict, out_dir: Path, seed) -> int:
         return hard_instance(my["values"], my["probs"], block["T"], block["A"], block["lambda"],
                              FiniteMarginal.from_dict(block["marginal_x"]))
 
+    losses = [_loss_from_spec(spec) for spec in block.get("losses", ["squared"])]
+    _distinct([loss.name for loss in losses], "losses")
     problem = _checked("hard instance construction failed", build)
     report = {"problem": problem.to_dict()}
     report["sq_detects_singleton"] = bool(problem.p and detect(problem, "SQ").system.sets)
-    losses = [_loss_from_spec(spec) for spec in block.get("losses", ["squared"])]
     report["dlq_detects_singleton"] = {loss.name: bool(detect(problem, "DLQ", loss).system.sets) for loss in losses}
     _write_json(report, out_dir, "hard_instance.json")
     print(json.dumps({k: v for k, v in report.items() if k != "problem"}, indent=2, sort_keys=True))

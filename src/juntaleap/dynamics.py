@@ -184,40 +184,24 @@ class TrainConfig:
 FORWARD_BLOCK_ENTRIES = 1 << 18
 
 
-@dataclass
-class StepBuffers:
-    """The work memory of one batch-SGD run at batch size n, as two flat
-    arrays. A step writes its (n, M) hidden pre-activations into `z`, then
-    sigma of them, then, once f and grad_a are taken, its (M, d) first-layer
-    gradient; it writes its (n, M) sigma' into `sp`. Between steps `forward`
-    takes its pre-activation block from `z` and its symbol-input block from
-    `sp`, so `rows` > 0 sizes them to hold a block of that many rows too."""
-
-    z: np.ndarray
-    sp: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int, m: int, d: int, rows: int = 0) -> "StepBuffers":
-        return cls(np.empty(max(n, d, rows) * m), np.empty(max(n * m, rows * d)))
-
-
-def _lent(buf: StepBuffers | None, part: str, shape: tuple[int, int]) -> np.ndarray:
-    """A C-order array of `shape` over the start of the step buffer `part`
-    ("z" or "sp") when a run lends one large enough, and a fresh one
-    otherwise."""
-    flat = None if buf is None else getattr(buf, part)
-    size = shape[0] * shape[1]
-    if flat is None or flat.size < size:
-        return np.empty(shape)
-    return flat[:size].reshape(shape)
+def _scratch(work: dict, part: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-order array of `shape` over the start of the flat work array
+    work[part]. When that array is missing or too small it is replaced by
+    one of the asked size, the old one released first."""
+    size = math.prod(shape)
+    if part not in work or work[part].size < size:
+        work.pop(part, None)
+        work[part] = np.empty(size)
+    return work[part][:size].reshape(shape)
 
 
 @dataclass
 class ParticleEnsemble:
     """Finite-width parameters theta_j = (a_j, w_j, b_j, c_j) after k SGD
-    steps; one training run owns and mutates one ensemble, and lends it its
-    step buffers for the run (`run_sgd`), which its steps and its test
-    forward passes write into."""
+    steps; one training run owns and mutates one ensemble. Its steps and
+    forward passes write into its work arrays "z" and "sp" (`_scratch`),
+    which stay on it between calls, until run_sgd releases them: an
+    ensemble, like a `Sampler`, is not shareable across threads."""
 
     a: np.ndarray
     w: np.ndarray  # (M, d)
@@ -226,7 +210,7 @@ class ParticleEnsemble:
     activation: Activation
     k: int = 0
     # on the ensemble, so that sgd_step keeps its (ens, x, y, cfg) signature
-    step_buffers: StepBuffers | None = field(default=None, init=False, repr=False, compare=False)
+    work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -236,11 +220,6 @@ class ParticleEnsemble:
     def d(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def block_rows(self) -> int:
-        """Rows of one forward block."""
-        return max(1, FORWARD_BLOCK_ENTRIES // self.m)
-
     def forward(self, x: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         """f(x) for a batch of inputs x of shape (n, d), evaluated in row blocks
         of at most FORWARD_BLOCK_ENTRIES hidden pre-activations; one block
@@ -249,13 +228,12 @@ class ParticleEnsemble:
         With `values`, x holds symbol indices into it (`Sampler.draw_symbols`),
         and each row block is expanded into one reused float block: the
         blocks, and so the bits, are those of forward on the float inputs.
-        Both blocks come from the ensemble's step buffers when a run lends
-        them, and are allocated otherwise."""
+        Both blocks are the ensemble's work arrays, "z" and "sp"."""
         n = x.shape[0]
         out = np.empty(n)
-        rows = self.block_rows
-        block = _lent(self.step_buffers, "z", (min(rows, n), self.m))
-        inputs = None if values is None else _lent(self.step_buffers, "sp", (min(rows, n), self.d))
+        rows = max(1, FORWARD_BLOCK_ENTRIES // self.m)
+        block = _scratch(self.work, "z", (min(rows, n), self.m))
+        inputs = None if values is None else _scratch(self.work, "sp", (min(rows, n), self.d))
         c_sum = self.c.sum()
         for lo in range(0, n, rows):
             k = min(rows, n - lo)
@@ -308,16 +286,16 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     updated in place. A divergence is numbered ens.k + 1, the step this call
     takes.
 
-    The step's (n, M) and (M, d) arrays are written into `ens.step_buffers`
-    when the ensemble holds them (for this batch size), and allocated
-    otherwise. In the buffers the first-layer gradient overwrites sigma(z),
-    which is dead once f and grad_a are taken."""
+    The step writes its (n, M) pre-activations, then sigma of them, into the
+    ensemble's work array "z" and its (n, M) sigma' into "sp"; the (M, d)
+    first-layer gradient then overwrites sigma(z), which is dead once f and
+    grad_a are taken."""
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    n, m, buf = x.shape[0], ens.m, ens.step_buffers
-    z = np.matmul(x, ens.w.T, out=_lent(buf, "z", (n, m)))
+    n, m = x.shape[0], ens.m
+    z = np.matmul(x, ens.w.T, out=_scratch(ens.work, "z", (n, m)))
     z += ens.b
-    s, gsp = ens.activation.value_and_deriv(z, _lent(buf, "sp", (n, m)))
+    s, gsp = ens.activation.value_and_deriv(z, _scratch(ens.work, "sp", (n, m)))
     f = (s @ ens.a + ens.c.sum()) / m
     if not np.all(np.isfinite(f)):
         raise DivergenceError(ens.k + 1, "network value")
@@ -327,7 +305,7 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
     gsp *= ens.a
     gsp *= g[:, None]  # l'/n * a_j sigma'(z_ij), (n, M)
     grad_b = gsp.sum(axis=0)
-    grad_w = _lent(buf, "z", (m, ens.d))  # over s, read for the last time above
+    grad_w = _scratch(ens.work, "z", (m, ens.d))  # over s, read for the last time above
     # at n = 1 each entry is one product, exactly as the k = 1 matmul gives it;
     # at M = 512, d = 100 einsum takes 44-48 us, np.multiply.outer 65-78 us and
     # the matmul 103-110 us (best of 7 timeit repeats, 2-core VM, 2 BLAS threads)
@@ -359,7 +337,10 @@ def sgd_step(ens: ParticleEnsemble, x: np.ndarray, y: np.ndarray, cfg: TrainConf
 
 @dataclass
 class DFState:
-    """Weighted dimension-free particles (a, b, u, c, s); weights sum to 1."""
+    """Weighted dimension-free particles (a, b, u, c, s); weights sum to 1.
+    At s > 0 its forward passes write into its work arrays "pre" and "sp",
+    which stay on it between calls, until run_df releases them: a state is
+    not shareable across threads."""
 
     a: np.ndarray
     b: np.ndarray
@@ -369,6 +350,7 @@ class DFState:
     weights: np.ndarray
     activation: Activation
     k: int = 0
+    work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -447,10 +429,10 @@ class _DFForward(NamedTuple):
     f: np.ndarray
 
 
-def _df_forward(state: DFState, zmat: np.ndarray, gh_order: int, work=None) -> _DFForward:
+def _df_forward(state: DFState, zmat: np.ndarray, gh_order: int) -> _DFForward:
     """The only evaluation of a DF state: df_step, df_risk, kernel and the
-    layer-wise step size all read it. At s > 0, `work` may hold two
-    (N, R, gh_order) arrays for the quadrature pre-activations and sigma'."""
+    layer-wise step size all read it. At s > 0 the (N, R, gh_order)
+    quadrature pre-activations and sigma' are the state's work arrays."""
     act = state.activation
     pre = state.u @ zmat.T + state.b[:, None]  # (N, R)
     if np.all(state.s == 0.0):
@@ -458,9 +440,9 @@ def _df_forward(state: DFState, zmat: np.ndarray, gh_order: int, work=None) -> _
         sigp_g = None
     else:
         nodes, wts = gauss_hermite(gh_order)
-        pre3, sigp_full = (None, None) if work is None else work
-        pre3 = np.add(pre[:, :, None], state.s[:, None, None] * nodes, out=pre3)
-        sig3, sigp_full = act.value_and_deriv(pre3, sigp_full)
+        shape = (*pre.shape, gh_order)
+        pre3 = np.add(pre[:, :, None], state.s[:, None, None] * nodes, out=_scratch(state.work, "pre", shape))
+        sig3, sigp_full = act.value_and_deriv(pre3, _scratch(state.work, "sp", shape))
         sig = sig3 @ wts
         sigp = sigp_full @ wts
         sigp_g = sigp_full @ (wts * nodes)
@@ -479,16 +461,15 @@ def df_step(
     cfg: TrainConfig,
     gh_order: int = 20,
     _tables=None,
-    _work=None,
     _forward: _DFForward | None = None,
 ) -> DFState:
     """One step of the discrete dimension-free recursion (exact expectations).
     A divergence is numbered state.k + 1, the step this call takes.
 
-    run_df passes its tables, its s > 0 work arrays and, when it has already
-    computed it for a risk record, the state's forward pass."""
+    run_df passes its tables and, when it has already computed it for a risk
+    record, the state's forward pass."""
     zmat, wz, cond, labels = hypercube_tables(problem) if _tables is None else _tables
-    sig, sigp, sigp_g, f = _df_forward(state, zmat, gh_order, _work) if _forward is None else _forward
+    sig, sigp, sigp_g, f = _df_forward(state, zmat, gh_order) if _forward is None else _forward
     if not np.all(np.isfinite(f)):
         raise DivergenceError(state.k + 1, "network value")
     ellp = cfg.loss.deriv(f[:, None], labels[None, :])  # (R, ny)
@@ -534,22 +515,19 @@ def run_df(
     """DF training for `steps` steps with the exact risk under each of
     `risk_losses` every `risk_every` steps and at the last. A recorded state's
     forward pass serves both its risks and the step that follows; at s > 0
-    the run owns the quadrature work arrays of all its steps."""
+    every step reuses the state's quadrature work arrays (`DFState`), which
+    the run releases when it ends."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
     tables = hypercube_tables(problem)
     u_max = np.empty((steps + 1, state.p))
     u_max[0] = np.abs(state.u).max(axis=0) if state.n else 0.0
     history = []
-    work = None
-    if not np.all(state.s == 0.0):
-        shape = (state.n, tables[0].shape[0], gh_order)
-        work = (np.empty(shape), np.empty(shape))
 
     def record(step):
         if risk_every is None or (step % risk_every and step != steps):
             return None
-        forward = _df_forward(state, tables[0], gh_order, work)
+        forward = _df_forward(state, tables[0], gh_order)
         row = {"step": step, "t": step * cfg.eta}
         for name, loss in risk_losses:
             row[name] = _table_risk(forward.f, tables, loss)
@@ -560,9 +538,10 @@ def run_df(
 
     forward = record(0)
     for step in range(1, steps + 1):
-        df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _work=work, _forward=forward)
+        df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _forward=forward)
         u_max[step] = np.abs(state.u).max(axis=0)
         forward = record(step)
+    state.work.clear()
     return DFRun(state, u_max, history)
 
 
@@ -746,9 +725,10 @@ def run_sgd(
 
     The test inputs are held as symbols (test_n * d bytes for |X| <= 256)
     and their support-row indices; no test label is drawn, since the risk
-    averages over y given z from the rows. The run lends the ensemble
-    one set of step buffers for its batch size and one forward block, so a
-    step maps no fresh pages and an evaluation allocates no block."""
+    averages over y given z from the rows. The run grows the ensemble's
+    work arrays to its largest shapes before its first evaluation, so a
+    step maps no fresh pages and an evaluation allocates no block, and
+    releases them when it ends, so that a finished run holds none."""
     sampler = instance.sampler(data_seed)
     sym_test, rows_test = instance.sampler(10**6).draw_symbols(test_n)
     problem = instance.problem
@@ -763,16 +743,18 @@ def run_sgd(
             row[name], row[f"{name}_se"] = label_averaged_risk(f, rows_test, problem.cond, labels, loss)
         history.append(row)
 
-    ens.step_buffers = StepBuffers.empty(cfg.batch, ens.m, ens.d, min(ens.block_rows, test_n))
-    try:
-        evaluate(0)
-        for step in range(1, steps + 1):
-            y, x, _ = sampler.draw_batch(cfg.batch)
-            sgd_step(ens, x, y, cfg)
-            if eval_every is not None and (step % eval_every == 0 or step == steps):
-                evaluate(step)
-    finally:
-        ens.step_buffers = None
+    # the largest shapes of a step and of a forward block, grown at once: grown
+    # one at a time, the arrays left the process a higher peak RSS
+    rows = min(max(1, FORWARD_BLOCK_ENTRIES // ens.m), test_n)
+    _scratch(ens.work, "z", (max(cfg.batch, ens.d, rows) * ens.m,))
+    _scratch(ens.work, "sp", (max(cfg.batch * ens.m, rows * ens.d),))
+    evaluate(0)
+    for step in range(1, steps + 1):
+        y, x, _ = sampler.draw_batch(cfg.batch)
+        sgd_step(ens, x, y, cfg)
+        if eval_every is not None and (step % eval_every == 0 or step == steps):
+            evaluate(step)
+    ens.work.clear()
     return SgdRun(ens, history)
 
 

@@ -619,6 +619,32 @@ class TestConfigValuesRejectedUpFront:
         assert not out.exists()
 
 
+class TestDuplicateReportNames:
+    """Two requested reports under one name once kept only the second: both
+    custom polynomials are named custom_polynomial[diff]."""
+
+    CUBIC_AND_LINEAR = [{"name": "custom_polynomial", "coeffs": [0, 1]},
+                        {"name": "custom_polynomial", "coeffs": [0, 0, 0, 1]}]
+
+    @pytest.mark.parametrize("command", ["exponents", "detect"])
+    def test_two_models_exit_2_before_detection(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("juntaleap.cli._detect", lambda *args, **kwargs: pytest.fail("detection ran"))
+        models = [{"DLQ": loss} for loss in self.CUBIC_AND_LINEAR]
+        cfg = write_config(tmp_path, "c.json", {"problem": Y2_SPEC, command: {"models": models}})
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "two models give the report name 'DLQ[custom_polynomial[diff]]'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_losses_exit_2_before_detection(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("juntaleap.detect.detect", lambda *args, **kwargs: pytest.fail("detection ran"))
+        cfg = write_config(tmp_path, "h.json", {"hard_instance": dict(HARD_INSTANCE, losses=self.CUBIC_AND_LINEAR)})
+        out = tmp_path / "out"
+        assert run_cli(["hard-instance", "--config", cfg, "--out", str(out)]) == 2
+        assert "two losses give the report name 'custom_polynomial[diff]'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestHardInstance:
     def test_singleton_asymmetry(self, tmp_path):
         cfg = write_config(

@@ -28,7 +28,6 @@ from juntaleap.dynamics import (
     DFState,
     DivergenceError,
     ParticleEnsemble,
-    StepBuffers,
     _df_forward,
     gauss_hermite,
     hypercube_tables,
@@ -187,9 +186,7 @@ class TestLeanSgdStep:
     so polynomial activations must match bit for bit. Measured largest gap
     over 1,000 steps with tanh: 2.2e-15 relative; bound 1e-12. Given the same
     derivative, every case matches bit for bit: at batch 1 the einsum outer
-    product gives each entry of grad_w as the k = 1 matmul does. A step that
-    writes into a run's step buffers matches the allocating step bit for
-    bit."""
+    product gives each entry of grad_w as the k = 1 matmul does."""
 
     @pytest.mark.parametrize("act", ["tanh", "poly:3"])
     @pytest.mark.parametrize("batch", ["1", "d"])
@@ -207,20 +204,16 @@ class TestLeanSgdStep:
         ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.1, mu_w="normal")
         ref = copy.deepcopy(ens)
         same_deriv = copy.deepcopy(ens)
-        buffered = copy.deepcopy(ens)
-        buffered.step_buffers = StepBuffers.empty(n, m, d)
         cfg = TrainConfig(loss=get_loss(loss), eta=eta, batch=n, lam_w=lam_w,
                           kappa=np.random.default_rng(4).uniform(0.5, 1.5, d) if kappa else None)
         sampler = inst.sampler(5)
         for _ in range(1000):
             y, x, _ = sampler.draw_batch(n)
             sgd_step(ens, x, y, cfg)
-            sgd_step(buffered, x, y, cfg)
             reference_sgd_step(ref, x, y, cfg)
             reference_sgd_step(same_deriv, x, y, cfg, fused=True)
         for k in ("a", "w", "b", "c"):
             np.testing.assert_array_equal(getattr(ens, k), getattr(same_deriv, k))
-            np.testing.assert_array_equal(getattr(buffered, k), getattr(ens, k))
         if act.startswith("poly"):
             for k in ("a", "w", "b", "c"):
                 np.testing.assert_array_equal(getattr(ens, k), getattr(ref, k))
@@ -311,9 +304,8 @@ class TestLeanSgdStep:
 
 
 def reference_run_sgd(inst, ens, cfg, steps, eval_every, test_n, losses, data_seed=0):
-    """run_sgd on the allocating path: sgd_step on an ensemble without lent
-    memory, forward on the float test inputs and the one-shot risk over the
-    test samples' cond rows."""
+    """run_sgd written out with forward on the float test inputs and the
+    one-shot risk over the test samples' cond rows."""
     sampler = inst.sampler(data_seed)
     symbols, rows = inst.sampler(10**6).draw_symbols(test_n)
     x_test = inst.problem.marginal.values[symbols]
@@ -339,11 +331,12 @@ def reference_run_sgd(inst, ens, cfg, steps, eval_every, test_n, losses, data_se
 
 class TestRunOwnedMemoryBits:
     """run_sgd writes each step's first-layer gradient over sigma(z), and its
-    evaluations borrow the step buffers and take the risk in row chunks; its
-    history and final parameters are those of the allocating path, bit for
-    bit. test_n = 1100 is a multiple of neither the 256-row forward block
-    (M = 1024) nor the 512-row risk chunk (|Y| = 16), and at d = 100 each
-    block expands its symbols in four chunks."""
+    evaluations expand symbols into the ensemble's work arrays and take the
+    risk in row chunks; its history and final parameters are those of
+    reference_run_sgd, bit for bit. test_n = 1100 is a multiple of neither
+    the 256-row forward block (M = 1024) nor the 512-row risk chunk
+    (|Y| = 16), and at d = 100 each block expands its symbols in four
+    chunks."""
 
     @pytest.mark.parametrize("spec", ["tanh:2:2", "poly:3"])
     @pytest.mark.parametrize("batch", ["1", "d"])
@@ -558,7 +551,8 @@ class TestRunOwnedBuffers:
     """A training run allocates its steps' work arrays once. Each step once
     allocated them afresh: z, sigma' and grad_w of (n, M) and (M, d) in
     sgd_step, and the (N, R, K) quadrature pre-activations and sigma' in
-    df_step at s > 0."""
+    df_step at s > 0. The ensemble and the DF state own these arrays, so a
+    direct call after the first allocates none either."""
 
     @staticmethod
     def step_peaks(monkeypatch, name, owner=dynamics):
@@ -578,7 +572,7 @@ class TestRunOwnedBuffers:
         return peaks
 
     def batch_d_step_peaks(self, monkeypatch, n=300, m=1024, d=300, spec="tanh:2:2"):
-        """Step peaks of a 3-step run_sgd at the meanfield-batch shape, and its ensemble."""
+        """Step peaks of a 3-step run_sgd at the meanfield-batch shape."""
         inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4))
         ens = init_ensemble(d, m, make_activation(spec), seed=1, c_bar=0.15, mu_w="normal")
         cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
@@ -589,32 +583,32 @@ class TestRunOwnedBuffers:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 3
-        return peaks, ens
+        return peaks
 
     def test_sgd_step_at_the_batch_d_shape(self, monkeypatch):
         n, m = 300, 1024
-        peaks, ens = self.batch_d_step_peaks(monkeypatch, n, m)
+        peaks = self.batch_d_step_peaks(monkeypatch, n, m)
         assert max(peaks[1:]) < n * m * 8, f"step peaks {peaks} B against one (n, M) block of {n * m * 8} B"
-        assert ens.step_buffers is None  # the run takes its buffers back
 
     def test_poly_sgd_step_at_the_batch_d_shape(self, monkeypatch):
         """(1 + x)^L once allocated sigma and sigma' afresh, two (n, M) blocks."""
         n, m = 300, 1024
-        peaks, _ = self.batch_d_step_peaks(monkeypatch, n, m, spec="poly:3")
+        peaks = self.batch_d_step_peaks(monkeypatch, n, m, spec="poly:3")
         assert max(peaks[1:]) < n * m * 8, f"step peaks {peaks} B against one (n, M) block of {n * m * 8} B"
 
     def test_sgd_step_finiteness_check_needs_no_w_sized_temporary(self, monkeypatch):
         """np.isfinite(w) allocated an (M, d) boolean array, 307 KB, every step;
         min and max reduce w without one. Measured peak: 80 KB."""
         m, d = 1024, 300
-        peaks, _ = self.batch_d_step_peaks(monkeypatch, m=m, d=d)
+        peaks = self.batch_d_step_peaks(monkeypatch, m=m, d=d)
         assert max(peaks[1:]) < m * d, f"step peaks {peaks} B against one (M, d) boolean array of {m * d} B"
 
     def test_evaluation_allocates_no_block_and_no_risk_table(self, monkeypatch):
         """At the meanfield-batch shape forward once allocated its 2 MB
         pre-activation block and its 614 KB input block at every evaluation,
-        and the risk held (test_n, |Y|) arrays, 1 MB each. Now forward borrows
-        the run's step buffers and the risk works in row chunks."""
+        and the risk held (test_n, |Y|) arrays, 1 MB each. Now forward writes
+        into the ensemble's work arrays, which the run sizes, and the risk
+        works in row chunks."""
         d, m, n, test_n = 300, 1024, 300, 8000
         inst = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4))
         ens = init_ensemble(d, m, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
@@ -652,6 +646,94 @@ class TestRunOwnedBuffers:
         """(1 + x)^L once left the run's work arrays unused, allocating two
         (N, R, K) arrays a step."""
         self.check_s_pos_step_peaks(monkeypatch, y2_problem, poly_activation(4))
+
+    @staticmethod
+    def second_call_peak(call):
+        """Traced allocation peak of call() the second time, above what was
+        allocated when it started."""
+        call()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_direct_sgd_step_reuses_the_ensembles_arrays(self):
+        """A step outside any run once allocated z, sigma' and grad_w afresh."""
+        n, m, d = 300, 1024, 300
+        ens = init_ensemble(d, m, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
+        y, x, _ = PlantedInstance(fig1_problem(), d, (1, 2, 3, 4)).sampler(2).draw_batch(n)
+        cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
+        peak = self.second_call_peak(lambda: sgd_step(ens, x, y, cfg))
+        assert peak < n * m * 8, f"step peak {peak} B against one (n, M) block of {n * m * 8} B"
+
+    def test_direct_forward_reuses_the_ensembles_arrays(self):
+        """A forward outside any run once allocated its 2 MB block and its
+        614 KB input block."""
+        inst = PlantedInstance(fig1_problem(), 300, (1, 2, 3, 4))
+        symbols, _ = inst.sampler(7).draw_symbols(8000)
+        ens = init_ensemble(300, 1024, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
+        peak = self.second_call_peak(lambda: ens.forward(symbols, inst.problem.marginal.values))
+        assert peak < 2**18, f"forward peak {peak} B against an eighth of a block"
+
+    def test_direct_df_step_reuses_the_states_arrays(self, y2_problem):
+        """A df_step at s > 0 outside run_df once allocated its two (N, R, K) arrays."""
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=24, b_order=12, s0=0.5)
+        block = st.n * 2**4 * 20 * 8  # (N, R, K) at gh_order 20
+        cfg = TrainConfig(loss=get_loss("squared"), eta=0.002)
+        peak = self.second_call_peak(lambda: df_step(st, y2_problem, cfg, gh_order=20))
+        assert peak < block, f"step peak {peak} B against one (N, R, K) block of {block} B"
+
+
+class TestWorkMemoryIsWrittenBeforeRead:
+    """Work arrays filled with NaN before a run leave its history and final
+    parameters bit-identical to a run on fresh arrays, so no path reads
+    work memory it has not written. The run writes into the filled arrays
+    and releases them when it ends."""
+
+    @staticmethod
+    def fill_with_nan(work, size, *parts):
+        """NaN arrays of `size` as work[part] for each part, returned."""
+        work.update((part, np.full(size, np.nan)) for part in parts)
+        return list(work.values())
+
+    @staticmethod
+    def written_and_released(work, filled):
+        """Whether the run wrote into the filled arrays and left its owner none."""
+        return not work and not any(np.isnan(a).all() for a in filled)
+
+    @pytest.mark.parametrize("batch", ["1", "d"])
+    def test_sgd_run(self, batch):
+        d, m, test_n = 40, 64, 300
+        n = 1 if batch == "1" else d
+        inst = PlantedInstance(fig1_problem(), d, (3, 7, 11, 19))
+        ens = init_ensemble(d, m, make_activation("tanh:2:2"), seed=1, c_bar=0.15, mu_w="normal")
+        ref = copy.deepcopy(ens)
+        filled = self.fill_with_nan(ens.work, (test_n + n + d) * m, "z", "sp")  # more than any shape asked
+        cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.5 / d, batch=n)
+        losses = [("mse", get_loss("squared")), ("train_risk", cfg.loss)]
+        run = run_sgd(inst, ens, cfg, 12, data_seed=2, eval_every=4, test_n=test_n, eval_losses=losses)
+        expected = run_sgd(inst, ref, cfg, 12, data_seed=2, eval_every=4, test_n=test_n, eval_losses=losses)
+        assert self.written_and_released(ens.work, filled)
+        assert run.history == expected.history and len(run.history) == 4
+        for k in ("a", "w", "b", "c"):
+            np.testing.assert_array_equal(getattr(ens, k), getattr(ref, k))
+
+    def test_df_run_at_s_pos(self, y2_problem):
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=8, b_order=4, s0=0.5)
+        ref = copy.deepcopy(st)
+        filled = self.fill_with_nan(st.work, st.n * 2**4 * 20, "pre", "sp")  # (N, R, K) at gh_order 20
+        cfg = TrainConfig(loss=get_loss("squared_plus_cubic"), eta=0.01)
+        losses = [("mse", get_loss("squared")), ("train_risk", cfg.loss)]
+        run = run_df(y2_problem, cfg, 20, st, risk_every=5, risk_losses=losses)
+        expected = run_df(y2_problem, cfg, 20, ref, risk_every=5, risk_losses=losses)
+        assert self.written_and_released(st.work, filled)
+        assert run.history == expected.history and len(run.history) == 5
+        np.testing.assert_array_equal(run.u_max, expected.u_max)
+        for k in ("a", "b", "u", "c", "s"):
+            np.testing.assert_array_equal(getattr(st, k), getattr(ref, k))
 
 
 class TestSupportAlignment:
