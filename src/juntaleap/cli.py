@@ -149,13 +149,6 @@ def _query_model(model, loss=None):
     return model, _loss_from_spec(loss) if model == "DLQ" else None
 
 
-def _detect(problem, model, loss=None, u_grid=None, **kw):
-    """detect.detect for a _query_model pair; `kw` may pass a tol, a basis and a table."""
-    from .detect import detect
-
-    return detect(problem, model, **kw) if loss is None else detect(problem, model, loss, u_grid=u_grid, **kw)
-
-
 def _distinct(names: list, what: str) -> None:
     """Two requested reports under one name would leave only one of them."""
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
@@ -167,11 +160,11 @@ def _detect_reports(cfg, block):
     """Shared by exponents/detect: the problem, its moment table, and one
     report per entry of `models`, where DLQ is written {"DLQ": loss}, all
     read from that one table."""
-    from .detect import check_detect_params
+    from .detect import check_detect_params, detect
     from .fourier import gram_schmidt, moment_table
 
-    params = _given(block, "tol", "u_grid")
-    _checked("bad detection parameters", check_detect_params, **params)
+    tol, u_grid = _given(block, "tol"), _given(block, "u_grid")
+    _checked("bad detection parameters", check_detect_params, **tol, **u_grid)
     models = [_query_model("DLQ", m["DLQ"]) if isinstance(m, dict) and "DLQ" in m else _query_model(m)
               for m in block.get("models", ["CSQ", "SQ"])]
     # the names detect gives its reports
@@ -179,7 +172,9 @@ def _detect_reports(cfg, block):
     problem = _problem_from_config(cfg)
     basis = gram_schmidt(problem.marginal)
     table = moment_table(problem, basis)
-    reports = [_detect(problem, model, loss, basis=basis, table=table, **params) for model, loss in models]
+    # u_grid is DLQ's only
+    reports = [detect(problem, model, loss, basis=basis, table=table, **tol, **(u_grid if loss is not None else {}))
+               for model, loss in models]
     return problem, reports, table
 
 
@@ -232,7 +227,7 @@ def cmd_detect(cfg: dict, block: dict, out_dir: Path, seed) -> int:
 def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
     import numpy as np
 
-    from .detect import check_detect_params
+    from .detect import check_detect_params, detect
     from .oracle import check_adversary_size, check_game_kinds, check_tau, play_game, singleton_witness
 
     for key, value in _given(block, "tau", "tau_factor").items():
@@ -248,7 +243,7 @@ def cmd_game(cfg: dict, block: dict, out_dir: Path, seed) -> int:
         _checked("bad game", check_adversary_size, problem.p, d)
     rng = np.random.default_rng(seed)
     instance = _checked("bad planted instance", _planted, problem, d, block.get("s_star"), rng)
-    report = _detect(problem, *_query_model(block.get("model", "CSQ"), block.get("loss")), **_given(block, "tol"))
+    report = detect(problem, *_query_model(block.get("model", "CSQ"), block.get("loss")), **_given(block, "tol"))
     if kinds["learner"] == "grouped":
         _checked("bad game", singleton_witness, report)
     # the seed draws s_star for every game, and the noise of an honest one

@@ -184,6 +184,11 @@ class TrainConfig:
 FORWARD_BLOCK_ENTRIES = 1 << 18
 
 
+def _forward_rows(m: int) -> int:
+    """Rows of one ParticleEnsemble.forward block at width m."""
+    return max(1, FORWARD_BLOCK_ENTRIES // m)
+
+
 def _scratch(work: dict, part: str, shape: tuple[int, ...]) -> np.ndarray:
     """A C-order array of `shape` over the start of the flat work array
     work[part]. When that array is missing or too small it is replaced by
@@ -231,7 +236,7 @@ class ParticleEnsemble:
         Both blocks are the ensemble's work arrays, "z" and "sp"."""
         n = x.shape[0]
         out = np.empty(n)
-        rows = max(1, FORWARD_BLOCK_ENTRIES // self.m)
+        rows = _forward_rows(self.m)
         block = _scratch(self.work, "z", (min(rows, n), self.m))
         inputs = None if values is None else _scratch(self.work, "sp", (min(rows, n), self.d))
         c_sum = self.c.sum()
@@ -536,12 +541,14 @@ def run_df(
         history.append(row)
         return forward
 
-    forward = record(0)
-    for step in range(1, steps + 1):
-        df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _forward=forward)
-        u_max[step] = np.abs(state.u).max(axis=0)
-        forward = record(step)
-    state.work.clear()
+    try:
+        forward = record(0)
+        for step in range(1, steps + 1):
+            df_step(state, problem, cfg, gh_order=gh_order, _tables=tables, _forward=forward)
+            u_max[step] = np.abs(state.u).max(axis=0)
+            forward = record(step)
+    finally:
+        state.work.clear()
     return DFRun(state, u_max, history)
 
 
@@ -743,18 +750,22 @@ def run_sgd(
             row[name], row[f"{name}_se"] = label_averaged_risk(f, rows_test, problem.cond, labels, loss)
         history.append(row)
 
-    # the largest shapes of a step and of a forward block, grown at once: grown
-    # one at a time, the arrays left the process a higher peak RSS
-    rows = min(max(1, FORWARD_BLOCK_ENTRIES // ens.m), test_n)
+    # both arrays grown at once to the largest shapes they take: "z" sgd_step's
+    # (batch, M) pre-activations and (M, d) grad_w and forward's (rows, M)
+    # block, "sp" sgd_step's (batch, M) sigma' and forward's (rows, d) inputs.
+    # Grown one at a time, they left the process a higher peak RSS
+    rows = min(_forward_rows(ens.m), test_n)
     _scratch(ens.work, "z", (max(cfg.batch, ens.d, rows) * ens.m,))
     _scratch(ens.work, "sp", (max(cfg.batch * ens.m, rows * ens.d),))
-    evaluate(0)
-    for step in range(1, steps + 1):
-        y, x, _ = sampler.draw_batch(cfg.batch)
-        sgd_step(ens, x, y, cfg)
-        if eval_every is not None and (step % eval_every == 0 or step == steps):
-            evaluate(step)
-    ens.work.clear()
+    try:
+        evaluate(0)
+        for step in range(1, steps + 1):
+            y, x, _ = sampler.draw_batch(cfg.batch)
+            sgd_step(ens, x, y, cfg)
+            if eval_every is not None and (step % eval_every == 0 or step == steps):
+                evaluate(step)
+    finally:
+        ens.work.clear()
     return SgdRun(ens, history)
 
 

@@ -279,21 +279,17 @@ class HonestOracle(_BlockOracle):
     def _row_values(self, t_label, tables, rows: np.ndarray) -> np.ndarray:
         """E_D[T(y) prod_i T_i(x_{c_i})] on each row c of `rows`, each as
         `0.0 + value`, a one-row sum (which turns -0.0 into 0.0). Each distinct
-        slot pattern is evaluated once, in ascending pattern code."""
+        slot pattern is evaluated once."""
+        positions = self._pos_array[rows]
         # pattern code: each slot's support position (0 off support) as a digit
         # in base P + 1; ravel_multi_index raises if (P + 1)^k overflows int64
-        shape = (self.problem.p + 1,) * len(tables)
-        codes = np.ravel_multi_index(self._pos_array[rows].T, shape)
-        if math.prod(shape) <= codes.size:
-            # no sort: rank each row's code among the codes present in a table of every code
-            present = np.zeros(math.prod(shape), dtype=bool)
-            present[codes] = True
-            uniq, ranks = np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
-        else:
-            uniq, ranks = np.unique(codes, return_inverse=True)
-        patterns = np.column_stack(np.unravel_index(uniq, shape))
-        values = [0.0 + _term_value(self.problem, t_label, tables, pattern) for pattern in patterns]
-        return np.asarray(values)[ranks]
+        _, first, inverse = np.unique(
+            np.ravel_multi_index(positions.T, (self.problem.p + 1,) * len(tables)),
+            return_index=True,
+            return_inverse=True,
+        )
+        values = [0.0 + _term_value(self.problem, t_label, tables, positions[i]) for i in first]
+        return np.asarray(values)[inverse]
 
     def _noise(self, exact, bound: float, size: int | None = None):
         """Noise of at most `bound` on the exact value(s): zero, uniform draws

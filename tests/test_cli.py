@@ -531,7 +531,7 @@ class TestConfigValuesRejectedUpFront:
         assert outputs[0] == outputs[1] and outputs[0]
 
     def test_adversary_size_found_before_detection(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("juntaleap.cli._detect", lambda *args, **kwargs: pytest.fail("detection ran"))
+        monkeypatch.setattr("juntaleap.detect.detect", lambda *args, **kwargs: pytest.fail("detection ran"))
         spec = {"hypercube": {"P": 5, "fourier": {"1,2,3,4,5": 1.0}}}
         cfg = write_config(tmp_path, "c.json", {"problem": spec, "game": {"d": 8, "oracle": "adversarial"}})
         out = tmp_path / "out"
@@ -598,7 +598,7 @@ class TestConfigValuesRejectedUpFront:
 
     @pytest.mark.parametrize("s_star", [[1.7, 2, 3, 4], [True, 2, 3, 4], ["2", 3, 4, 5], [1.0, 2, 3, 4]])
     def test_s_star_entry_not_an_integer_exits_2_before_detection(self, tmp_path, capsys, monkeypatch, s_star):
-        monkeypatch.setattr("juntaleap.cli._detect", lambda *args, **kwargs: pytest.fail("detection ran"))
+        monkeypatch.setattr("juntaleap.detect.detect", lambda *args, **kwargs: pytest.fail("detection ran"))
         cfg = write_config(tmp_path, "c.json", {"problem": Y1_SPEC, "game": {"d": 10, "s_star": s_star}})
         out = tmp_path / "out"
         assert run_cli(["game", "--config", cfg, "--out", str(out)]) == 2
@@ -628,7 +628,7 @@ class TestDuplicateReportNames:
 
     @pytest.mark.parametrize("command", ["exponents", "detect"])
     def test_two_models_exit_2_before_detection(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr("juntaleap.cli._detect", lambda *args, **kwargs: pytest.fail("detection ran"))
+        monkeypatch.setattr("juntaleap.detect.detect", lambda *args, **kwargs: pytest.fail("detection ran"))
         models = [{"DLQ": loss} for loss in self.CUBIC_AND_LINEAR]
         cfg = write_config(tmp_path, "c.json", {"problem": Y2_SPEC, command: {"models": models}})
         out = tmp_path / "out"

@@ -691,7 +691,7 @@ class TestWorkMemoryIsWrittenBeforeRead:
     """Work arrays filled with NaN before a run leave its history and final
     parameters bit-identical to a run on fresh arrays, so no path reads
     work memory it has not written. The run writes into the filled arrays
-    and releases them when it ends."""
+    and releases them when it ends, also when it diverges."""
 
     @staticmethod
     def fill_with_nan(work, size, *parts):
@@ -734,6 +734,24 @@ class TestWorkMemoryIsWrittenBeforeRead:
         np.testing.assert_array_equal(run.u_max, expected.u_max)
         for k in ("a", "b", "u", "c", "s"):
             np.testing.assert_array_equal(getattr(st, k), getattr(ref, k))
+
+    def test_diverged_sgd_run(self):
+        # the first step's network value overflows
+        inst = PlantedInstance(fig1_problem(), 6, (1, 2, 3, 4))
+        ens = init_ensemble(6, 8, make_activation("poly:3"), seed=1, c_bar=0.1)
+        ens.b[:] = 1e120
+        cfg = TrainConfig(loss=get_loss("squared"), eta=0.01)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            run_sgd(inst, ens, cfg, steps=3, test_n=10)
+        assert not ens.work
+
+    def test_diverged_df_run_at_s_pos(self, y2_problem):
+        # the first step's bias overflows; its forward pass used the quadrature arrays
+        st = init_df_state(4, make_activation("tanh"), c_bar=0.3, a_order=6, b_order=4, s0=0.5)
+        cfg = TrainConfig(loss=get_loss("squared"), eta=1e300, rate_a=0.0, rate_w=0.0, rate_b=1e300, rate_c=0.0)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            run_df(y2_problem, cfg, 3, st)
+        assert not st.work
 
 
 class TestSupportAlignment:
